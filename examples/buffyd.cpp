@@ -27,19 +27,13 @@
 // the same graceful drain as a `shutdown` request: running analyses
 // complete and deliver their responses, queued ones answer
 // `shutting_down`, then the process exits 0.
-#include <pthread.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <csignal>
 #include <cstdio>
-#include <fstream>
-#include <optional>
+#include <functional>
 #include <string>
-#include <thread>
 
 #include "base/diagnostics.hpp"
 #include "base/string_util.hpp"
+#include "service/daemon_main.hpp"
 #include "service/server.hpp"
 
 using namespace buffy;
@@ -55,127 +49,39 @@ void usage(std::FILE* out) {
                "              [--pid-file PATH]\n");
 }
 
-struct CliArgs {
-  service::ServerOptions server;
-  std::string pid_file;
-};
-
-std::optional<CliArgs> parse_args(int argc, char** argv) {
-  CliArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) throw ParseError("missing value for " + arg);
-      return argv[++i];
-    };
-    if (arg == "--socket") {
-      args.server.unix_socket_path = value();
-    } else if (arg == "--port") {
-      const i64 port = parse_i64(value());
-      if (port < 0 || port > 65535) {
-        throw ParseError("--port must be in [0, 65535]");
-      }
-      args.server.tcp_port = static_cast<int>(port);
-    } else if (arg == "--threads") {
-      const i64 n = parse_i64(value());
-      if (n < 1) throw ParseError("--threads must be >= 1");
-      args.server.threads = static_cast<unsigned>(n);
-    } else if (arg == "--queue") {
-      const i64 n = parse_i64(value());
-      if (n < 1) throw ParseError("--queue must be >= 1");
-      args.server.queue_capacity = static_cast<u64>(n);
-    } else if (arg == "--cache-cap") {
-      const i64 n = parse_i64(value());
-      if (n < 1) throw ParseError("--cache-cap must be >= 1");
-      args.server.cache_graphs = static_cast<std::size_t>(n);
-    } else if (arg == "--cache-entries") {
-      const i64 n = parse_i64(value());
-      if (n < 0) throw ParseError("--cache-entries must be >= 0");
-      args.server.cache_entries_per_graph = static_cast<u64>(n);
-    } else if (arg == "--deadline-ms") {
-      const i64 n = parse_i64(value());
-      if (n < 0) throw ParseError("--deadline-ms must be >= 0");
-      args.server.default_deadline_ms = n;
-    } else if (arg == "--pid-file") {
-      args.pid_file = value();
-    } else {
-      std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
-      usage(stderr);
-      return std::nullopt;
-    }
-  }
-  if (args.server.unix_socket_path.empty() &&
-      !args.server.tcp_port.has_value()) {
-    std::fprintf(stderr, "error: at least one of --socket/--port required\n");
-    usage(stderr);
-    return std::nullopt;
-  }
-  return args;
-}
-
-// The signal thread: SIGINT/SIGTERM are blocked in every thread (set up
-// before the server spawns any) and collected here synchronously, which
-// keeps the handler free to call the non-async-signal-safe shutdown().
-// `drained` distinguishes a real signal from the wake-up main sends once
-// a protocol-initiated drain finished.
-void signal_thread(sigset_t set, service::Server* server,
-                   const std::atomic<bool>* drained) {
-  int sig = 0;
-  if (sigwait(&set, &sig) == 0 && !drained->load()) {
-    std::fprintf(stderr, "buffyd: signal %d, draining...\n", sig);
-    server->shutdown();
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::optional<CliArgs> args;
-  try {
-    args = parse_args(argc, argv);
-    if (!args.has_value()) return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    usage(stderr);
-    return 2;
+  service::ServerOptions options;
+  std::string pid_file;
+  const auto flag = [&options](const std::string& arg,
+                               const std::function<std::string()>& value) {
+    if (arg == "--threads") {
+      const i64 n = parse_i64(value());
+      if (n < 1) throw ParseError("--threads must be >= 1");
+      options.threads = static_cast<unsigned>(n);
+    } else if (arg == "--queue") {
+      const i64 n = parse_i64(value());
+      if (n < 1) throw ParseError("--queue must be >= 1");
+      options.queue_capacity = static_cast<u64>(n);
+    } else if (arg == "--cache-cap") {
+      const i64 n = parse_i64(value());
+      if (n < 1) throw ParseError("--cache-cap must be >= 1");
+      options.cache_graphs = static_cast<std::size_t>(n);
+    } else if (arg == "--cache-entries") {
+      const i64 n = parse_i64(value());
+      if (n < 0) throw ParseError("--cache-entries must be >= 0");
+      options.cache_entries_per_graph = static_cast<u64>(n);
+    } else {
+      return false;
+    }
+    return true;
+  };
+  if (const int rc = service::parse_daemon_args(argc, argv, usage, options,
+                                                pid_file, flag);
+      rc != 0) {
+    return rc;
   }
-  try {
-    sigset_t set;
-    sigemptyset(&set);
-    sigaddset(&set, SIGINT);
-    sigaddset(&set, SIGTERM);
-    pthread_sigmask(SIG_BLOCK, &set, nullptr);
-
-    service::Server server(args->server);
-    server.start();
-
-    if (!args->pid_file.empty()) {
-      std::ofstream pid(args->pid_file);
-      if (!pid) throw Error("cannot write pid file '" + args->pid_file + "'");
-      pid << getpid() << "\n";
-    }
-    if (!args->server.unix_socket_path.empty()) {
-      std::printf("buffyd: listening on %s\n",
-                  args->server.unix_socket_path.c_str());
-    }
-    if (args->server.tcp_port.has_value()) {
-      std::printf("buffyd: listening on 127.0.0.1:%d\n", server.tcp_port());
-    }
-    std::fflush(stdout);
-
-    std::atomic<bool> drained{false};
-    std::thread signals(signal_thread, set, &server, &drained);
-    server.wait();
-    // Unblock sigwait so the signal thread can exit when the drain was
-    // started by a `shutdown` request rather than a signal.
-    drained.store(true);
-    pthread_kill(signals.native_handle(), SIGTERM);
-    signals.join();
-
-    std::printf("buffyd: drained, exiting\n");
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  return service::serve_until_drained<service::Server>(
+      "buffyd", options, pid_file, [](const service::Server&) {});
 }

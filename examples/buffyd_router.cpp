@@ -30,20 +30,16 @@
 // At least one of --socket/--port is required. SIGINT/SIGTERM initiate a
 // graceful drain: in-flight requests deliver their responses, then the
 // workers are shut down and the process exits 0.
-#include <pthread.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <csignal>
 #include <cstdio>
-#include <fstream>
-#include <optional>
+#include <functional>
 #include <string>
-#include <thread>
 
 #include "base/diagnostics.hpp"
 #include "base/string_util.hpp"
 #include "fleet/router.hpp"
+#include "service/daemon_main.hpp"
 
 using namespace buffy;
 
@@ -61,11 +57,6 @@ void usage(std::FILE* out) {
                "                     [--pid-file PATH]\n");
 }
 
-struct CliArgs {
-  fleet::RouterOptions router;
-  std::string pid_file;
-};
-
 /// The default worker binary: `buffyd` in this executable's directory,
 /// falling back to a bare "buffyd" (PATH lookup) when argv[0] has none.
 std::string default_worker_binary(const char* argv0) {
@@ -75,132 +66,52 @@ std::string default_worker_binary(const char* argv0) {
   return self.substr(0, slash + 1) + "buffyd";
 }
 
-std::optional<CliArgs> parse_args(int argc, char** argv) {
-  CliArgs args;
-  args.router.worker_binary = default_worker_binary(argv[0]);
-  args.router.runtime_dir =
-      "/tmp/buffyd-fleet." + std::to_string(getpid());
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) throw ParseError("missing value for " + arg);
-      return argv[++i];
-    };
-    if (arg == "--socket") {
-      args.router.unix_socket_path = value();
-    } else if (arg == "--port") {
-      const i64 port = parse_i64(value());
-      if (port < 0 || port > 65535) {
-        throw ParseError("--port must be in [0, 65535]");
-      }
-      args.router.tcp_port = static_cast<int>(port);
-    } else if (arg == "--workers") {
-      const i64 n = parse_i64(value());
-      if (n < 1) throw ParseError("--workers must be >= 1");
-      args.router.workers = static_cast<unsigned>(n);
-    } else if (arg == "--worker-bin") {
-      args.router.worker_binary = value();
-    } else if (arg == "--worker-threads") {
-      const i64 n = parse_i64(value());
-      if (n < 1) throw ParseError("--worker-threads must be >= 1");
-      args.router.worker_threads = static_cast<unsigned>(n);
-    } else if (arg == "--runtime-dir") {
-      args.router.runtime_dir = value();
-    } else if (arg == "--shard-queue") {
-      const i64 n = parse_i64(value());
-      if (n < 1) throw ParseError("--shard-queue must be >= 1");
-      args.router.shard_queue_capacity = static_cast<u64>(n);
-    } else if (arg == "--deadline-ms") {
-      const i64 n = parse_i64(value());
-      if (n < 0) throw ParseError("--deadline-ms must be >= 0");
-      args.router.default_deadline_ms = n;
-    } else if (arg == "--health-interval-ms") {
-      const i64 n = parse_i64(value());
-      if (n < 1) throw ParseError("--health-interval-ms must be >= 1");
-      args.router.health_interval_ms = n;
-    } else if (arg == "--health-timeout-ms") {
-      const i64 n = parse_i64(value());
-      if (n < 1) throw ParseError("--health-timeout-ms must be >= 1");
-      args.router.health_timeout_ms = n;
-    } else if (arg == "--pid-file") {
-      args.pid_file = value();
-    } else {
-      std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
-      usage(stderr);
-      return std::nullopt;
-    }
-  }
-  if (args.router.unix_socket_path.empty() &&
-      !args.router.tcp_port.has_value()) {
-    std::fprintf(stderr, "error: at least one of --socket/--port required\n");
-    usage(stderr);
-    return std::nullopt;
-  }
-  return args;
-}
-
-// Same synchronous signal collection as buffyd: SIGINT/SIGTERM are
-// blocked in every thread and picked up here, so the handler may call the
-// non-async-signal-safe shutdown().
-void signal_thread(sigset_t set, fleet::Router* router,
-                   const std::atomic<bool>* drained) {
-  int sig = 0;
-  if (sigwait(&set, &sig) == 0 && !drained->load()) {
-    std::fprintf(stderr, "buffyd-router: signal %d, draining...\n", sig);
-    router->shutdown();
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::optional<CliArgs> args;
-  try {
-    args = parse_args(argc, argv);
-    if (!args.has_value()) return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    usage(stderr);
-    return 2;
+  fleet::RouterOptions options;
+  options.worker_binary = default_worker_binary(argv[0]);
+  options.runtime_dir = "/tmp/buffyd-fleet." + std::to_string(getpid());
+  std::string pid_file;
+  const auto flag = [&options](const std::string& arg,
+                               const std::function<std::string()>& value) {
+    if (arg == "--workers") {
+      const i64 n = parse_i64(value());
+      if (n < 1) throw ParseError("--workers must be >= 1");
+      options.workers = static_cast<unsigned>(n);
+    } else if (arg == "--worker-bin") {
+      options.worker_binary = value();
+    } else if (arg == "--worker-threads") {
+      const i64 n = parse_i64(value());
+      if (n < 1) throw ParseError("--worker-threads must be >= 1");
+      options.worker_threads = static_cast<unsigned>(n);
+    } else if (arg == "--runtime-dir") {
+      options.runtime_dir = value();
+    } else if (arg == "--shard-queue") {
+      const i64 n = parse_i64(value());
+      if (n < 1) throw ParseError("--shard-queue must be >= 1");
+      options.shard_queue_capacity = static_cast<u64>(n);
+    } else if (arg == "--health-interval-ms") {
+      const i64 n = parse_i64(value());
+      if (n < 1) throw ParseError("--health-interval-ms must be >= 1");
+      options.health_interval_ms = n;
+    } else if (arg == "--health-timeout-ms") {
+      const i64 n = parse_i64(value());
+      if (n < 1) throw ParseError("--health-timeout-ms must be >= 1");
+      options.health_timeout_ms = n;
+    } else {
+      return false;
+    }
+    return true;
+  };
+  if (const int rc = service::parse_daemon_args(argc, argv, usage, options,
+                                                pid_file, flag);
+      rc != 0) {
+    return rc;
   }
-  try {
-    sigset_t set;
-    sigemptyset(&set);
-    sigaddset(&set, SIGINT);
-    sigaddset(&set, SIGTERM);
-    pthread_sigmask(SIG_BLOCK, &set, nullptr);
-
-    fleet::Router router(args->router);
-    router.start();
-
-    if (!args->pid_file.empty()) {
-      std::ofstream pid(args->pid_file);
-      if (!pid) throw Error("cannot write pid file '" + args->pid_file + "'");
-      pid << getpid() << "\n";
-    }
-    if (!args->router.unix_socket_path.empty()) {
-      std::printf("buffyd-router: listening on %s\n",
-                  args->router.unix_socket_path.c_str());
-    }
-    if (args->router.tcp_port.has_value()) {
-      std::printf("buffyd-router: listening on 127.0.0.1:%d\n",
-                  router.tcp_port());
-    }
-    std::printf("buffyd-router: %u workers (%s)\n", router.num_workers(),
-                args->router.worker_binary.c_str());
-    std::fflush(stdout);
-
-    std::atomic<bool> drained{false};
-    std::thread signals(signal_thread, set, &router, &drained);
-    router.wait();
-    drained.store(true);
-    pthread_kill(signals.native_handle(), SIGTERM);
-    signals.join();
-
-    std::printf("buffyd-router: drained, exiting\n");
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  return service::serve_until_drained<fleet::Router>(
+      "buffyd-router", options, pid_file, [&options](const fleet::Router& r) {
+        std::printf("buffyd-router: %u workers (%s)\n", r.num_workers(),
+                    options.worker_binary.c_str());
+      });
 }

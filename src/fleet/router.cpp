@@ -1,6 +1,5 @@
 #include "fleet/router.hpp"
 
-#include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -9,15 +8,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <map>
-#include <span>
-#include <unordered_map>
 #include <utility>
 
-#include "analysis/bounds.hpp"
 #include "base/diagnostics.hpp"
 #include "base/rational.hpp"
 #include "buffer/bounds.hpp"
@@ -26,82 +22,20 @@
 #include "buffer/pareto.hpp"
 #include "exec/cancellation.hpp"
 #include "exec/subprocess.hpp"
-#include "io/dsl.hpp"
-#include "io/sdf_xml.hpp"
 #include "service/cache_registry.hpp"
-#include "service/paged_buffer.hpp"
 #include "service/protocol.hpp"
+#include "service/requests.hpp"
 
 namespace buffy::fleet {
 
 using service::ErrorCode;
+using service::FrontEnd;
 using service::JsonValue;
-using service::LineFramer;
-using service::PagedBuffer;
-using service::ProtocolError;
 using service::Request;
 
 using Clock = std::chrono::steady_clock;
 
 namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw Error(what + ": " + std::strerror(errno));
-}
-
-/// Same payload decoding as the worker daemon (service/server.cpp): Auto
-/// sniffs XML by a leading '<'. The router parses the graph once to
-/// compute its routing fingerprint and (for scatter jobs) to plan the
-/// divide and conquer.
-sdf::Graph parse_graph(const Request& req) {
-  service::GraphFormat format = req.format;
-  if (format == service::GraphFormat::Auto) {
-    format = service::GraphFormat::Dsl;
-    for (const char c : req.graph_text) {
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') continue;
-      if (c == '<') format = service::GraphFormat::Xml;
-      break;
-    }
-  }
-  return format == service::GraphFormat::Xml ? io::read_sdf_xml(req.graph_text)
-                                             : io::read_dsl(req.graph_text);
-}
-
-sdf::ActorId resolve_target(const sdf::Graph& graph, const std::string& name) {
-  if (graph.num_actors() == 0) {
-    throw ProtocolError(ErrorCode::GraphInvalid, "the graph has no actors");
-  }
-  if (name.empty()) return sdf::ActorId(graph.num_actors() - 1);
-  const std::optional<sdf::ActorId> id = graph.find_actor(name);
-  if (!id.has_value()) {
-    throw ProtocolError(ErrorCode::GraphInvalid,
-                        "no actor named '" + name + "'");
-  }
-  return *id;
-}
-
-/// Magnitude admission mirroring the worker's (DESIGN.md §16): a scatter
-/// job plans the d&c locally, so it must reject oversized graphs with the
-/// same structured code a worker would.
-void admit_magnitudes(const sdf::Graph& graph) {
-  const analysis::BoundsCertificate cert = analysis::derive_bounds(graph);
-  if (cert.consistent && !cert.fits_i64) {
-    throw ProtocolError(ErrorCode::MagnitudeOverflow,
-                        "graph '" + graph.name() +
-                            "' rejected at admission: " +
-                            cert.overflow_detail);
-  }
-}
-
-std::optional<i64> try_extract_id(const std::string& line) {
-  try {
-    const JsonValue doc = JsonValue::parse(line);
-    const JsonValue* id = doc.find("id");
-    if (id != nullptr && id->is_int()) return id->as_int();
-  } catch (const std::exception&) {
-  }
-  return std::nullopt;
-}
 
 /// An `overloaded` error response carrying the backpressure hint.
 std::string overloaded_response(std::optional<i64> id,
@@ -112,11 +46,7 @@ std::string overloaded_response(std::optional<i64> id,
                       ErrorCode::Overloaded)));
   err.set("message", JsonValue::string(message));
   err.set("retry_after_ms", JsonValue::integer(retry_after_ms));
-  JsonValue resp = JsonValue::object();
-  if (id.has_value()) resp.set("id", JsonValue::integer(*id));
-  resp.set("ok", JsonValue::boolean(false));
-  resp.set("error", err);
-  return resp.dump();
+  return service::error_response(id, err);
 }
 
 /// Rebuilds a worker response under the client's id (or without one),
@@ -164,11 +94,7 @@ std::string scatter_error_response(std::optional<i64> id,
   JsonValue err = JsonValue::object();
   err.set("code", JsonValue::string(failure.code));
   err.set("message", JsonValue::string(failure.message));
-  JsonValue resp = JsonValue::object();
-  if (id.has_value()) resp.set("id", JsonValue::integer(*id));
-  resp.set("ok", JsonValue::boolean(false));
-  resp.set("error", err);
-  return resp.dump();
+  return service::error_response(id, err);
 }
 
 /// One per-size outcome received from a worker (the remote SizeOutcome).
@@ -280,29 +206,6 @@ struct Router::Shard {
       : backoff(backoff_base_ms, backoff_max_ms) {}
 };
 
-/// One accepted client connection (mirrors service::Server::Connection).
-struct Router::Connection {
-  int fd = -1;
-  std::thread reader;
-  std::mutex write_mu;
-  std::atomic<bool> open{true};
-  std::atomic<bool> done{false};
-  /// Jobs (forwarded requests + scatter explorations) still holding this
-  /// connection; it is reclaimed only when the reader exited AND no job
-  /// references it.
-  std::atomic<u64> jobs{0};
-
-  /// client request id -> where it went, for `cancel` routing.
-  struct Route {
-    bool scatter = false;
-    unsigned shard = 0;
-    i64 internal_id = 0;
-    exec::CancellationToken token;  ///< scatter only
-  };
-  std::mutex routes_mu;
-  std::unordered_map<i64, Route> routes;
-};
-
 /// Everything a scatter exploration needs off the reader thread.
 class Router::ScatterJob {
  public:
@@ -317,7 +220,11 @@ class Router::ScatterJob {
   std::optional<Clock::time_point> deadline;
 };
 
-Router::Router(RouterOptions options) : options_(std::move(options)) {
+Router::Router(RouterOptions options)
+    : options_(std::move(options)),
+      // Admission is per shard (dispatch_forward), so the front-end's own
+      // job bound never refuses a request.
+      front_(options_, "router", std::numeric_limits<u64>::max(), *this) {
   BUFFY_REQUIRE(options_.workers >= 1, "RouterOptions::workers must be >= 1");
   BUFFY_REQUIRE(!options_.worker_binary.empty(),
                 "RouterOptions::worker_binary must name the buffyd binary");
@@ -325,7 +232,6 @@ Router::Router(RouterOptions options) : options_(std::move(options)) {
                 "RouterOptions::runtime_dir must be set");
   BUFFY_REQUIRE(options_.shard_queue_capacity >= 1,
                 "RouterOptions::shard_queue_capacity must be >= 1");
-  started_at_ = Clock::now();
   for (unsigned i = 0; i < options_.workers; ++i) {
     auto shard = std::make_unique<Shard>(options_.backoff_base_ms,
                                          options_.backoff_max_ms);
@@ -367,113 +273,24 @@ u64 Router::worker_restarts(unsigned index) const {
 }
 
 void Router::start() {
-  BUFFY_REQUIRE(!started_.exchange(true), "Router::start() called twice");
-  BUFFY_REQUIRE(
-      !options_.unix_socket_path.empty() || options_.tcp_port.has_value(),
-      "no listener configured: set unix_socket_path and/or tcp_port");
   ::mkdir(options_.runtime_dir.c_str(), 0700);  // may already exist
-  try {
-    if (!options_.unix_socket_path.empty()) {
-      const std::string& path = options_.unix_socket_path;
-      sockaddr_un addr{};
-      addr.sun_family = AF_UNIX;
-      if (path.size() >= sizeof(addr.sun_path)) {
-        throw Error("unix socket path too long: '" + path + "'");
-      }
-      std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-      unix_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      if (unix_fd_ < 0) throw_errno("socket(AF_UNIX)");
-      ::unlink(path.c_str());
-      if (::bind(unix_fd_, reinterpret_cast<const sockaddr*>(&addr),
-                 sizeof(addr)) != 0) {
-        throw_errno("bind('" + path + "')");
-      }
-      if (::listen(unix_fd_, 128) != 0) throw_errno("listen('" + path + "')");
-    }
-    if (options_.tcp_port.has_value()) {
-      BUFFY_REQUIRE(*options_.tcp_port >= 0 && *options_.tcp_port <= 65535,
-                    "tcp_port must be in [0, 65535]");
-      tcp_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (tcp_fd_ < 0) throw_errno("socket(AF_INET)");
-      const int one = 1;
-      ::setsockopt(tcp_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(static_cast<std::uint16_t>(*options_.tcp_port));
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      if (::bind(tcp_fd_, reinterpret_cast<const sockaddr*>(&addr),
-                 sizeof(addr)) != 0) {
-        throw_errno("bind(tcp port " + std::to_string(*options_.tcp_port) +
-                    ")");
-      }
-      if (::listen(tcp_fd_, 128) != 0) throw_errno("listen(tcp)");
-      socklen_t len = sizeof(addr);
-      if (::getsockname(tcp_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
-          0) {
-        throw_errno("getsockname(tcp)");
-      }
-      tcp_port_ = ntohs(addr.sin_port);
-    }
-  } catch (...) {
-    if (unix_fd_ >= 0) ::close(unix_fd_);
-    if (tcp_fd_ >= 0) ::close(tcp_fd_);
-    unix_fd_ = tcp_fd_ = -1;
-    throw;
-  }
-  if (unix_fd_ >= 0) {
-    accept_threads_.emplace_back([this] { accept_loop(unix_fd_); });
-  }
-  if (tcp_fd_ >= 0) {
-    accept_threads_.emplace_back([this] { accept_loop(tcp_fd_); });
-  }
+  front_.start();
   supervisor_ = std::thread([this] { supervisor_loop(); });
 }
 
 void Router::shutdown() {
-  if (!draining_.exchange(true)) {
-    if (unix_fd_ >= 0) ::shutdown(unix_fd_, SHUT_RDWR);
-    if (tcp_fd_ >= 0) ::shutdown(tcp_fd_, SHUT_RDWR);
-  }
-  jobs_cv_.notify_all();
+  front_.shutdown();
   sup_cv_.notify_all();
 }
 
 void Router::wait() {
-  if (!started_.load(std::memory_order_acquire)) return;
-  {
-    std::unique_lock<std::mutex> lock(jobs_mu_);
-    jobs_cv_.wait(lock, [this] {
-      return draining_.load(std::memory_order_relaxed) &&
-             jobs_in_system_ == 0 && inline_shutdowns_ == 0;
-    });
-  }
-  if (reaped_.exchange(true)) return;
-  for (std::thread& t : accept_threads_) t.join();
-  accept_threads_.clear();
-  if (unix_fd_ >= 0) {
-    ::close(unix_fd_);
-    ::unlink(options_.unix_socket_path.c_str());
-    unix_fd_ = -1;
-  }
-  if (tcp_fd_ >= 0) {
-    ::close(tcp_fd_);
-    tcp_fd_ = -1;
-  }
-  // The supervisor notices the drain, waits for in-flight worker traffic
-  // to settle, shuts the fleet down, and exits.
+  if (!front_.wait_drained()) return;
+  // The supervisor noticed the drain and waited for in-flight worker
+  // traffic to settle; it shuts the fleet down and exits. Every reply
+  // callback has run once it joined, so no job can touch a connection
+  // when the front-end closes them.
   if (supervisor_.joinable()) supervisor_.join();
-  {
-    const std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const std::unique_ptr<Connection>& c : conns_) {
-      c->open.store(false, std::memory_order_relaxed);
-      ::shutdown(c->fd, SHUT_RDWR);
-    }
-    for (const std::unique_ptr<Connection>& c : conns_) {
-      if (c->reader.joinable()) c->reader.join();
-      ::close(c->fd);
-    }
-    conns_.clear();
-  }
+  front_.close();
 }
 
 // ---------------------------------------------------------------------------
@@ -569,8 +386,7 @@ void Router::shard_tick(Shard& s) {
     const std::lock_guard<std::mutex> lock(s.mu);
     switch (s.state) {
       case Shard::State::Down:
-        if (!draining_.load(std::memory_order_relaxed) &&
-            now >= s.respawn_at) {
+        if (!front_.draining() && now >= s.respawn_at) {
           spawn_worker(s);
         }
         break;
@@ -658,17 +474,9 @@ void Router::shard_tick(Shard& s) {
 void Router::supervisor_loop() {
   for (;;) {
     for (const std::unique_ptr<Shard>& shard : shards_) shard_tick(*shard);
-    const bool draining = draining_.load(std::memory_order_relaxed);
-    if (draining) {
-      // Keep the fleet alive until in-flight work delivered its
-      // responses, then take it down.
-      bool idle = true;
-      {
-        const std::lock_guard<std::mutex> lock(jobs_mu_);
-        idle = jobs_in_system_ == 0;
-      }
-      if (idle) break;
-    }
+    // Draining: keep the fleet alive until in-flight work delivered its
+    // responses, then take it down.
+    if (front_.draining() && front_.jobs_in_system() == 0) break;
     std::unique_lock<std::mutex> lock(sup_mu_);
     sup_cv_.wait_for(lock, std::chrono::milliseconds(20));
   }
@@ -720,51 +528,27 @@ std::optional<i64> Router::send_to_shard_locked(
   s.pending.emplace(
       id, Shard::Pending{std::move(on_reply), deadline, counts_as_job});
   if (counts_as_job) ++s.inflight_jobs;
-  // Zero-copy outbound: the serialised request is adopted as a page.
-  PagedBuffer out;
-  out.add_reference(std::move(line));
-  out.append("\n");
-  while (!out.empty()) {
-    if (out.flush_to(s.fd) < 0) {
-      if (errno == EINTR) continue;
-      // Send failure (including a SNDTIMEO expiry against a stalled
-      // worker): this connection epoch is done for.
-      const auto it = s.pending.find(id);
-      if (it != s.pending.end()) {
-        if (it->second.job) --s.inflight_jobs;
-        s.pending.erase(it);
-      }
-      s.conn_broken = true;
-      sup_cv_.notify_all();
-      return std::nullopt;
+  if (!service::write_line(s.fd, std::move(line))) {
+    // Send failure (including a SNDTIMEO expiry against a stalled
+    // worker): this connection epoch is done for.
+    const auto it = s.pending.find(id);
+    if (it != s.pending.end()) {
+      if (it->second.job) --s.inflight_jobs;
+      s.pending.erase(it);
     }
+    s.conn_broken = true;
+    sup_cv_.notify_all();
+    return std::nullopt;
   }
   return id;
 }
 
 void Router::worker_reader_loop(Shard* s, int fd, u64 epoch) {
-  LineFramer framer(options_.max_request_bytes);
-  std::string line;
-  bool broken = false;
-  while (!broken) {
-    const std::span<char> space = framer.buffer().peek_space(4096);
-    const ssize_t n = ::recv(fd, space.data(), space.size(), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
-    }
-    framer.buffer().commit_space(static_cast<std::size_t>(n));
-    for (;;) {
-      const LineFramer::Status status = framer.next_line(line);
-      if (status == LineFramer::Status::NeedMore) break;
-      if (status == LineFramer::Status::Overflow) {
-        broken = true;
-        break;
-      }
-      if (line.find_first_not_of(" \t") == std::string::npos) continue;
-      handle_worker_line(s, epoch, line);
-    }
-  }
+  // EOF, a read error and an over-long reply all end this epoch's
+  // connection the same way.
+  (void)service::read_lines(
+      fd, options_.max_request_bytes,
+      [&](const std::string& line) { handle_worker_line(s, epoch, line); });
   {
     const std::lock_guard<std::mutex> lock(s->mu);
     if (s->epoch == epoch) s->conn_broken = true;
@@ -799,256 +583,45 @@ void Router::handle_worker_line(Shard* s, u64 epoch, const std::string& line) {
 // ---------------------------------------------------------------------------
 // Client side
 
-void Router::accept_loop(int listen_fd) {
-  for (;;) {
-    const int client_fd = ::accept(listen_fd, nullptr, nullptr);
-    if (client_fd < 0) {
-      if (errno == EINTR) continue;
-      return;
+void Router::relay_cancel(Connection* conn, std::optional<i64> cancel_id,
+                          const FrontEnd::Route& route) {
+  JsonValue cancel = JsonValue::object();
+  cancel.set("method", JsonValue::string("cancel"));
+  cancel.set("target_id", JsonValue::integer(route.peer_id));
+  Shard& s = *shards_[*route.peer];
+  // The worker's answer comes back under the client's cancel id; a relay
+  // holds the connection until that answer has been written. Without a
+  // connection the client is gone: the worker just stops burning time on
+  // its request (best effort) and the answer is dropped.
+  if (conn != nullptr) front_.hold(*conn);
+  const auto answer = [this, conn, cancel_id](Reply reply) {
+    if (conn == nullptr) return;
+    bool ok = true;
+    std::string text;
+    if (reply.kind == Reply::Kind::Response) {
+      text = rewrite_response_id(reply.doc, cancel_id, &ok);
+    } else {
+      JsonValue result = JsonValue::object();
+      result.set("cancelled", JsonValue::boolean(false));
+      text = service::ok_response(cancel_id, result);
     }
-    if (draining_.load(std::memory_order_relaxed)) {
-      ::close(client_fd);
-      continue;
-    }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    connections_open_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_unique<Connection>();
-    conn->fd = client_fd;
-    Connection* raw = conn.get();
-    {
-      const std::lock_guard<std::mutex> lock(conns_mu_);
-      // Reap finished connections no job references anymore.
-      for (std::size_t i = 0; i < conns_.size();) {
-        Connection& c = *conns_[i];
-        if (c.done.load(std::memory_order_acquire) &&
-            c.jobs.load(std::memory_order_acquire) == 0) {
-          c.reader.join();
-          ::close(c.fd);
-          conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
-        } else {
-          ++i;
-        }
-      }
-      conns_.push_back(std::move(conn));
-      raw->reader = std::thread([this, raw] { reader_loop(raw); });
-    }
-  }
-}
-
-void Router::reader_loop(Connection* conn) {
-  LineFramer framer(options_.max_request_bytes);
-  std::string line;
-  bool overflowed = false;
-  while (!overflowed) {
-    const std::span<char> space = framer.buffer().peek_space(4096);
-    const ssize_t n = ::recv(conn->fd, space.data(), space.size(), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
-    }
-    framer.buffer().commit_space(static_cast<std::size_t>(n));
-    for (;;) {
-      const LineFramer::Status status = framer.next_line(line);
-      if (status == LineFramer::Status::NeedMore) break;
-      if (status == LineFramer::Status::Overflow) {
-        respond(conn,
-                service::error_response(
-                    std::nullopt, ErrorCode::BadRequest,
-                    "request line exceeds " +
-                        std::to_string(options_.max_request_bytes) + " bytes"),
-                /*ok=*/false);
-        overflowed = true;
-        break;
-      }
-      if (line.find_first_not_of(" \t") == std::string::npos) continue;
-      handle_line(conn, line);
-    }
-  }
-  conn->open.store(false, std::memory_order_relaxed);
-  ::shutdown(conn->fd, SHUT_RDWR);
+    front_.respond(*conn, std::move(text), ok);
+    front_.finish_job(*conn);
+  };
+  bool sent = false;
   {
-    // A disconnected client cannot receive results: cancel its scatter
-    // jobs and tell the workers to stop burning time on its forwarded
-    // requests (best effort).
-    std::vector<std::pair<unsigned, i64>> forwarded;
-    {
-      const std::lock_guard<std::mutex> lock(conn->routes_mu);
-      for (const auto& [id, route] : conn->routes) {
-        if (route.scatter) {
-          route.token.cancel();
-        } else {
-          forwarded.emplace_back(route.shard, route.internal_id);
-        }
-      }
-      conn->routes.clear();
-    }
-    for (const auto& [shard, internal_id] : forwarded) {
-      Shard& s = *shards_[shard];
-      JsonValue cancel = JsonValue::object();
-      cancel.set("method", JsonValue::string("cancel"));
-      cancel.set("target_id", JsonValue::integer(internal_id));
-      const std::lock_guard<std::mutex> lock(s.mu);
-      send_to_shard_locked(
-          s, std::move(cancel), /*counts_as_job=*/false,
-          Clock::now() + std::chrono::milliseconds(options_.health_timeout_ms),
-          [](Reply) {});
-    }
+    const std::lock_guard<std::mutex> lock(s.mu);
+    sent = send_to_shard_locked(
+               s, std::move(cancel), /*counts_as_job=*/false,
+               Clock::now() +
+                   std::chrono::milliseconds(options_.health_timeout_ms),
+               answer)
+               .has_value();
   }
-  connections_open_.fetch_sub(1, std::memory_order_relaxed);
-  conn->done.store(true, std::memory_order_release);
+  if (!sent) answer(Reply{Reply::Kind::Lost, {}});
 }
 
-void Router::respond(Connection* conn, std::string line, bool ok) {
-  (ok ? responses_ok_ : responses_error_)
-      .fetch_add(1, std::memory_order_relaxed);
-  if (!conn->open.load(std::memory_order_relaxed)) return;
-  const std::lock_guard<std::mutex> lock(conn->write_mu);
-  PagedBuffer out;
-  out.add_reference(std::move(line));
-  out.append("\n");
-  while (!out.empty()) {
-    if (out.flush_to(conn->fd) < 0) {
-      if (errno == EINTR) continue;
-      conn->open.store(false, std::memory_order_relaxed);
-      return;
-    }
-  }
-}
-
-void Router::finish_job(Connection* conn) {
-  conn->jobs.fetch_sub(1, std::memory_order_release);
-  // Notify while holding the mutex: finish_job runs on detached scatter
-  // threads, and a waiter in wait() may destroy the Router (and this cv)
-  // the moment the count hits zero. Holding the lock across the notify
-  // keeps the waiter from returning until the broadcast has completed.
-  const std::lock_guard<std::mutex> lock(jobs_mu_);
-  --jobs_in_system_;
-  jobs_cv_.notify_all();
-}
-
-void Router::handle_line(Connection* conn, const std::string& line) {
-  requests_total_.fetch_add(1, std::memory_order_relaxed);
-  Request req;
-  try {
-    req = service::parse_request(line);
-  } catch (const ProtocolError& e) {
-    respond(conn,
-            service::error_response(try_extract_id(line), e.code(), e.what()),
-            /*ok=*/false);
-    return;
-  }
-
-  switch (req.method) {
-    case service::Method::Status: {
-      status_requests_.fetch_add(1, std::memory_order_relaxed);
-      respond(conn, service::ok_response(req.id, status_json()), /*ok=*/true);
-      return;
-    }
-    case service::Method::Cancel: {
-      cancel_requests_.fetch_add(1, std::memory_order_relaxed);
-      bool scatter_cancelled = false;
-      std::optional<std::pair<unsigned, i64>> forwarded;
-      {
-        const std::lock_guard<std::mutex> lock(conn->routes_mu);
-        const auto it = conn->routes.find(*req.cancel_id);
-        if (it != conn->routes.end()) {
-          if (it->second.scatter) {
-            it->second.token.cancel();
-            scatter_cancelled = true;
-          } else {
-            forwarded = {it->second.shard, it->second.internal_id};
-          }
-        }
-      }
-      if (forwarded.has_value()) {
-        // Relay to the worker holding the request; its answer comes back
-        // under the client's cancel id.
-        JsonValue cancel = JsonValue::object();
-        cancel.set("method", JsonValue::string("cancel"));
-        cancel.set("target_id", JsonValue::integer(forwarded->second));
-        Shard& s = *shards_[forwarded->first];
-        const std::optional<i64> client_id = req.id;
-        bool sent = false;
-        {
-          const std::lock_guard<std::mutex> lock(s.mu);
-          sent = send_to_shard_locked(
-                     s, std::move(cancel), /*counts_as_job=*/false,
-                     Clock::now() + std::chrono::milliseconds(
-                                        options_.health_timeout_ms),
-                     [this, conn, client_id](Reply reply) {
-                       if (reply.kind == Reply::Kind::Response) {
-                         bool ok = false;
-                         std::string text = rewrite_response_id(
-                             reply.doc, client_id, &ok);
-                         respond(conn, std::move(text), ok);
-                         return;
-                       }
-                       JsonValue result = JsonValue::object();
-                       result.set("cancelled", JsonValue::boolean(false));
-                       respond(conn, service::ok_response(client_id, result),
-                               /*ok=*/true);
-                     })
-                     .has_value();
-        }
-        if (!sent) {
-          JsonValue result = JsonValue::object();
-          result.set("cancelled", JsonValue::boolean(false));
-          respond(conn, service::ok_response(req.id, result), /*ok=*/true);
-        }
-        return;
-      }
-      JsonValue result = JsonValue::object();
-      result.set("cancelled", JsonValue::boolean(scatter_cancelled));
-      respond(conn, service::ok_response(req.id, result), /*ok=*/true);
-      return;
-    }
-    case service::Method::Shutdown: {
-      shutdown_requests_.fetch_add(1, std::memory_order_relaxed);
-      // The inline_shutdowns_ guard keeps wait() from closing this
-      // connection underneath the confirmation we are about to write.
-      {
-        const std::lock_guard<std::mutex> lock(jobs_mu_);
-        ++inline_shutdowns_;
-      }
-      shutdown();
-      {
-        // Drain barrier: every in-flight job delivers its response before
-        // the confirmation goes out.
-        std::unique_lock<std::mutex> lock(jobs_mu_);
-        jobs_cv_.wait(lock, [this] { return jobs_in_system_ == 0; });
-      }
-      JsonValue result = JsonValue::object();
-      result.set("drained", JsonValue::boolean(true));
-      respond(conn, service::ok_response(req.id, result), /*ok=*/true);
-      {
-        // Notify under the lock (same destruction-safety rule as
-        // finish_job).
-        const std::lock_guard<std::mutex> lock(jobs_mu_);
-        --inline_shutdowns_;
-        jobs_cv_.notify_all();
-      }
-      return;
-    }
-    case service::Method::AnalyzeThroughput:
-    case service::Method::ExplorePareto:
-    case service::Method::ExploreSlice:
-      break;
-  }
-
-  (req.method == service::Method::AnalyzeThroughput
-       ? analyze_requests_
-       : req.method == service::Method::ExploreSlice ? slice_requests_
-                                                     : explore_requests_)
-      .fetch_add(1, std::memory_order_relaxed);
-
-  if (draining_.load(std::memory_order_relaxed)) {
-    respond(conn,
-            service::error_response(req.id, ErrorCode::ShuttingDown,
-                                    "the router is draining"),
-            /*ok=*/false);
-    return;
-  }
-
+void Router::submit(Connection& conn, Request req, const std::string& line) {
   // Affinity routing: the graph's fingerprint picks its home shard, so
   // repeated queries on one graph hit the same worker's warm caches. The
   // parse also surfaces payload diagnostics before any worker is bothered.
@@ -1056,24 +629,17 @@ void Router::handle_line(Connection* conn, const std::string& line) {
   sdf::ActorId target;
   u64 fingerprint = 0;
   try {
-    graph = parse_graph(req);
-    target = resolve_target(graph, req.target);
+    graph = service::parse_graph(req);
+    target = service::resolve_target(graph, req.target);
     fingerprint =
         service::graph_fingerprint(graph, graph.actor(target).name);
-  } catch (const ProtocolError& e) {
-    respond(conn, service::error_response(req.id, e.code(), e.what()),
-            /*ok=*/false);
-    return;
-  } catch (const ParseError& e) {
-    respond(conn,
-            service::error_response(req.id, ErrorCode::GraphParseError,
-                                    e.what()),
-            /*ok=*/false);
-    return;
-  } catch (const Error& e) {
-    respond(conn,
-            service::error_response(req.id, ErrorCode::GraphInvalid, e.what()),
-            /*ok=*/false);
+  } catch (const std::exception&) {
+    front_.respond(conn,
+                   service::current_error_response(
+                       req.id, exec::CancellationToken(),
+                       "the request deadline expired"),
+                   /*ok=*/false);
+    front_.finish_job(conn);
     return;
   }
 
@@ -1086,13 +652,6 @@ void Router::handle_line(Connection* conn, const std::string& line) {
                        req.scatter &&
                        req.engine == std::optional<std::string>("exh") &&
                        req.quality != std::optional<std::string>("fast");
-
-  conn->jobs.fetch_add(1, std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(jobs_mu_);
-    ++jobs_in_system_;
-  }
-
   if (scatter) {
     scatter_requests_.fetch_add(1, std::memory_order_relaxed);
     auto job = std::make_shared<ScatterJob>();
@@ -1109,20 +668,12 @@ void Router::handle_line(Connection* conn, const std::string& line) {
           Clock::now() + std::chrono::milliseconds(*deadline_ms);
     }
     if (job->client_id.has_value()) {
-      const std::lock_guard<std::mutex> lock(conn->routes_mu);
-      conn->routes[*job->client_id] =
-          Connection::Route{.scatter = true, .token = job->parent};
+      conn.add_route(*job->client_id, FrontEnd::Route{.token = job->parent});
     }
-    std::thread([this, conn, job] {
-      scatter_explore(conn, job);
-      if (job->client_id.has_value()) {
-        const std::lock_guard<std::mutex> lock(conn->routes_mu);
-        const auto it = conn->routes.find(*job->client_id);
-        if (it != conn->routes.end() && it->second.scatter) {
-          conn->routes.erase(it);
-        }
-      }
-      finish_job(conn);
+    std::thread([this, c = &conn, job] {
+      scatter_explore(c, job);
+      if (job->client_id.has_value()) c->drop_route(*job->client_id);
+      front_.finish_job(*c);
     }).detach();
     return;
   }
@@ -1138,7 +689,7 @@ void Router::handle_line(Connection* conn, const std::string& line) {
                     std::chrono::milliseconds(*deadline_ms + 250);
   }
   auto doc = std::make_shared<JsonValue>(JsonValue::parse(line));
-  dispatch_forward(conn, std::move(doc), plan);
+  dispatch_forward(&conn, std::move(doc), plan);
 }
 
 void Router::dispatch_forward(Connection* conn,
@@ -1160,80 +711,50 @@ void Router::dispatch_forward(Connection* conn,
       internal = send_to_shard_locked(
           s, *doc, /*counts_as_job=*/true, plan.deadline,
           [this, conn, doc, plan](Reply reply) {
-            switch (reply.kind) {
-              case Reply::Kind::Response: {
-                if (plan.client_id.has_value()) {
-                  const std::lock_guard<std::mutex> lock(conn->routes_mu);
-                  conn->routes.erase(*plan.client_id);
-                }
-                bool ok = false;
-                std::string text =
-                    rewrite_response_id(reply.doc, plan.client_id, &ok);
-                respond(conn, std::move(text), ok);
-                finish_job(conn);
-                return;
-              }
-              case Reply::Kind::Lost: {
-                if (plan.attempts > 0 &&
-                    conn->open.load(std::memory_order_relaxed)) {
-                  // The worker died with the request in flight; the
-                  // analyses are pure, so replaying on a live shard is
-                  // safe and invisible to the client.
-                  redispatches_.fetch_add(1, std::memory_order_relaxed);
-                  ForwardPlan retry = plan;
-                  --retry.attempts;
-                  dispatch_forward(conn, doc, retry);
-                  return;
-                }
-                if (plan.client_id.has_value()) {
-                  const std::lock_guard<std::mutex> lock(conn->routes_mu);
-                  conn->routes.erase(*plan.client_id);
-                }
-                respond(conn,
-                        service::error_response(
-                            plan.client_id, ErrorCode::InternalError,
-                            "the worker serving this request died"),
-                        /*ok=*/false);
-                finish_job(conn);
-                return;
-              }
-              case Reply::Kind::Deadline: {
-                if (plan.client_id.has_value()) {
-                  const std::lock_guard<std::mutex> lock(conn->routes_mu);
-                  conn->routes.erase(*plan.client_id);
-                }
-                respond(conn,
-                        service::error_response(
-                            plan.client_id, ErrorCode::DeadlineExceeded,
-                            "the request deadline expired"),
-                        /*ok=*/false);
-                finish_job(conn);
-                return;
-              }
+            if (reply.kind == Reply::Kind::Lost && plan.attempts > 0 &&
+                conn->open.load(std::memory_order_relaxed)) {
+              // The worker died with the request in flight; the analyses
+              // are pure, so replaying on a live shard is safe and
+              // invisible to the client.
+              redispatches_.fetch_add(1, std::memory_order_relaxed);
+              ForwardPlan retry = plan;
+              --retry.attempts;
+              dispatch_forward(conn, doc, retry);
+              return;
             }
+            if (plan.client_id.has_value()) conn->drop_route(*plan.client_id);
+            bool ok = false;
+            std::string text =
+                reply.kind == Reply::Kind::Response
+                    ? rewrite_response_id(reply.doc, plan.client_id, &ok)
+                : reply.kind == Reply::Kind::Lost
+                    ? service::error_response(
+                          plan.client_id, ErrorCode::InternalError,
+                          "the worker serving this request died")
+                    : service::error_response(plan.client_id,
+                                              ErrorCode::DeadlineExceeded,
+                                              "the request deadline expired");
+            front_.respond(*conn, std::move(text), ok);
+            front_.finish_job(*conn);
           });
       if (internal.has_value() && client_id.has_value()) {
-        const std::lock_guard<std::mutex> routes(conn->routes_mu);
-        conn->routes[*client_id] = Connection::Route{
-            .scatter = false, .shard = s.index, .internal_id = *internal};
+        conn->add_route(*client_id, FrontEnd::Route{.peer = s.index,
+                                                    .peer_id = *internal});
       }
     }
     if (internal.has_value()) return;
   }
   // No shard accepted: structured backpressure with a retry hint.
-  overloaded_.fetch_add(1, std::memory_order_relaxed);
-  if (plan.client_id.has_value()) {
-    const std::lock_guard<std::mutex> lock(conn->routes_mu);
-    conn->routes.erase(*plan.client_id);
-  }
-  respond(conn,
-          overloaded_response(
-              plan.client_id,
-              saw_full_queue ? "every shard queue is at capacity; retry"
-                             : "no worker is available; retry",
-              saw_full_queue ? 100 : 250),
-          /*ok=*/false);
-  finish_job(conn);
+  front_.count_overloaded();
+  if (plan.client_id.has_value()) conn->drop_route(*plan.client_id);
+  front_.respond(*conn,
+                 overloaded_response(
+                     plan.client_id,
+                     saw_full_queue ? "every shard queue is at capacity; retry"
+                                    : "no worker is available; retry",
+                     saw_full_queue ? 100 : 250),
+                 /*ok=*/false);
+  front_.finish_job(*conn);
 }
 
 // ---------------------------------------------------------------------------
@@ -1253,7 +774,7 @@ void Router::scatter_explore(Connection* conn,
   const auto t0 = Clock::now();
   const Request& req = job->req;
   try {
-    admit_magnitudes(job->graph);
+    service::admit_magnitudes(job->graph);
     job->token.checkpoint();
 
     // Engine-effective options, exactly as buffer::explore derives them
@@ -1270,232 +791,207 @@ void Router::scatter_explore(Connection* conn,
     const buffer::DesignSpaceBounds bounds = buffer::design_space_bounds(
         job->graph, job->target, opts.max_steps_per_run, nullptr);
 
-    JsonValue res = JsonValue::object();
-    res.set("target",
-            JsonValue::string(job->graph.actor(job->target).name));
-    res.set("quality", JsonValue::string("exact"));
-    res.set("deadlock", JsonValue::boolean(bounds.deadlock));
-
-    if (bounds.deadlock) {
-      // Every distribution deadlocks; mirror the single-process response.
-      const buffer::ParetoSet empty;
-      res.set("front", JsonValue::string(empty.str()));
-      res.set("points", JsonValue::array());
-      res.set("distributions_explored", JsonValue::integer(0));
-      res.set("simulations_run", JsonValue::integer(0));
-      res.set("cache_hits", JsonValue::integer(0));
-      res.set("dominance_skips", JsonValue::integer(0));
-      res.set("lp_prunes", JsonValue::integer(0));
-      res.set("lp_cuts", JsonValue::integer(0));
-      res.set("static_narrow", JsonValue::boolean(false));
-      res.set("max_states_stored", JsonValue::integer(0));
-      res.set("seconds",
-              JsonValue::number(std::chrono::duration<double>(Clock::now() -
-                                                              t0)
-                                    .count()));
-      res.set("cached_graph", JsonValue::boolean(false));
-      res.set("scattered", JsonValue::boolean(true));
-      res.set("waves", JsonValue::integer(0));
-      res.set("slices", JsonValue::integer(0));
-      respond(conn, service::ok_response(job->client_id, res), /*ok=*/true);
-      return;
-    }
-
-    buffer::apply_quantization_levels(opts, bounds);
-    const buffer::SlicePlan plan =
-        buffer::exhaustive_slice_plan(job->graph, opts, bounds);
-
-    // One wave item = one explore_slice request; `call` is its rendezvous.
-    struct WaveItem {
-      i64 size = 0;
-      std::optional<std::vector<i64>> seed;
-      Rational goal;
-      std::shared_ptr<SliceCall> call;
-    };
-
-    const auto make_request = [&](const WaveItem& item) {
-      JsonValue r = JsonValue::object();
-      r.set("method", JsonValue::string("explore_slice"));
-      r.set("graph", JsonValue::string(req.graph_text));
-      r.set("format", JsonValue::string(format_name(req.format)));
-      if (!req.target.empty()) {
-        r.set("target", JsonValue::string(req.target));
-      }
-      r.set("engine", JsonValue::string("exh"));
-      if (req.levels.has_value()) {
-        r.set("levels", JsonValue::integer(*req.levels));
-      }
-      if (req.max_size.has_value()) {
-        r.set("max_size", JsonValue::integer(*req.max_size));
-      }
-      if (req.goal.has_value()) {
-        r.set("goal", JsonValue::string(req.goal->str()));
-      }
-      if (req.threads.has_value()) {
-        r.set("threads", JsonValue::integer(*req.threads));
-      }
-      r.set("cache", JsonValue::boolean(req.use_cache));
-      r.set("size", JsonValue::integer(item.size));
-      r.set("slice_goal", JsonValue::string(item.goal.str()));
-      if (item.seed.has_value()) {
-        JsonValue seed = JsonValue::array();
-        for (const i64 c : *item.seed) {
-          seed.push_back(JsonValue::integer(c));
-        }
-        r.set("seed", seed);
-      }
-      if (job->deadline.has_value()) {
-        const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                *job->deadline - Clock::now())
-                .count();
-        r.set("deadline_ms", JsonValue::integer(std::max<i64>(remaining, 1)));
-      }
-      return r;
-    };
-
-    // Dispatches one slice to some Up shard, round-robin; nullptr when no
-    // shard currently accepts (the caller retries with backoff).
-    const auto try_dispatch =
-        [&](const WaveItem& item) -> std::shared_ptr<SliceCall> {
-      const unsigned n = num_workers();
-      const unsigned start =
-          round_robin_.fetch_add(1, std::memory_order_relaxed) % n;
-      for (unsigned k = 0; k < n; ++k) {
-        Shard& s = *shards_[(start + k) % n];
-        auto call = std::make_shared<SliceCall>();
-        const std::lock_guard<std::mutex> lock(s.mu);
-        if (s.state != Shard::State::Up) continue;
-        const std::optional<i64> sent = send_to_shard_locked(
-            s, make_request(item), /*counts_as_job=*/true,
-            job->deadline.has_value()
-                ? std::optional<Clock::time_point>(*job->deadline +
-                                                   std::chrono::milliseconds(
-                                                       250))
-                : std::nullopt,
-            [call](Reply reply) {
-              {
-                const std::lock_guard<std::mutex> lock(call->mu);
-                call->reply = std::move(reply);
-                call->done = true;
-              }
-              call->cv.notify_all();
-            });
-        if (sent.has_value()) return call;
-      }
-      return nullptr;
-    };
-
-    const auto await = [&](const std::shared_ptr<SliceCall>& call) {
-      std::unique_lock<std::mutex> lock(call->mu);
-      while (!call->done) {
-        call->cv.wait_for(lock, std::chrono::milliseconds(50));
-        if (!call->done) job->token.checkpoint();
-      }
-      return std::move(call->reply);
-    };
-
+    // A graph that deadlocks for every distribution has no slice to
+    // evaluate: the answer is the empty front with zero counters, exactly
+    // as a single process reports it.
     std::map<i64, SliceResult> evaluated;
     unsigned waves = 0;
     u64 slices_total = 0;
+    if (!bounds.deadlock) {
+      buffer::apply_quantization_levels(opts, bounds);
+      const buffer::SlicePlan plan =
+          buffer::exhaustive_slice_plan(job->graph, opts, bounds);
 
-    // Dispatches a whole wave, invokes the fault-injection hook, then
-    // collects outcomes — re-dispatching any slice its worker took to the
-    // grave. Lost slices are safe to replay: a slice outcome is a pure
-    // function of its request (buffer::explore_size_slice).
-    const auto run_wave = [&](std::vector<WaveItem>& items) {
-      job->token.checkpoint();
-      for (WaveItem& item : items) item.call = try_dispatch(item);
-      if (options_.after_wave_dispatch) {
-        options_.after_wave_dispatch(waves, items.size());
-      }
-      ++waves;
-      slices_total += items.size();
-      for (WaveItem& item : items) {
-        for (;;) {
-          if (item.call == nullptr) {
-            job->token.checkpoint();
-            item.call = try_dispatch(item);
+      // One wave item = one explore_slice request; `call` is its rendezvous.
+      struct WaveItem {
+        i64 size = 0;
+        std::optional<std::vector<i64>> seed;
+        Rational goal;
+        std::shared_ptr<SliceCall> call;
+      };
+
+      const auto make_request = [&](const WaveItem& item) {
+        JsonValue r = JsonValue::object();
+        r.set("method", JsonValue::string("explore_slice"));
+        r.set("graph", JsonValue::string(req.graph_text));
+        r.set("format", JsonValue::string(format_name(req.format)));
+        if (!req.target.empty()) {
+          r.set("target", JsonValue::string(req.target));
+        }
+        r.set("engine", JsonValue::string("exh"));
+        if (req.levels.has_value()) {
+          r.set("levels", JsonValue::integer(*req.levels));
+        }
+        if (req.max_size.has_value()) {
+          r.set("max_size", JsonValue::integer(*req.max_size));
+        }
+        if (req.goal.has_value()) {
+          r.set("goal", JsonValue::string(req.goal->str()));
+        }
+        if (req.threads.has_value()) {
+          r.set("threads", JsonValue::integer(*req.threads));
+        }
+        r.set("cache", JsonValue::boolean(req.use_cache));
+        r.set("size", JsonValue::integer(item.size));
+        r.set("slice_goal", JsonValue::string(item.goal.str()));
+        if (item.seed.has_value()) {
+          JsonValue seed = JsonValue::array();
+          for (const i64 c : *item.seed) {
+            seed.push_back(JsonValue::integer(c));
+          }
+          r.set("seed", seed);
+        }
+        if (job->deadline.has_value()) {
+          const auto remaining =
+              std::chrono::duration_cast<std::chrono::milliseconds>(
+                  *job->deadline - Clock::now())
+                  .count();
+          r.set("deadline_ms", JsonValue::integer(std::max<i64>(remaining, 1)));
+        }
+        return r;
+      };
+
+      // Dispatches one slice to some Up shard, round-robin; nullptr when no
+      // shard currently accepts (the caller retries with backoff).
+      const auto try_dispatch =
+          [&](const WaveItem& item) -> std::shared_ptr<SliceCall> {
+        const unsigned n = num_workers();
+        const unsigned start =
+            round_robin_.fetch_add(1, std::memory_order_relaxed) % n;
+        for (unsigned k = 0; k < n; ++k) {
+          Shard& s = *shards_[(start + k) % n];
+          auto call = std::make_shared<SliceCall>();
+          const std::lock_guard<std::mutex> lock(s.mu);
+          if (s.state != Shard::State::Up) continue;
+          const std::optional<i64> sent = send_to_shard_locked(
+              s, make_request(item), /*counts_as_job=*/true,
+              job->deadline.has_value()
+                  ? std::optional<Clock::time_point>(*job->deadline +
+                                                     std::chrono::milliseconds(
+                                                         250))
+                  : std::nullopt,
+              [call](Reply reply) {
+                {
+                  const std::lock_guard<std::mutex> lock(call->mu);
+                  call->reply = std::move(reply);
+                  call->done = true;
+                }
+                call->cv.notify_all();
+              });
+          if (sent.has_value()) return call;
+        }
+        return nullptr;
+      };
+
+      const auto await = [&](const std::shared_ptr<SliceCall>& call) {
+        std::unique_lock<std::mutex> lock(call->mu);
+        while (!call->done) {
+          call->cv.wait_for(lock, std::chrono::milliseconds(50));
+          if (!call->done) job->token.checkpoint();
+        }
+        return std::move(call->reply);
+      };
+
+      // Dispatches a whole wave, invokes the fault-injection hook, then
+      // collects outcomes — re-dispatching any slice its worker took to the
+      // grave. Lost slices are safe to replay: a slice outcome is a pure
+      // function of its request (buffer::explore_size_slice).
+      const auto run_wave = [&](std::vector<WaveItem>& items) {
+        job->token.checkpoint();
+        for (WaveItem& item : items) item.call = try_dispatch(item);
+        if (options_.after_wave_dispatch) {
+          options_.after_wave_dispatch(waves, items.size());
+        }
+        ++waves;
+        slices_total += items.size();
+        for (WaveItem& item : items) {
+          for (;;) {
             if (item.call == nullptr) {
-              // No worker is up (crash storm): wait out a respawn.
-              std::this_thread::sleep_for(std::chrono::milliseconds(20));
+              job->token.checkpoint();
+              item.call = try_dispatch(item);
+              if (item.call == nullptr) {
+                // No worker is up (crash storm): wait out a respawn.
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                continue;
+              }
+            }
+            Reply reply = await(item.call);
+            if (reply.kind == Reply::Kind::Lost) {
+              redispatches_.fetch_add(1, std::memory_order_relaxed);
+              item.call = nullptr;
               continue;
             }
-          }
-          Reply reply = await(item.call);
-          if (reply.kind == Reply::Kind::Lost) {
-            redispatches_.fetch_add(1, std::memory_order_relaxed);
-            item.call = nullptr;
-            continue;
-          }
-          if (reply.kind == Reply::Kind::Deadline) {
-            throw ScatterFailure{
-                service::error_code_name(ErrorCode::DeadlineExceeded),
-                "the request deadline expired"};
-          }
-          const JsonValue* ok = reply.doc.find("ok");
-          if (ok == nullptr || !ok->is_bool() || !ok->as_bool()) {
-            ScatterFailure failure{"internal_error",
-                                   "worker returned a malformed response"};
-            if (const JsonValue* err = reply.doc.find("error")) {
-              if (const JsonValue* code = err->find("code");
-                  code != nullptr && code->is_string()) {
-                failure.code = code->as_string();
-              }
-              if (const JsonValue* message = err->find("message");
-                  message != nullptr && message->is_string()) {
-                failure.message = message->as_string();
-              }
+            if (reply.kind == Reply::Kind::Deadline) {
+              throw ScatterFailure{
+                  service::error_code_name(ErrorCode::DeadlineExceeded),
+                  "the request deadline expired"};
             }
-            throw failure;
+            const JsonValue* ok = reply.doc.find("ok");
+            if (ok == nullptr || !ok->is_bool() || !ok->as_bool()) {
+              ScatterFailure failure{"internal_error",
+                                     "worker returned a malformed response"};
+              if (const JsonValue* err = reply.doc.find("error")) {
+                if (const JsonValue* code = err->find("code");
+                    code != nullptr && code->is_string()) {
+                  failure.code = code->as_string();
+                }
+                if (const JsonValue* message = err->find("message");
+                    message != nullptr && message->is_string()) {
+                  failure.message = message->as_string();
+                }
+              }
+              throw failure;
+            }
+            const JsonValue* result = reply.doc.find("result");
+            if (result == nullptr) {
+              throw ScatterFailure{"internal_error",
+                                   "worker response carries no result"};
+            }
+            evaluated.emplace(item.size, parse_slice_result(*result));
+            break;
           }
-          const JsonValue* result = reply.doc.find("result");
-          if (result == nullptr) {
-            throw ScatterFailure{"internal_error",
-                                 "worker response carries no result"};
-          }
-          evaluated.emplace(item.size, parse_slice_result(*result));
-          break;
         }
-      }
-    };
+      };
 
-    if (plan.hi_size >= plan.lo_size) {
-      // Wave 0: the interval endpoints (the sequential driver's first two
-      // evaluations; one slice when the interval is degenerate).
-      std::vector<WaveItem> endpoints;
-      endpoints.push_back(WaveItem{plan.lo_size, std::nullopt, plan.goal, {}});
-      if (plan.hi_size != plan.lo_size) {
+      if (plan.hi_size >= plan.lo_size) {
+        // Wave 0: the interval endpoints (the sequential driver's first two
+        // evaluations; one slice when the interval is degenerate).
+        std::vector<WaveItem> endpoints;
         endpoints.push_back(
-            WaveItem{plan.hi_size, plan.top_seed, plan.goal, {}});
-      }
-      run_wave(endpoints);
-
-      // Breadth-first over the interval tree: all of one depth's mids go
-      // out as a single wave. The memoised sequential driver evaluates
-      // exactly the same (size, seed, slice_goal) triples — outcomes are
-      // pure per size, so the fold below is byte-identical to it.
-      std::vector<std::pair<i64, i64>> intervals{{plan.lo_size, plan.hi_size}};
-      while (!intervals.empty()) {
-        std::vector<WaveItem> items;
-        std::vector<std::pair<i64, i64>> next;
-        for (const auto& [lo, hi] : intervals) {
-          if (hi - lo <= 1) continue;
-          const SliceResult& at_lo = evaluated.at(lo);
-          const SliceResult& at_hi = evaluated.at(hi);
-          if (at_lo.throughput == at_hi.throughput ||
-              at_lo.throughput >= plan.goal) {
-            continue;  // no further Pareto point inside (monotonicity)
-          }
-          const i64 mid = lo + (hi - lo) / 2;
-          items.push_back(WaveItem{
-              mid, buffer::pad_to_size(plan, at_lo.capacities, mid),
-              std::min(plan.goal, at_hi.throughput), {}});
-          next.emplace_back(lo, mid);
-          next.emplace_back(mid, hi);
+            WaveItem{plan.lo_size, std::nullopt, plan.goal, {}});
+        if (plan.hi_size != plan.lo_size) {
+          endpoints.push_back(
+              WaveItem{plan.hi_size, plan.top_seed, plan.goal, {}});
         }
-        if (!items.empty()) run_wave(items);
-        intervals = std::move(next);
+        run_wave(endpoints);
+
+        // Breadth-first over the interval tree: all of one depth's mids go
+        // out as a single wave. The memoised sequential driver evaluates
+        // exactly the same (size, seed, slice_goal) triples — outcomes are
+        // pure per size, so the fold below is byte-identical to it.
+        std::vector<std::pair<i64, i64>> intervals{
+            {plan.lo_size, plan.hi_size}};
+        while (!intervals.empty()) {
+          std::vector<WaveItem> items;
+          std::vector<std::pair<i64, i64>> next;
+          for (const auto& [lo, hi] : intervals) {
+            if (hi - lo <= 1) continue;
+            const SliceResult& at_lo = evaluated.at(lo);
+            const SliceResult& at_hi = evaluated.at(hi);
+            if (at_lo.throughput == at_hi.throughput ||
+                at_lo.throughput >= plan.goal) {
+              continue;  // no further Pareto point inside (monotonicity)
+            }
+            const i64 mid = lo + (hi - lo) / 2;
+            items.push_back(WaveItem{
+                mid, buffer::pad_to_size(plan, at_lo.capacities, mid),
+                std::min(plan.goal, at_hi.throughput), {}});
+            next.emplace_back(lo, mid);
+            next.emplace_back(mid, hi);
+          }
+          if (!items.empty()) run_wave(items);
+          intervals = std::move(next);
+        }
       }
     }
 
@@ -1532,28 +1028,13 @@ void Router::scatter_explore(Connection* conn,
       cached_graph = cached_graph || outcome.cached_graph;
     }
 
-    JsonValue bounds_json = JsonValue::object();
-    bounds_json.set("lb_size", JsonValue::integer(bounds.lb_size));
-    bounds_json.set("ub_size", JsonValue::integer(bounds.ub_size));
-    bounds_json.set("max_throughput",
-                    JsonValue::string(bounds.max_throughput.str()));
-    res.set("bounds", bounds_json);
+    JsonValue res = JsonValue::object();
+    res.set("target",
+            JsonValue::string(job->graph.actor(job->target).name));
+    res.set("quality", JsonValue::string("exact"));
     // `front` matches a single-process buffyd byte-for-byte — the fleet
     // tests assert exactly that.
-    res.set("front", JsonValue::string(pareto.str()));
-    JsonValue points = JsonValue::array();
-    for (const buffer::ParetoPoint& p : pareto.points()) {
-      JsonValue point = JsonValue::object();
-      point.set("size", JsonValue::integer(p.size()));
-      point.set("throughput", JsonValue::string(p.throughput.str()));
-      JsonValue caps = JsonValue::array();
-      for (const i64 c : p.distribution.capacities()) {
-        caps.push_back(JsonValue::integer(c));
-      }
-      point.set("capacities", caps);
-      points.push_back(point);
-    }
-    res.set("points", points);
+    service::set_front(res, bounds, pareto);
     res.set("distributions_explored",
             JsonValue::integer(static_cast<i64>(explored)));
     res.set("simulations_run", JsonValue::integer(static_cast<i64>(sims)));
@@ -1571,42 +1052,17 @@ void Router::scatter_explore(Connection* conn,
     res.set("scattered", JsonValue::boolean(true));
     res.set("waves", JsonValue::integer(waves));
     res.set("slices", JsonValue::integer(static_cast<i64>(slices_total)));
-    respond(conn, service::ok_response(job->client_id, res), /*ok=*/true);
+    front_.respond(*conn, service::ok_response(job->client_id, res),
+                   /*ok=*/true);
   } catch (const ScatterFailure& failure) {
-    respond(conn, scatter_error_response(job->client_id, failure),
-            /*ok=*/false);
-  } catch (const exec::Cancelled&) {
-    const ErrorCode code = job->parent.cancelled() ? ErrorCode::Cancelled
-                                                   : ErrorCode::DeadlineExceeded;
-    respond(conn,
-            service::error_response(job->client_id, code,
-                                    code == ErrorCode::Cancelled
-                                        ? "the request was cancelled"
-                                        : "the request deadline expired"),
-            /*ok=*/false);
-  } catch (const ProtocolError& e) {
-    respond(conn, service::error_response(job->client_id, e.code(), e.what()),
-            /*ok=*/false);
-  } catch (const ParseError& e) {
-    respond(conn,
-            service::error_response(job->client_id, ErrorCode::GraphParseError,
-                                    e.what()),
-            /*ok=*/false);
-  } catch (const InternalError& e) {
-    respond(conn,
-            service::error_response(job->client_id, ErrorCode::InternalError,
-                                    e.what()),
-            /*ok=*/false);
-  } catch (const Error& e) {
-    respond(conn,
-            service::error_response(job->client_id, ErrorCode::GraphInvalid,
-                                    e.what()),
-            /*ok=*/false);
-  } catch (const std::exception& e) {
-    respond(conn,
-            service::error_response(job->client_id, ErrorCode::InternalError,
-                                    e.what()),
-            /*ok=*/false);
+    front_.respond(*conn, scatter_error_response(job->client_id, failure),
+                   /*ok=*/false);
+  } catch (const std::exception&) {
+    front_.respond(*conn,
+                   service::current_error_response(
+                       job->client_id, job->parent,
+                       "the request deadline expired"),
+                   /*ok=*/false);
   }
 }
 
@@ -1617,34 +1073,9 @@ JsonValue Router::status_json() const {
   const auto u = [](u64 v) { return JsonValue::integer(static_cast<i64>(v)); };
   JsonValue o = JsonValue::object();
   o.set("role", JsonValue::string("router"));
-  o.set("draining",
-        JsonValue::boolean(draining_.load(std::memory_order_relaxed)));
-  o.set("uptime_seconds",
-        JsonValue::number(
-            std::chrono::duration<double>(Clock::now() - started_at_)
-                .count()));
-
-  JsonValue requests = JsonValue::object();
-  requests.set("total", u(requests_total_.load(std::memory_order_relaxed)));
-  requests.set("analyze_throughput",
-               u(analyze_requests_.load(std::memory_order_relaxed)));
-  requests.set("explore_pareto",
-               u(explore_requests_.load(std::memory_order_relaxed)));
-  requests.set("explore_slice",
-               u(slice_requests_.load(std::memory_order_relaxed)));
-  requests.set("scatter",
-               u(scatter_requests_.load(std::memory_order_relaxed)));
-  requests.set("status", u(status_requests_.load(std::memory_order_relaxed)));
-  requests.set("cancel", u(cancel_requests_.load(std::memory_order_relaxed)));
-  requests.set("shutdown",
-               u(shutdown_requests_.load(std::memory_order_relaxed)));
-  o.set("requests", requests);
-
-  JsonValue responses = JsonValue::object();
-  responses.set("ok", u(responses_ok_.load(std::memory_order_relaxed)));
-  responses.set("error", u(responses_error_.load(std::memory_order_relaxed)));
-  responses.set("overloaded", u(overloaded_.load(std::memory_order_relaxed)));
-  o.set("responses", responses);
+  front_.write_status(
+      o, {{"scatter", scatter_requests_.load(std::memory_order_relaxed)}});
+  o.set("connections", front_.connections_json());
 
   JsonValue fleet = JsonValue::object();
   fleet.set("workers", u(shards_.size()));

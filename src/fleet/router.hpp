@@ -27,9 +27,10 @@
 //    (refreshed by the health pings), so affinity and backpressure are
 //    observable from the outside.
 //
-// Worker connections and client connections both ride the paged wire
-// path (service::PagedBuffer / LineFramer): responses are adopted
-// zero-copy as buffer pages and receive buffers are filled in place.
+// The client side — listeners, connections, framing, the inline status /
+// cancel / shutdown requests and the drain barrier — is the same
+// service::FrontEnd buffyd runs; the worker connections use its line
+// reader and writer (the zero-copy paged wire path).
 #pragma once
 
 #include <atomic>
@@ -44,17 +45,14 @@
 #include <vector>
 
 #include "base/checked_math.hpp"
+#include "service/front_end.hpp"
 #include "service/json.hpp"
 
 namespace buffy::fleet {
 
-/// Everything a Router can be configured with.
-struct RouterOptions {
-  /// Client-facing Unix-domain listener; empty = none.
-  std::string unix_socket_path;
-  /// Client-facing TCP listener on loopback; nullopt = none, 0 =
-  /// ephemeral (read back via Router::tcp_port()).
-  std::optional<int> tcp_port;
+/// Everything a Router can be configured with: the client-facing
+/// listener settings it shares with buffyd, plus the fleet's.
+struct RouterOptions : service::ListenerOptions {
   /// Path of the worker `buffyd` binary to spawn.
   std::string worker_binary;
   /// Worker processes in the fleet (>= 1).
@@ -64,10 +62,6 @@ struct RouterOptions {
   std::string runtime_dir;
   /// Outstanding requests a shard accepts before answering `overloaded`.
   u64 shard_queue_capacity = 32;
-  /// Deadline applied to requests that carry none (0 = none).
-  i64 default_deadline_ms = 0;
-  /// Upper bound on one request or response line.
-  u64 max_request_bytes = 8u << 20;
   /// Supervision cadence: health pings per shard at this interval.
   i64 health_interval_ms = 100;
   /// A worker that has not answered a health ping for this long is
@@ -102,11 +96,11 @@ struct ForwardPlan {
 };
 
 /// The fleet front-end; see file comment.
-class Router {
+class Router : private service::FrontEnd::Handler {
  public:
   explicit Router(RouterOptions options);
   /// Initiates shutdown and waits for the drain if still running.
-  ~Router();
+  ~Router() override;
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
@@ -125,7 +119,7 @@ class Router {
   void wait();
 
   /// Port the TCP listener actually bound (0 when TCP is off).
-  [[nodiscard]] int tcp_port() const { return tcp_port_; }
+  [[nodiscard]] int tcp_port() const { return front_.tcp_port(); }
 
   [[nodiscard]] unsigned num_workers() const;
 
@@ -141,18 +135,18 @@ class Router {
 
   /// The status endpoint's "result" object (also reachable over the
   /// protocol via a `status` request).
-  [[nodiscard]] service::JsonValue status_json() const;
+  [[nodiscard]] service::JsonValue status_json() const override;
 
  private:
+  using Connection = service::FrontEnd::Connection;
   struct Shard;
-  struct Connection;
   struct Reply;
   class ScatterJob;
 
-  void accept_loop(int listen_fd);
-  void reader_loop(Connection* conn);
-  void handle_line(Connection* conn, const std::string& line);
-  void respond(Connection* conn, std::string line, bool ok);
+  void submit(Connection& conn, service::Request req,
+              const std::string& line) override;
+  void relay_cancel(Connection* conn, std::optional<i64> cancel_id,
+                    const service::FrontEnd::Route& route) override;
 
   void supervisor_loop();
   void shard_tick(Shard& s);
@@ -165,7 +159,6 @@ class Router {
       std::optional<std::chrono::steady_clock::time_point> deadline,
       std::function<void(Reply)> on_reply);
   void drain_workers();
-  void finish_job(Connection* conn);
 
   void dispatch_forward(Connection* conn,
                         std::shared_ptr<service::JsonValue> doc,
@@ -174,50 +167,22 @@ class Router {
 
   RouterOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::chrono::steady_clock::time_point started_at_;
 
-  int unix_fd_ = -1;
-  int tcp_fd_ = -1;
-  int tcp_port_ = 0;
-  std::vector<std::thread> accept_threads_;
-  std::thread supervisor_;
-
-  mutable std::mutex conns_mu_;
-  std::vector<std::unique_ptr<Connection>> conns_;
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> reaped_{false};
   std::atomic<i64> next_internal_id_{1};
   std::atomic<unsigned> round_robin_{0};
 
   mutable std::mutex sup_mu_;
   std::condition_variable sup_cv_;
 
-  // Scatter jobs in flight (drain barrier).
-  mutable std::mutex jobs_mu_;
-  std::condition_variable jobs_cv_;
-  u64 jobs_in_system_ = 0;    // guarded by jobs_mu_
-  u64 inline_shutdowns_ = 0;  // shutdown handlers awaiting their response,
-                              // guarded by jobs_mu_ (see handle_line)
-
-  // Counters (relaxed; metrics only).
-  std::atomic<u64> requests_total_{0};
-  std::atomic<u64> analyze_requests_{0};
-  std::atomic<u64> explore_requests_{0};
-  std::atomic<u64> slice_requests_{0};
+  // Fleet counters (relaxed; metrics only).
   std::atomic<u64> scatter_requests_{0};
-  std::atomic<u64> status_requests_{0};
-  std::atomic<u64> cancel_requests_{0};
-  std::atomic<u64> shutdown_requests_{0};
-  std::atomic<u64> responses_ok_{0};
-  std::atomic<u64> responses_error_{0};
-  std::atomic<u64> overloaded_{0};
   std::atomic<u64> forwarded_{0};
   std::atomic<u64> redispatches_{0};
   std::atomic<u64> worker_restarts_total_{0};
-  std::atomic<u64> connections_accepted_{0};
-  std::atomic<u64> connections_open_{0};
+
+  // Last: their threads call into everything above.
+  service::FrontEnd front_;
+  std::thread supervisor_;
 };
 
 }  // namespace buffy::fleet

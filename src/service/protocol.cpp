@@ -210,10 +210,14 @@ std::string error_response(std::optional<i64> id, ErrorCode code,
   JsonValue err = JsonValue::object();
   err.set("code", JsonValue::string(error_code_name(code)));
   err.set("message", JsonValue::string(message));
+  return error_response(id, err);
+}
+
+std::string error_response(std::optional<i64> id, const JsonValue& error) {
   JsonValue resp = JsonValue::object();
   if (id.has_value()) resp.set("id", JsonValue::integer(*id));
   resp.set("ok", JsonValue::boolean(false));
-  resp.set("error", err);
+  resp.set("error", error);
   return resp.dump();
 }
 

@@ -156,4 +156,9 @@ struct Request {
                                          ErrorCode code,
                                          const std::string& message);
 
+/// Renders an error response line around a ready `error` object: a code a
+/// worker reported, or extra members such as `retry_after_ms`.
+[[nodiscard]] std::string error_response(std::optional<i64> id,
+                                         const JsonValue& error);
+
 }  // namespace buffy::service

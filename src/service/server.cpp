@@ -1,117 +1,17 @@
 #include "service/server.hpp"
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <cstring>
-#include <unordered_map>
 #include <utility>
 
-#include "analysis/bounds.hpp"
 #include "analysis/max_throughput.hpp"
 #include "base/diagnostics.hpp"
 #include "buffer/dse.hpp"
 #include "buffer/dse_exact.hpp"
 #include "buffer/fast_front.hpp"
-#include "io/dsl.hpp"
-#include "io/sdf_xml.hpp"
-#include "service/paged_buffer.hpp"
+#include "service/requests.hpp"
 #include "state/throughput.hpp"
 
 namespace buffy::service {
-
-namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw Error(what + ": " + std::strerror(errno));
-}
-
-/// Decodes the request's graph payload with the existing io/ readers
-/// (Auto sniffs: XML starts with '<' after whitespace, everything else is
-/// the DSL). Reader diagnostics surface as parse_error responses.
-sdf::Graph parse_graph(const Request& req) {
-  GraphFormat format = req.format;
-  if (format == GraphFormat::Auto) {
-    format = GraphFormat::Dsl;
-    for (const char c : req.graph_text) {
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') continue;
-      if (c == '<') format = GraphFormat::Xml;
-      break;
-    }
-  }
-  return format == GraphFormat::Xml ? io::read_sdf_xml(req.graph_text)
-                                    : io::read_dsl(req.graph_text);
-}
-
-sdf::ActorId resolve_target(const sdf::Graph& graph, const std::string& name) {
-  if (graph.num_actors() == 0) {
-    throw ProtocolError(ErrorCode::GraphInvalid, "the graph has no actors");
-  }
-  if (name.empty()) return sdf::ActorId(graph.num_actors() - 1);
-  const std::optional<sdf::ActorId> id = graph.find_actor(name);
-  if (!id.has_value()) {
-    throw ProtocolError(ErrorCode::GraphInvalid,
-                        "no actor named '" + name + "'");
-  }
-  return *id;
-}
-
-/// Magnitude admission (DESIGN.md §16): derives the graph's static
-/// magnitude certificate under the structural default budget and rejects
-/// graphs whose envelopes leave i64 — every engine downstream would only
-/// reach an OverflowError mid-analysis, so the daemon answers the
-/// structured magnitude_overflow code up front instead. Inconsistent
-/// graphs pass through untouched: the analysis entry points diagnose them
-/// with their richer graph_error messages. (Quality downgrade is NOT
-/// decided here: the certificate's lp_coeff_bound envelope covers every
-/// LP the budget box could build and routinely exceeds the stamped bound
-/// of the problems the fast tier actually solves — handle_explore judges
-/// the solves' outcome instead.)
-void admit_magnitudes(const sdf::Graph& graph) {
-  const analysis::BoundsCertificate cert = analysis::derive_bounds(graph);
-  if (cert.consistent && !cert.fits_i64) {
-    throw ProtocolError(ErrorCode::MagnitudeOverflow,
-                        "graph '" + graph.name() +
-                            "' rejected at admission: " +
-                            cert.overflow_detail);
-  }
-}
-
-/// Best-effort id recovery for error responses to requests that failed
-/// request-level validation: a client that sent `{"id":7,...}` with a bad
-/// member still gets its id echoed so it can correlate the error.
-std::optional<i64> try_extract_id(const std::string& line) {
-  try {
-    const JsonValue doc = JsonValue::parse(line);
-    const JsonValue* id = doc.find("id");
-    if (id != nullptr && id->is_int()) return id->as_int();
-  } catch (const std::exception&) {
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-// One accepted client. The reader thread owns the receive side; the send
-// side is shared between the reader (inline responses) and pool workers
-// (job responses) under write_mu. `jobs` counts pool jobs still holding
-// this connection — a connection is reclaimed only when its reader exited
-// AND no job references it, so a worker never writes into a recycled fd.
-struct Server::Connection {
-  int fd = -1;
-  std::thread reader;
-  std::mutex write_mu;
-  std::mutex inflight_mu;
-  std::unordered_map<i64, exec::CancellationToken> inflight;
-  std::atomic<bool> open{true};
-  std::atomic<bool> done{false};
-  std::atomic<u64> jobs{0};
-};
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
@@ -119,7 +19,7 @@ Server::Server(ServerOptions options)
           options_.threads == 0 ? exec::ThreadPool::default_concurrency()
                                 : options_.threads)),
       registry_(options_.cache_graphs, options_.cache_entries_per_graph),
-      started_at_(std::chrono::steady_clock::now()) {
+      front_(options_, "daemon", options_.queue_capacity, *this) {
   BUFFY_REQUIRE(options_.queue_capacity > 0,
                 "ServerOptions::queue_capacity must be >= 1");
 }
@@ -129,326 +29,24 @@ Server::~Server() {
   wait();
 }
 
-void Server::start() {
-  BUFFY_REQUIRE(!started_.exchange(true), "Server::start() called twice");
-  BUFFY_REQUIRE(
-      !options_.unix_socket_path.empty() || options_.tcp_port.has_value(),
-      "no listener configured: set unix_socket_path and/or tcp_port");
-  try {
-    if (!options_.unix_socket_path.empty()) {
-      const std::string& path = options_.unix_socket_path;
-      sockaddr_un addr{};
-      addr.sun_family = AF_UNIX;
-      if (path.size() >= sizeof(addr.sun_path)) {
-        throw Error("unix socket path too long: '" + path + "'");
-      }
-      std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-      unix_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      if (unix_fd_ < 0) throw_errno("socket(AF_UNIX)");
-      ::unlink(path.c_str());
-      if (::bind(unix_fd_, reinterpret_cast<const sockaddr*>(&addr),
-                 sizeof(addr)) != 0) {
-        throw_errno("bind('" + path + "')");
-      }
-      if (::listen(unix_fd_, 128) != 0) throw_errno("listen('" + path + "')");
-    }
-    if (options_.tcp_port.has_value()) {
-      BUFFY_REQUIRE(*options_.tcp_port >= 0 && *options_.tcp_port <= 65535,
-                    "tcp_port must be in [0, 65535]");
-      tcp_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (tcp_fd_ < 0) throw_errno("socket(AF_INET)");
-      const int one = 1;
-      ::setsockopt(tcp_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(static_cast<std::uint16_t>(*options_.tcp_port));
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      if (::bind(tcp_fd_, reinterpret_cast<const sockaddr*>(&addr),
-                 sizeof(addr)) != 0) {
-        throw_errno("bind(tcp port " + std::to_string(*options_.tcp_port) +
-                    ")");
-      }
-      if (::listen(tcp_fd_, 128) != 0) throw_errno("listen(tcp)");
-      socklen_t len = sizeof(addr);
-      if (::getsockname(tcp_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
-          0) {
-        throw_errno("getsockname(tcp)");
-      }
-      tcp_port_ = ntohs(addr.sin_port);
-    }
-  } catch (...) {
-    if (unix_fd_ >= 0) ::close(unix_fd_);
-    if (tcp_fd_ >= 0) ::close(tcp_fd_);
-    unix_fd_ = tcp_fd_ = -1;
-    throw;
-  }
-  if (unix_fd_ >= 0) {
-    accept_threads_.emplace_back([this] { accept_loop(unix_fd_); });
-  }
-  if (tcp_fd_ >= 0) {
-    accept_threads_.emplace_back([this] { accept_loop(tcp_fd_); });
-  }
-}
-
-void Server::shutdown() {
-  if (!draining_.exchange(true)) {
-    // SHUT_RDWR unblocks accept() in the listener threads; the fds are
-    // closed in wait(), after those threads joined.
-    if (unix_fd_ >= 0) ::shutdown(unix_fd_, SHUT_RDWR);
-    if (tcp_fd_ >= 0) ::shutdown(tcp_fd_, SHUT_RDWR);
-  }
-  jobs_cv_.notify_all();
-}
-
 void Server::wait() {
-  if (!started_.load(std::memory_order_acquire)) return;
-  {
-    std::unique_lock<std::mutex> lock(jobs_mu_);
-    jobs_cv_.wait(lock, [this] {
-      return draining_.load(std::memory_order_relaxed) &&
-             jobs_in_system_ == 0 && inline_shutdowns_ == 0;
-    });
-  }
-  if (reaped_.exchange(true)) return;
-  for (std::thread& t : accept_threads_) t.join();
-  accept_threads_.clear();
-  if (unix_fd_ >= 0) {
-    ::close(unix_fd_);
-    ::unlink(options_.unix_socket_path.c_str());
-    unix_fd_ = -1;
-  }
-  if (tcp_fd_ >= 0) {
-    ::close(tcp_fd_);
-    tcp_fd_ = -1;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(conns_mu_);
-    // Every job has drained, so the readers are the only users left:
-    // unblock them, join them, then the fds can close.
-    for (const std::unique_ptr<Connection>& c : conns_) {
-      c->open.store(false, std::memory_order_relaxed);
-      ::shutdown(c->fd, SHUT_RDWR);
-    }
-    for (const std::unique_ptr<Connection>& c : conns_) {
-      if (c->reader.joinable()) c->reader.join();
-      ::close(c->fd);
-    }
-    conns_.clear();
-  }
+  if (!front_.wait_drained()) return;
+  front_.close();
   pool_->stop();
 }
 
-void Server::accept_loop(int listen_fd) {
-  for (;;) {
-    const int client_fd = ::accept(listen_fd, nullptr, nullptr);
-    if (client_fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener shut down (or a hard error): stop accepting
-    }
-    if (draining_.load(std::memory_order_relaxed)) {
-      ::close(client_fd);
-      continue;
-    }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    connections_open_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_unique<Connection>();
-    conn->fd = client_fd;
-    Connection* raw = conn.get();
-    {
-      const std::lock_guard<std::mutex> lock(conns_mu_);
-      reap_finished_locked();
-      conns_.push_back(std::move(conn));
-      raw->reader = std::thread([this, raw] { reader_loop(raw); });
-    }
-  }
-}
-
-void Server::reap_finished_locked() {
-  for (std::size_t i = 0; i < conns_.size();) {
-    Connection& c = *conns_[i];
-    if (c.done.load(std::memory_order_acquire) &&
-        c.jobs.load(std::memory_order_acquire) == 0) {
-      c.reader.join();
-      ::close(c.fd);
-      conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
-  }
-}
-
-void Server::reader_loop(Connection* conn) {
-  // Paged inbound path: recv() lands directly in the framer's tail page
-  // (peek_space/commit_space), and line extraction drains pages instead
-  // of erasing a contiguous string's front — O(new bytes) per read
-  // regardless of how many requests are pipelined on the connection.
-  LineFramer framer(options_.max_request_bytes);
-  std::string line;
-  bool overflowed = false;
-  while (!overflowed) {
-    const std::span<char> space = framer.buffer().peek_space(4096);
-    const ssize_t n = ::recv(conn->fd, space.data(), space.size(), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
-    }
-    framer.buffer().commit_space(static_cast<std::size_t>(n));
-    for (;;) {
-      const LineFramer::Status status = framer.next_line(line);
-      if (status == LineFramer::Status::NeedMore) break;
-      if (status == LineFramer::Status::Overflow) {
-        respond(conn,
-                error_response(std::nullopt, ErrorCode::BadRequest,
-                               "request line exceeds " +
-                                   std::to_string(options_.max_request_bytes) +
-                                   " bytes"),
-                /*ok=*/false);
-        overflowed = true;
-        break;
-      }
-      if (line.find_first_not_of(" \t") == std::string::npos) continue;
-      handle_line(conn, line);
-    }
-  }
-  conn->open.store(false, std::memory_order_relaxed);
-  ::shutdown(conn->fd, SHUT_RDWR);
-  {
-    // A disconnected client cannot receive results: cancel whatever it
-    // still has in flight so workers stop burning time on it.
-    const std::lock_guard<std::mutex> lock(conn->inflight_mu);
-    for (const auto& [id, token] : conn->inflight) token.cancel();
-  }
-  connections_open_.fetch_sub(1, std::memory_order_relaxed);
-  conn->done.store(true, std::memory_order_release);
-}
-
-void Server::respond(Connection* conn, std::string line, bool ok) {
-  (ok ? responses_ok_ : responses_error_)
-      .fetch_add(1, std::memory_order_relaxed);
-  if (!conn->open.load(std::memory_order_relaxed)) return;
-  const std::lock_guard<std::mutex> lock(conn->write_mu);
-  // Zero-copy outbound path: the already-materialised response line is
-  // adopted as a page (add_reference) and the newline rides in the page
-  // chain's tail — no per-message reassembly into a fresh string.
-  PagedBuffer out;
-  out.add_reference(std::move(line));
-  out.append("\n");
-  while (!out.empty()) {
-    if (out.flush_to(conn->fd) < 0) {
-      if (errno == EINTR) continue;
-      conn->open.store(false, std::memory_order_relaxed);
-      return;
-    }
-  }
-}
-
-void Server::handle_line(Connection* conn, const std::string& line) {
-  requests_total_.fetch_add(1, std::memory_order_relaxed);
-  Request req;
-  try {
-    req = parse_request(line);
-  } catch (const ProtocolError& e) {
-    respond(conn, error_response(try_extract_id(line), e.code(), e.what()),
-            /*ok=*/false);
-    return;
-  }
-
-  switch (req.method) {
-    case Method::Status: {
-      status_requests_.fetch_add(1, std::memory_order_relaxed);
-      respond(conn, ok_response(req.id, status().json()), /*ok=*/true);
-      return;
-    }
-    case Method::Cancel: {
-      cancel_requests_.fetch_add(1, std::memory_order_relaxed);
-      bool found = false;
-      {
-        const std::lock_guard<std::mutex> lock(conn->inflight_mu);
-        const auto it = conn->inflight.find(*req.cancel_id);
-        if (it != conn->inflight.end()) {
-          it->second.cancel();
-          found = true;
-        }
-      }
-      JsonValue result = JsonValue::object();
-      result.set("cancelled", JsonValue::boolean(found));
-      respond(conn, ok_response(req.id, result), /*ok=*/true);
-      return;
-    }
-    case Method::Shutdown: {
-      shutdown_requests_.fetch_add(1, std::memory_order_relaxed);
-      {
-        const std::lock_guard<std::mutex> lock(jobs_mu_);
-        ++inline_shutdowns_;
-      }
-      shutdown();
-      {
-        // Drain barrier: every admitted job completes (running ones
-        // finish their analysis, queued ones answer shutting_down) before
-        // the confirmation goes out. inline_shutdowns_ keeps wait() from
-        // closing this connection under the response.
-        std::unique_lock<std::mutex> lock(jobs_mu_);
-        jobs_cv_.wait(lock, [this] { return jobs_in_system_ == 0; });
-      }
-      JsonValue result = JsonValue::object();
-      result.set("drained", JsonValue::boolean(true));
-      respond(conn, ok_response(req.id, result), /*ok=*/true);
-      {
-        const std::lock_guard<std::mutex> lock(jobs_mu_);
-        --inline_shutdowns_;
-      }
-      jobs_cv_.notify_all();
-      return;
-    }
-    case Method::AnalyzeThroughput:
-    case Method::ExplorePareto:
-    case Method::ExploreSlice:
-      break;
-  }
-
-  (req.method == Method::AnalyzeThroughput
-       ? analyze_requests_
-       : req.method == Method::ExploreSlice ? slice_requests_
-                                            : explore_requests_)
-      .fetch_add(1, std::memory_order_relaxed);
-
-  // Admission control: bounded jobs in the system; over the bound the
-  // client hears `overloaded` immediately instead of queueing unbounded
-  // work (and never a silent drop). During a drain nothing is admitted.
-  {
-    const std::lock_guard<std::mutex> lock(jobs_mu_);
-    if (draining_.load(std::memory_order_relaxed)) {
-      shutting_down_rejections_.fetch_add(1, std::memory_order_relaxed);
-      respond(conn,
-              error_response(req.id, ErrorCode::ShuttingDown,
-                             "the daemon is draining"),
-              /*ok=*/false);
-      return;
-    }
-    if (jobs_in_system_ >= options_.queue_capacity) {
-      overloaded_.fetch_add(1, std::memory_order_relaxed);
-      respond(conn,
-              error_response(req.id, ErrorCode::Overloaded,
-                             "job queue at capacity (" +
-                                 std::to_string(options_.queue_capacity) +
-                                 "); retry later"),
-              /*ok=*/false);
-      return;
-    }
-    ++jobs_in_system_;
-  }
+void Server::submit(Connection& conn, Request req, const std::string&) {
   jobs_queued_.fetch_add(1, std::memory_order_relaxed);
-  conn->jobs.fetch_add(1, std::memory_order_relaxed);
-
   // `parent` is the explicit-cancellation root: a `cancel` request or a
   // client disconnect fires it. Deadlines are layered on top inside
   // run_job, so run_job can tell the two apart afterwards.
   const exec::CancellationToken parent = exec::CancellationToken::cancellable();
   if (req.id.has_value()) {
-    const std::lock_guard<std::mutex> lock(conn->inflight_mu);
-    conn->inflight[*req.id] = parent;
+    conn.add_route(*req.id, FrontEnd::Route{.token = parent});
   }
-  pool_->submit([this, conn, req, parent] { run_job(conn, req, parent); });
+  pool_->submit([this, c = &conn, req = std::move(req), parent] {
+    run_job(c, req, parent);
+  });
 }
 
 void Server::run_job(Connection* conn, const Request& req,
@@ -458,10 +56,10 @@ void Server::run_job(Connection* conn, const Request& req,
 
   std::string response;
   bool ok = false;
-  if (draining_.load(std::memory_order_relaxed)) {
+  if (front_.draining()) {
     // Start gate: the job was queued before the drain began but never
     // started — the protocol's promise is shutting_down, not a result.
-    shutting_down_rejections_.fetch_add(1, std::memory_order_relaxed);
+    front_.count_shutting_down();
     response = error_response(req.id, ErrorCode::ShuttingDown,
                               "the daemon began draining before this "
                               "request started");
@@ -481,49 +79,32 @@ void Server::run_job(Connection* conn, const Request& req,
                     : handle_explore(req, token);
       response = ok_response(req.id, result);
       ok = true;
-    } catch (const exec::Cancelled&) {
-      // The parent only ever fires on an explicit cancel / disconnect;
-      // anything else on the chain is the deadline.
-      const ErrorCode code = parent.cancelled() ? ErrorCode::Cancelled
-                                                : ErrorCode::DeadlineExceeded;
-      response = error_response(req.id, code,
-                                code == ErrorCode::Cancelled
-                                    ? "the request was cancelled"
-                                    : "the deadline expired before the "
-                                      "analysis finished");
-    } catch (const ProtocolError& e) {
-      response = error_response(req.id, e.code(), e.what());
-    } catch (const ParseError& e) {
-      response = error_response(req.id, ErrorCode::GraphParseError, e.what());
-    } catch (const GraphError& e) {
-      response = error_response(req.id, ErrorCode::GraphInvalid, e.what());
-    } catch (const InternalError& e) {
-      response = error_response(req.id, ErrorCode::InternalError, e.what());
-    } catch (const Error& e) {
-      // Remaining library preconditions are request-induced (capacities
-      // below initial tokens, safety bounds exceeded): the graph/request
-      // combination is invalid, the daemon is fine.
-      response = error_response(req.id, ErrorCode::GraphInvalid, e.what());
-    } catch (const std::exception& e) {
-      response = error_response(req.id, ErrorCode::InternalError, e.what());
+    } catch (const std::exception&) {
+      response = current_error_response(
+          req.id, parent,
+          "the deadline expired before the analysis finished");
     }
   }
-  respond(conn, response, ok);
-
-  if (req.id.has_value()) {
-    const std::lock_guard<std::mutex> lock(conn->inflight_mu);
-    conn->inflight.erase(*req.id);
-  }
+  front_.respond(*conn, std::move(response), ok);
+  if (req.id.has_value()) conn->drop_route(*req.id);
   jobs_running_.fetch_sub(1, std::memory_order_relaxed);
-  // Last touch of conn. This must precede the jobs_in_system_ decrement:
-  // once that hits zero the drain in wait() may join readers and destroy
-  // every Connection, so no statement after this line may reference conn.
-  conn->jobs.fetch_sub(1, std::memory_order_release);
-  {
-    const std::lock_guard<std::mutex> lock(jobs_mu_);
-    --jobs_in_system_;
-  }
-  jobs_cv_.notify_all();
+  // Last touch of conn: once the jobs-in-system count hits zero the drain
+  // may join readers and destroy every Connection.
+  front_.finish_job(*conn);
+}
+
+unsigned Server::thread_grant(const Request& req) const {
+  const unsigned cap = options_.max_threads_per_request == 0
+                           ? 1
+                           : options_.max_threads_per_request;
+  // Requests that don't ask for threads get the full per-request grant:
+  // the engines spawn workers lazily and keep cheap slices sequential
+  // (adaptive granularity), so the grant costs nothing on small
+  // explorations, and the front is byte-identical at any thread count.
+  return req.threads.has_value()
+             ? static_cast<unsigned>(
+                   std::min<i64>(*req.threads, static_cast<i64>(cap)))
+             : cap;
 }
 
 JsonValue Server::handle_analyze(const Request& req,
@@ -608,29 +189,7 @@ JsonValue Server::handle_explore(const Request& req,
       JsonValue res = JsonValue::object();
       res.set("target", JsonValue::string(graph.actor(target).name));
       res.set("quality", JsonValue::string("fast"));
-      res.set("deadlock", JsonValue::boolean(fast.bounds.deadlock));
-      if (!fast.bounds.deadlock) {
-        JsonValue bounds = JsonValue::object();
-        bounds.set("lb_size", JsonValue::integer(fast.bounds.lb_size));
-        bounds.set("ub_size", JsonValue::integer(fast.bounds.ub_size));
-        bounds.set("max_throughput",
-                   JsonValue::string(fast.bounds.max_throughput.str()));
-        res.set("bounds", bounds);
-      }
-      res.set("front", JsonValue::string(fast.pareto.str()));
-      JsonValue points = JsonValue::array();
-      for (const buffer::ParetoPoint& p : fast.pareto.points()) {
-        JsonValue point = JsonValue::object();
-        point.set("size", JsonValue::integer(p.size()));
-        point.set("throughput", JsonValue::string(p.throughput.str()));
-        JsonValue caps = JsonValue::array();
-        for (const i64 c : p.distribution.capacities()) {
-          caps.push_back(JsonValue::integer(c));
-        }
-        point.set("capacities", caps);
-        points.push_back(point);
-      }
-      res.set("points", points);
+      set_front(res, fast.bounds, fast.pareto);
       res.set("lp_solves",
               JsonValue::integer(static_cast<i64>(fast.lp_solves)));
       res.set("lp_pivots",
@@ -650,19 +209,7 @@ JsonValue Server::handle_explore(const Request& req,
   opts.max_distribution_size = req.max_size;
   opts.throughput_goal = req.goal;
   opts.min_throughput = req.min_throughput;
-  {
-    const unsigned cap = options_.max_threads_per_request == 0
-                             ? 1
-                             : options_.max_threads_per_request;
-    // Requests that don't ask for threads get the full per-request grant:
-    // the engines spawn workers lazily and keep cheap slices sequential
-    // (adaptive granularity), so the grant costs nothing on small
-    // explorations, and the front is byte-identical at any thread count.
-    opts.threads = req.threads.has_value()
-                       ? static_cast<unsigned>(std::min<i64>(
-                             *req.threads, static_cast<i64>(cap)))
-                       : cap;
-  }
+  opts.threads = thread_grant(req);
   opts.use_throughput_cache = req.use_cache;
   opts.cancel = token;
   opts.progress = &progress_;
@@ -697,31 +244,7 @@ JsonValue Server::handle_explore(const Request& req,
   res.set("target", JsonValue::string(graph.actor(target).name));
   res.set("quality", JsonValue::string("exact"));
   if (downgraded) res.set("downgraded", JsonValue::boolean(true));
-  res.set("deadlock", JsonValue::boolean(result.bounds.deadlock));
-  if (!result.bounds.deadlock) {
-    JsonValue bounds = JsonValue::object();
-    bounds.set("lb_size", JsonValue::integer(result.bounds.lb_size));
-    bounds.set("ub_size", JsonValue::integer(result.bounds.ub_size));
-    bounds.set("max_throughput",
-               JsonValue::string(result.bounds.max_throughput.str()));
-    res.set("bounds", bounds);
-  }
-  // `front` is the exact text explore_cli prints: the service tests
-  // compare it byte-for-byte against the CLI on the same graph.
-  res.set("front", JsonValue::string(result.pareto.str()));
-  JsonValue points = JsonValue::array();
-  for (const buffer::ParetoPoint& p : result.pareto.points()) {
-    JsonValue point = JsonValue::object();
-    point.set("size", JsonValue::integer(p.size()));
-    point.set("throughput", JsonValue::string(p.throughput.str()));
-    JsonValue caps = JsonValue::array();
-    for (const i64 c : p.distribution.capacities()) {
-      caps.push_back(JsonValue::integer(c));
-    }
-    point.set("capacities", caps);
-    points.push_back(point);
-  }
-  res.set("points", points);
+  set_front(res, result.bounds, result.pareto);
   res.set("distributions_explored",
           JsonValue::integer(static_cast<i64>(result.distributions_explored)));
   res.set("simulations_run",
@@ -755,15 +278,7 @@ JsonValue Server::handle_explore_slice(const Request& req,
   opts.quantization_levels = req.levels;
   opts.max_distribution_size = req.max_size;
   opts.throughput_goal = req.goal;
-  {
-    const unsigned cap = options_.max_threads_per_request == 0
-                             ? 1
-                             : options_.max_threads_per_request;
-    opts.threads = req.threads.has_value()
-                       ? static_cast<unsigned>(std::min<i64>(
-                             *req.threads, static_cast<i64>(cap)))
-                       : cap;
-  }
+  opts.threads = thread_grant(req);
   opts.use_throughput_cache = req.use_cache;
   opts.cancel = token;
   opts.progress = &progress_;
@@ -828,87 +343,33 @@ JsonValue Server::handle_explore_slice(const Request& req,
   return res;
 }
 
-ServerStatus Server::status() const {
-  ServerStatus s;
-  s.draining = draining_.load(std::memory_order_relaxed);
-  s.uptime_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started_at_)
-          .count();
-  s.requests_total = requests_total_.load(std::memory_order_relaxed);
-  s.analyze_requests = analyze_requests_.load(std::memory_order_relaxed);
-  s.explore_requests = explore_requests_.load(std::memory_order_relaxed);
-  s.slice_requests = slice_requests_.load(std::memory_order_relaxed);
-  s.status_requests = status_requests_.load(std::memory_order_relaxed);
-  s.cancel_requests = cancel_requests_.load(std::memory_order_relaxed);
-  s.shutdown_requests = shutdown_requests_.load(std::memory_order_relaxed);
-  s.responses_ok = responses_ok_.load(std::memory_order_relaxed);
-  s.responses_error = responses_error_.load(std::memory_order_relaxed);
-  s.overloaded = overloaded_.load(std::memory_order_relaxed);
-  s.shutting_down_rejections =
-      shutting_down_rejections_.load(std::memory_order_relaxed);
-  s.jobs_queued = jobs_queued_.load(std::memory_order_relaxed);
-  s.jobs_running = jobs_running_.load(std::memory_order_relaxed);
-  s.queue_capacity = options_.queue_capacity;
-  s.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  s.connections_open = connections_open_.load(std::memory_order_relaxed);
-  s.cache_graphs_resident = registry_.resident();
-  s.cache_graph_capacity = registry_.max_graphs();
-  s.cache_warm_hits = registry_.warm_hits();
-  s.cache_graph_evictions = registry_.evictions();
-  s.cache_totals = registry_.totals();
-  s.progress = progress_.snapshot();
-  return s;
-}
-
-JsonValue ServerStatus::json() const {
+JsonValue Server::status_json() const {
   const auto u = [](u64 v) { return JsonValue::integer(static_cast<i64>(v)); };
   JsonValue o = JsonValue::object();
-  o.set("draining", JsonValue::boolean(draining));
-  o.set("uptime_seconds", JsonValue::number(uptime_seconds));
-
-  JsonValue requests = JsonValue::object();
-  requests.set("total", u(requests_total));
-  requests.set("analyze_throughput", u(analyze_requests));
-  requests.set("explore_pareto", u(explore_requests));
-  requests.set("explore_slice", u(slice_requests));
-  requests.set("status", u(status_requests));
-  requests.set("cancel", u(cancel_requests));
-  requests.set("shutdown", u(shutdown_requests));
-  o.set("requests", requests);
-
-  JsonValue responses = JsonValue::object();
-  responses.set("ok", u(responses_ok));
-  responses.set("error", u(responses_error));
-  responses.set("overloaded", u(overloaded));
-  responses.set("shutting_down", u(shutting_down_rejections));
-  o.set("responses", responses);
+  front_.write_status(o, {});
 
   JsonValue jobs = JsonValue::object();
-  jobs.set("queued", u(jobs_queued));
-  jobs.set("running", u(jobs_running));
-  jobs.set("capacity", u(queue_capacity));
+  jobs.set("queued", u(jobs_queued_.load(std::memory_order_relaxed)));
+  jobs.set("running", u(jobs_running_.load(std::memory_order_relaxed)));
+  jobs.set("capacity", u(options_.queue_capacity));
   o.set("jobs", jobs);
 
-  JsonValue connections = JsonValue::object();
-  connections.set("accepted", u(connections_accepted));
-  connections.set("open", u(connections_open));
-  o.set("connections", connections);
+  o.set("connections", front_.connections_json());
 
+  const CacheRegistry::Totals totals = registry_.totals();
   JsonValue cache = JsonValue::object();
-  cache.set("graphs_resident", u(cache_graphs_resident));
-  cache.set("graph_capacity", u(cache_graph_capacity));
-  cache.set("warm_hits", u(cache_warm_hits));
-  cache.set("graph_evictions", u(cache_graph_evictions));
-  cache.set("exact_hits", u(cache_totals.exact_hits));
-  cache.set("dominance_hits", u(cache_totals.dominance_hits));
-  cache.set("entries_stored", u(cache_totals.entries_stored));
-  cache.set("entries_resident", u(cache_totals.entries_resident));
-  cache.set("entries_evicted", u(cache_totals.entries_evicted));
+  cache.set("graphs_resident", u(registry_.resident()));
+  cache.set("graph_capacity", u(registry_.max_graphs()));
+  cache.set("warm_hits", u(registry_.warm_hits()));
+  cache.set("graph_evictions", u(registry_.evictions()));
+  cache.set("exact_hits", u(totals.exact_hits));
+  cache.set("dominance_hits", u(totals.dominance_hits));
+  cache.set("entries_stored", u(totals.entries_stored));
+  cache.set("entries_resident", u(totals.entries_resident));
+  cache.set("entries_evicted", u(totals.entries_evicted));
   o.set("cache", cache);
 
-  o.set("progress", JsonValue::parse(progress.json()));
+  o.set("progress", JsonValue::parse(progress_.snapshot().json()));
   return o;
 }
 

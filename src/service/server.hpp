@@ -1,19 +1,13 @@
 // buffyd — the resident analysis daemon (DESIGN.md §10).
 //
-// A Server owns one or two listening sockets (Unix-domain and/or TCP on
-// the loopback-reachable wildcard), a work-stealing exec::ThreadPool the
-// analysis requests run on, and a CacheRegistry of warm per-graph
-// throughput caches shared by every request. Each accepted connection
-// gets a reader thread that splits the byte stream into newline-delimited
-// JSON requests:
-//
-//  * status / cancel / shutdown are answered inline on the reader thread
-//    (they are cheap and must work even when the pool is saturated);
-//  * analyze_throughput / explore_pareto are admission-checked against a
-//    bounded in-system job count — at capacity the daemon answers
-//    `overloaded` immediately, it never drops a request silently — and
-//    then submitted to the pool with a per-request CancellationToken
-//    (deadline_ms composes with explicit cancel and client disconnect).
+// A Server owns a work-stealing exec::ThreadPool the analysis requests run
+// on and a CacheRegistry of warm per-graph throughput caches shared by
+// every request; its FrontEnd (service/front_end.hpp) owns the listeners,
+// the connections, the inline status / cancel / shutdown requests and
+// admission. Each admitted analysis request (analyze_throughput,
+// explore_pareto, explore_slice) becomes a pool job with a per-request
+// CancellationToken (deadline_ms composes with explicit cancel and client
+// disconnect).
 //
 // Shutdown drains: the listeners close, requests already running complete
 // and deliver their responses, submitted-but-not-started jobs answer
@@ -27,32 +21,21 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <string>
-#include <thread>
-#include <vector>
 
 #include "base/checked_math.hpp"
 #include "exec/cancellation.hpp"
 #include "exec/progress.hpp"
 #include "exec/thread_pool.hpp"
 #include "service/cache_registry.hpp"
+#include "service/front_end.hpp"
 #include "service/protocol.hpp"
 
 namespace buffy::service {
 
-/// Everything a Server can be configured with.
-struct ServerOptions {
-  /// Path for the Unix-domain listener; empty = no Unix socket. An
-  /// existing socket file at the path is replaced.
-  std::string unix_socket_path;
-  /// TCP listener port on the loopback interface; nullopt = no TCP
-  /// socket, 0 = ephemeral (read the bound port back via
-  /// Server::tcp_port()).
-  std::optional<int> tcp_port;
+/// Everything a Server can be configured with: the listener settings it
+/// shares with the fleet router, plus the pool and cache bounds.
+struct ServerOptions : ListenerOptions {
   /// Worker threads of the analysis pool (0 = hardware concurrency).
   unsigned threads = 0;
   /// Bound on jobs in the system (queued + running); beyond it new
@@ -62,10 +45,6 @@ struct ServerOptions {
   std::size_t cache_graphs = 64;
   /// Exact-entry bound per graph cache (0 = unbounded).
   u64 cache_entries_per_graph = 1u << 18;
-  /// Deadline applied to requests that do not carry their own (0 = none).
-  i64 default_deadline_ms = 0;
-  /// Upper bound on one request line (graph payloads included).
-  u64 max_request_bytes = 8u << 20;
   /// Worker threads granted to a single exploration: requests asking for
   /// "threads" are clamped to this, and requests that don't ask get it as
   /// their default grant (the engines spawn workers lazily and keep cheap
@@ -75,54 +54,23 @@ struct ServerOptions {
   unsigned max_threads_per_request = 1;
 };
 
-/// Point-in-time copy of the daemon's counters (the status endpoint).
-struct ServerStatus {
-  bool draining = false;
-  double uptime_seconds = 0.0;
-  u64 requests_total = 0;
-  u64 analyze_requests = 0;
-  u64 explore_requests = 0;
-  u64 slice_requests = 0;
-  u64 status_requests = 0;
-  u64 cancel_requests = 0;
-  u64 shutdown_requests = 0;
-  u64 responses_ok = 0;
-  u64 responses_error = 0;
-  u64 overloaded = 0;
-  u64 shutting_down_rejections = 0;
-  u64 jobs_queued = 0;
-  u64 jobs_running = 0;
-  u64 queue_capacity = 0;
-  u64 connections_accepted = 0;
-  u64 connections_open = 0;
-  u64 cache_graphs_resident = 0;
-  u64 cache_graph_capacity = 0;
-  u64 cache_warm_hits = 0;
-  u64 cache_graph_evictions = 0;
-  CacheRegistry::Totals cache_totals;
-  exec::ProgressSnapshot progress;
-
-  /// The status endpoint's "result" object.
-  [[nodiscard]] JsonValue json() const;
-};
-
 /// The daemon; see file comment.
-class Server {
+class Server : private FrontEnd::Handler {
  public:
   explicit Server(ServerOptions options);
   /// Initiates shutdown and waits for the drain if still running.
-  ~Server();
+  ~Server() override;
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
   /// Binds the configured listeners and starts accepting. Throws Error
   /// when no listener is configured or a bind fails.
-  void start();
+  void start() { front_.start(); }
 
   /// Begins the graceful drain (idempotent, any thread): listeners
   /// close, running jobs finish, queued jobs answer shutting_down.
-  void shutdown();
+  void shutdown() { front_.shutdown(); }
 
   /// Blocks until a drain completes (shutdown() here or via a request),
   /// then reaps reader threads and stops the pool.
@@ -130,20 +78,18 @@ class Server {
 
   /// Port the TCP listener actually bound (0 when TCP is off); useful
   /// with an ephemeral `tcp_port = 0`.
-  [[nodiscard]] int tcp_port() const { return tcp_port_; }
+  [[nodiscard]] int tcp_port() const { return front_.tcp_port(); }
 
-  [[nodiscard]] ServerStatus status() const;
+  /// The status endpoint's "result" object: request/response/job/
+  /// connection counters, cache occupancy and a progress snapshot.
+  [[nodiscard]] JsonValue status_json() const override;
 
  private:
-  struct Connection;
+  using Connection = FrontEnd::Connection;
 
-  void accept_loop(int listen_fd);
-  void reap_finished_locked();  // requires conns_mu_ held
-  void reader_loop(Connection* conn);
-  void handle_line(Connection* conn, const std::string& line);
+  void submit(Connection& conn, Request req, const std::string& line) override;
   void run_job(Connection* conn, const Request& req,
                const exec::CancellationToken& parent);
-  void respond(Connection* conn, std::string line, bool ok);
 
   // Request handlers (worker threads). Each returns the "result" object
   // or throws ProtocolError / buffy errors mapped by run_job.
@@ -153,48 +99,20 @@ class Server {
                                          const exec::CancellationToken& tok);
   [[nodiscard]] JsonValue handle_explore_slice(
       const Request& req, const exec::CancellationToken& tok);
+  /// The engine thread grant of one exploration request.
+  [[nodiscard]] unsigned thread_grant(const Request& req) const;
 
   ServerOptions options_;
   std::unique_ptr<exec::ThreadPool> pool_;
   CacheRegistry registry_;
   exec::Progress progress_;
-  std::chrono::steady_clock::time_point started_at_;
 
-  int unix_fd_ = -1;
-  int tcp_fd_ = -1;
-  int tcp_port_ = 0;
-  std::vector<std::thread> accept_threads_;
-
-  mutable std::mutex conns_mu_;
-  std::vector<std::unique_ptr<Connection>> conns_;
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> reaped_{false};
-
-  // Jobs in the system (admission control + drain barrier).
-  mutable std::mutex jobs_mu_;
-  std::condition_variable jobs_cv_;
-  u64 jobs_in_system_ = 0;   // guarded by jobs_mu_
-  u64 inline_shutdowns_ = 0;  // shutdown handlers awaiting their response,
-                              // guarded by jobs_mu_ (see handle_line)
-
-  // Counters (relaxed; metrics only).
-  std::atomic<u64> requests_total_{0};
-  std::atomic<u64> analyze_requests_{0};
-  std::atomic<u64> explore_requests_{0};
-  std::atomic<u64> slice_requests_{0};
-  std::atomic<u64> status_requests_{0};
-  std::atomic<u64> cancel_requests_{0};
-  std::atomic<u64> shutdown_requests_{0};
-  std::atomic<u64> responses_ok_{0};
-  std::atomic<u64> responses_error_{0};
-  std::atomic<u64> overloaded_{0};
-  std::atomic<u64> shutting_down_rejections_{0};
+  // Pool job counters (relaxed; metrics only).
   std::atomic<u64> jobs_queued_{0};
   std::atomic<u64> jobs_running_{0};
-  std::atomic<u64> connections_accepted_{0};
-  std::atomic<u64> connections_open_{0};
+
+  // Last: its reader threads call into everything above.
+  FrontEnd front_;
 };
 
 }  // namespace buffy::service

@@ -14,11 +14,7 @@
 //    with a retry_after_ms hint;
 //  * affinity and supervision are observable through `status` (per-shard
 //    queue depth, restart counts, the worker's own cache occupancy).
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -26,7 +22,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -42,9 +37,17 @@
 #include "service/cache_registry.hpp"
 #include "service/json.hpp"
 #include "service/protocol.hpp"
+#include "line_client.hpp"
 
 namespace buffy {
 namespace {
+
+using testing::Client;
+using testing::error_code;
+using testing::explore_request;
+using testing::response_ok;
+using testing::result_of;
+using testing::wait_for_fleet_up;
 
 // A small strongly-connected graph that analyses in microseconds.
 constexpr const char* kTinyDsl =
@@ -87,127 +90,6 @@ sdf::Graph parse_any(const std::string& text) {
   return io::read_dsl(text);
 }
 
-// Minimal blocking line-oriented client (same shape as test_service's).
-class Client {
- public:
-  static Client tcp(int port) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0)
-        << std::strerror(errno);
-    return Client(fd);
-  }
-
-  static Client unix_socket(const std::string& path) {
-    for (int attempt = 0; attempt < 200; ++attempt) {
-      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      EXPECT_GE(fd, 0);
-      sockaddr_un addr{};
-      addr.sun_family = AF_UNIX;
-      std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
-          0) {
-        return Client(fd);
-      }
-      ::close(fd);
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    ADD_FAILURE() << "cannot connect to " << path;
-    return Client(-1);
-  }
-
-  Client(Client&& other) noexcept
-      : fd_(other.fd_), buf_(std::move(other.buf_)) {
-    other.fd_ = -1;
-  }
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
-  Client& operator=(Client&&) = delete;
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  void send_line(const std::string& line) const {
-    const std::string framed = line + "\n";
-    std::size_t off = 0;
-    while (off < framed.size()) {
-      const ssize_t n =
-          ::send(fd_, framed.data() + off, framed.size() - off, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0) << std::strerror(errno);
-      off += static_cast<std::size_t>(n);
-    }
-  }
-
-  // Empty string on orderly EOF.
-  std::string recv_line() {
-    for (;;) {
-      const std::size_t nl = buf_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buf_.substr(0, nl);
-        buf_.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      EXPECT_GE(n, 0) << std::strerror(errno);
-      if (n <= 0) return std::string();
-      buf_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  service::JsonValue call(const std::string& request) {
-    send_line(request);
-    const std::string line = recv_line();
-    EXPECT_FALSE(line.empty()) << "connection closed instead of responding";
-    return service::JsonValue::parse(line.empty() ? "null" : line);
-  }
-
- private:
-  explicit Client(int fd) : fd_(fd) {
-    if (fd_ < 0) return;
-    timeval tv{};
-    tv.tv_sec = 120;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
-
-  int fd_ = -1;
-  std::string buf_;
-};
-
-std::string explore_request(i64 id, const std::string& graph_text,
-                            const std::string& extra = "") {
-  return "{\"id\":" + std::to_string(id) +
-         ",\"method\":\"explore_pareto\",\"graph\":" +
-         service::json_quote(graph_text) + extra + "}";
-}
-
-bool response_ok(const service::JsonValue& resp) {
-  const service::JsonValue* ok = resp.find("ok");
-  EXPECT_NE(ok, nullptr) << resp.dump();
-  return ok != nullptr && ok->as_bool();
-}
-
-std::string error_code(const service::JsonValue& resp) {
-  EXPECT_FALSE(response_ok(resp)) << resp.dump();
-  const service::JsonValue* err = resp.find("error");
-  EXPECT_NE(err, nullptr) << resp.dump();
-  if (err == nullptr) return std::string();
-  return err->find("code")->as_string();
-}
-
-const service::JsonValue& result_of(const service::JsonValue& resp) {
-  EXPECT_TRUE(response_ok(resp)) << resp.dump();
-  const service::JsonValue* result = resp.find("result");
-  EXPECT_NE(result, nullptr) << resp.dump();
-  static const service::JsonValue null_value;
-  return result != nullptr ? *result : null_value;
-}
-
 // Router options for a test fleet: real buffyd workers, an ephemeral TCP
 // listener, and a per-test runtime directory for the worker sockets.
 fleet::RouterOptions fleet_options(const std::string& test_name,
@@ -219,20 +101,6 @@ fleet::RouterOptions fleet_options(const std::string& test_name,
   opts.runtime_dir = ::testing::TempDir() + "fleet_" + test_name + "." +
                      std::to_string(::getpid());
   return opts;
-}
-
-// Polls `status` until `workers` shards report up (workers fork/exec and
-// bind their sockets asynchronously).
-void wait_for_fleet_up(Client& client, u64 workers) {
-  for (int attempt = 0; attempt < 400; ++attempt) {
-    const service::JsonValue resp = client.call("{\"method\":\"status\"}");
-    const service::JsonValue& result = result_of(resp);
-    const service::JsonValue* fleet = result.find("fleet");
-    ASSERT_NE(fleet, nullptr) << resp.dump();
-    if (static_cast<u64>(fleet->find("up")->as_int()) >= workers) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
-  FAIL() << "fleet did not come up";
 }
 
 // SIGSTOPs `pid` and waits until the stop actually landed (state 'T' in
@@ -443,6 +311,40 @@ TEST(Fleet, StalledWorkerHitsTheRequestDeadlineNotARouterHang) {
   router.wait();
 }
 
+TEST(Fleet, RelayedCancelHoldsItsConnectionUntilTheWorkerAnswers) {
+  fleet::RouterOptions opts = fleet_options("cancel_relay", 1);
+  // A relayed cancel waits for its worker's answer at most this long; a
+  // stopped worker is replaced after it too.
+  opts.health_timeout_ms = 1500;
+  fleet::Router router(opts);
+  router.start();
+  Client next = Client::tcp(router.tcp_port());
+  wait_for_fleet_up(next, 1);
+  stop_process(router.worker_pid(0));
+
+  {
+    Client client = Client::tcp(router.tcp_port());
+    client.send_line(explore_request(1, kTinyDsl, ",\"deadline_ms\":100"));
+    client.send_line("{\"id\":2,\"method\":\"cancel\",\"target_id\":1}");
+    // The router's deadline backstop answers the request long before the
+    // stopped worker could answer the relayed cancel.
+    EXPECT_EQ(error_code(service::JsonValue::parse(client.recv_line())),
+              "deadline_exceeded");
+  }
+  // The client left with only the relay outstanding. A new connection
+  // makes the accept loop reap finished connections: the relay must keep
+  // the old one alive until its answer has been written (into the closed
+  // connection, once the health timeout replaced the worker).
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  Client other = Client::tcp(router.tcp_port());
+  EXPECT_TRUE(response_ok(other.call("{\"method\":\"status\"}")));
+  std::this_thread::sleep_for(std::chrono::milliseconds(2000));
+  EXPECT_TRUE(response_ok(next.call("{\"method\":\"status\"}")));
+
+  router.shutdown();
+  router.wait();
+}
+
 TEST(Fleet, FullShardQueueAnswersOverloadedWithRetryHint) {
   fleet::RouterOptions opts = fleet_options("backpressure", 1);
   opts.shard_queue_capacity = 1;
@@ -576,7 +478,23 @@ TEST(Fleet, StatusReportsPerShardSupervisionState) {
   // Affinity made exactly one worker own the tiny graph's cache.
   EXPECT_TRUE(some_worker_served);
 
+  // The connection counters buffyd reports as well: this test's single
+  // client connection.
+  const service::JsonValue* connections = result.find("connections");
+  ASSERT_NE(connections, nullptr) << resp.dump();
+  EXPECT_EQ(connections->find("accepted")->as_int(), 1);
+  EXPECT_EQ(connections->find("open")->as_int(), 1);
+
+  // A request refused by the drain counts as responses.shutting_down.
   router.shutdown();
+  EXPECT_EQ(error_code(client.call(explore_request(2, kTinyDsl))),
+            "shutting_down");
+  const service::JsonValue drained = client.call("{\"method\":\"status\"}");
+  EXPECT_TRUE(result_of(drained).find("draining")->as_bool());
+  const service::JsonValue* responses = result_of(drained).find("responses");
+  ASSERT_NE(responses, nullptr) << drained.dump();
+  ASSERT_NE(responses->find("shutting_down"), nullptr) << drained.dump();
+  EXPECT_EQ(responses->find("shutting_down")->as_int(), 1);
   router.wait();
 }
 

@@ -5,21 +5,20 @@
 // sockets — concurrency, backpressure, deadlines, cancellation and the
 // drain barrier are exercised exactly as a remote client would see them.
 // One test forks the real buffyd binary and drives it over a Unix-domain
-// socket. The whole suite is TSan-clean; CI re-runs it under
+// socket. The connection lifecycle cases (framing, cancel, drain) run
+// against buffyd-router's in-process Router as well: both daemons share one
+// front-end. The whole suite is TSan-clean; CI re-runs it under
 // ThreadSanitizer (the `service` job).
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,15 +27,24 @@
 #include "analysis/max_throughput.hpp"
 #include "base/diagnostics.hpp"
 #include "buffer/dse.hpp"
+#include "fleet/router.hpp"
 #include "io/dsl.hpp"
 #include "io/sdf_xml.hpp"
 #include "service/cache_registry.hpp"
 #include "service/json.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "line_client.hpp"
 
 namespace buffy {
 namespace {
+
+using testing::Client;
+using testing::error_code;
+using testing::explore_request;
+using testing::response_id;
+using testing::response_ok;
+using testing::result_of;
 
 // A small strongly-connected graph that analyses in microseconds.
 constexpr const char* kTinyDsl =
@@ -70,139 +78,6 @@ const std::string& h263_reference_front() {
     return buffer::explore(graph, opts).pareto.str();
   }();
   return front;
-}
-
-// Minimal blocking line-oriented client over TCP loopback or a Unix
-// socket. A 120 s receive timeout turns a wedged server into a test
-// failure instead of a hung CI job.
-class Client {
- public:
-  static Client tcp(int port) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0)
-        << std::strerror(errno);
-    return Client(fd);
-  }
-
-  // Retries while the daemon is still binding its socket.
-  static Client unix_socket(const std::string& path) {
-    for (int attempt = 0; attempt < 200; ++attempt) {
-      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      EXPECT_GE(fd, 0);
-      sockaddr_un addr{};
-      addr.sun_family = AF_UNIX;
-      std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
-          0) {
-        return Client(fd);
-      }
-      ::close(fd);
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    ADD_FAILURE() << "cannot connect to " << path;
-    return Client(-1);
-  }
-
-  Client(Client&& other) noexcept
-      : fd_(other.fd_), buf_(std::move(other.buf_)) {
-    other.fd_ = -1;
-  }
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
-  Client& operator=(Client&&) = delete;
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  void send_line(const std::string& line) const {
-    const std::string framed = line + "\n";
-    std::size_t off = 0;
-    while (off < framed.size()) {
-      const ssize_t n =
-          ::send(fd_, framed.data() + off, framed.size() - off, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0) << std::strerror(errno);
-      off += static_cast<std::size_t>(n);
-    }
-  }
-
-  // Empty string on orderly EOF.
-  std::string recv_line() {
-    for (;;) {
-      const std::size_t nl = buf_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buf_.substr(0, nl);
-        buf_.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      EXPECT_GE(n, 0) << std::strerror(errno);
-      if (n <= 0) return std::string();
-      buf_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  // Sends a request and parses the single next response line.
-  service::JsonValue call(const std::string& request) {
-    send_line(request);
-    const std::string line = recv_line();
-    EXPECT_FALSE(line.empty()) << "connection closed instead of responding";
-    return service::JsonValue::parse(line.empty() ? "null" : line);
-  }
-
- private:
-  explicit Client(int fd) : fd_(fd) {
-    if (fd_ < 0) return;
-    timeval tv{};
-    tv.tv_sec = 120;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
-
-  int fd_ = -1;
-  std::string buf_;
-};
-
-std::string explore_request(i64 id, const std::string& graph_text,
-                            const std::string& extra = "") {
-  return "{\"id\":" + std::to_string(id) +
-         ",\"method\":\"explore_pareto\",\"graph\":" +
-         service::json_quote(graph_text) + extra + "}";
-}
-
-// Response helpers: hard-fail on shape violations so broken responses
-// surface as one readable assertion instead of a null dereference.
-bool response_ok(const service::JsonValue& resp) {
-  const service::JsonValue* ok = resp.find("ok");
-  EXPECT_NE(ok, nullptr) << resp.dump();
-  return ok != nullptr && ok->as_bool();
-}
-
-std::string error_code(const service::JsonValue& resp) {
-  EXPECT_FALSE(response_ok(resp)) << resp.dump();
-  const service::JsonValue* err = resp.find("error");
-  EXPECT_NE(err, nullptr) << resp.dump();
-  if (err == nullptr) return std::string();
-  return err->find("code")->as_string();
-}
-
-const service::JsonValue& result_of(const service::JsonValue& resp) {
-  EXPECT_TRUE(response_ok(resp)) << resp.dump();
-  const service::JsonValue* result = resp.find("result");
-  EXPECT_NE(result, nullptr) << resp.dump();
-  static const service::JsonValue null_value;
-  return result != nullptr ? *result : null_value;
-}
-
-i64 response_id(const service::JsonValue& resp) {
-  const service::JsonValue* id = resp.find("id");
-  EXPECT_NE(id, nullptr) << resp.dump();
-  return id != nullptr ? id->as_int() : -1;
 }
 
 // ---------------------------------------------------------------------------
@@ -507,31 +382,6 @@ TEST(Service, DeadlineExpiredRequestsReturnDeadlineExceeded) {
   server.wait();
 }
 
-TEST(Service, CancelledRequestsReturnCancelled) {
-  service::Server server(tcp_options());
-  server.start();
-  Client client = Client::tcp(server.tcp_port());
-
-  client.send_line(explore_request(7, h263_xml()));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  client.send_line("{\"id\":8,\"method\":\"cancel\",\"target_id\":7}");
-
-  // Responses correlate by id; the cancel ack may overtake the abort.
-  std::map<i64, service::JsonValue> responses;
-  for (int i = 0; i < 2; ++i) {
-    const std::string line = client.recv_line();
-    ASSERT_FALSE(line.empty());
-    service::JsonValue resp = service::JsonValue::parse(line);
-    responses.emplace(response_id(resp), std::move(resp));
-  }
-  ASSERT_TRUE(responses.count(7) == 1 && responses.count(8) == 1);
-  EXPECT_EQ(error_code(responses.at(7)), "cancelled");
-  EXPECT_TRUE(result_of(responses.at(8)).find("cancelled")->as_bool());
-
-  server.shutdown();
-  server.wait();
-}
-
 TEST(Service, OverloadedWhenTheQueueIsFull) {
   service::ServerOptions opts = tcp_options();
   opts.threads = 1;
@@ -591,10 +441,134 @@ TEST(Service, ShutdownDrainsInFlightAndRejectsQueued) {
   server.wait();
 }
 
-TEST(Service, IdleConnectionsCloseWhenTheDrainCompletes) {
-  service::Server server(tcp_options());
-  server.start();
-  Client client = Client::tcp(server.tcp_port());
+// ---------------------------------------------------------------------------
+// Connection lifecycle, against both daemons: buffyd's in-process Server
+// and buffyd-router's in-process Router over one real buffyd worker. They
+// share one front-end (service/front_end.hpp), so framing, cancel and the
+// drain must behave the same through either.
+
+enum class Daemon { Buffyd, Router };
+
+class Lifecycle : public ::testing::TestWithParam<Daemon> {
+ protected:
+  // Starts the daemon under test on an ephemeral TCP port and, for the
+  // router, waits until its worker is up.
+  void start(u64 max_request_bytes = service::ListenerOptions{}
+                                         .max_request_bytes) {
+    if (GetParam() == Daemon::Buffyd) {
+      service::ServerOptions opts = tcp_options();
+      opts.max_request_bytes = max_request_bytes;
+      server_ = std::make_unique<service::Server>(opts);
+      server_->start();
+      return;
+    }
+    static std::atomic<int> fleets{0};
+    fleet::RouterOptions opts;
+    opts.tcp_port = 0;
+    opts.max_request_bytes = max_request_bytes;
+    opts.worker_binary = BUFFYD_PATH;
+    opts.workers = 1;
+    opts.runtime_dir = ::testing::TempDir() + "lifecycle_" +
+                       std::to_string(fleets.fetch_add(1)) + "." +
+                       std::to_string(::getpid());
+    router_ = std::make_unique<fleet::Router>(opts);
+    router_->start();
+    Client client = Client::tcp(port());
+    testing::wait_for_fleet_up(client, 1);
+  }
+
+  [[nodiscard]] int port() const {
+    return server_ ? server_->tcp_port() : router_->tcp_port();
+  }
+  void shutdown() { server_ ? server_->shutdown() : router_->shutdown(); }
+  void wait() { server_ ? server_->wait() : router_->wait(); }
+
+ private:
+  std::unique_ptr<service::Server> server_;
+  std::unique_ptr<fleet::Router> router_;
+};
+
+INSTANTIATE_TEST_SUITE_P(Daemons, Lifecycle,
+                         ::testing::Values(Daemon::Buffyd, Daemon::Router),
+                         [](const ::testing::TestParamInfo<Daemon>& info) {
+                           return info.param == Daemon::Buffyd ? "buffyd"
+                                                               : "router";
+                         });
+
+TEST_P(Lifecycle, OverlongRequestLineIsBadRequest) {
+  constexpr u64 kMaxBytes = 1u << 16;
+  start(kMaxBytes);
+  Client client = Client::tcp(port());
+
+  // One byte over the bound: the line is refused with bad_request and the
+  // connection closes, since the stream is out of frame.
+  client.send_line(std::string(kMaxBytes + 1, 'x'));
+  const std::string line = client.recv_line();
+  ASSERT_FALSE(line.empty());
+  const service::JsonValue resp = service::JsonValue::parse(line);
+  EXPECT_EQ(error_code(resp), "bad_request");
+  EXPECT_NE(resp.find("error")->find("message")->as_string().find(
+                "exceeds " + std::to_string(kMaxBytes) + " bytes"),
+            std::string::npos)
+      << line;
+  EXPECT_TRUE(client.recv_line().empty());
+
+  shutdown();
+  wait();
+}
+
+TEST_P(Lifecycle, CancelledRequestsReturnCancelled) {
+  start();
+  Client client = Client::tcp(port());
+
+  client.send_line(explore_request(7, h263_xml()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  client.send_line("{\"id\":8,\"method\":\"cancel\",\"target_id\":7}");
+
+  // Responses correlate by id; the cancel ack may overtake the abort.
+  std::map<i64, service::JsonValue> responses;
+  for (int i = 0; i < 2; ++i) {
+    const std::string line = client.recv_line();
+    ASSERT_FALSE(line.empty());
+    service::JsonValue resp = service::JsonValue::parse(line);
+    responses.emplace(response_id(resp), std::move(resp));
+  }
+  ASSERT_TRUE(responses.count(7) == 1 && responses.count(8) == 1);
+  EXPECT_EQ(error_code(responses.at(7)), "cancelled");
+  EXPECT_TRUE(result_of(responses.at(8)).find("cancelled")->as_bool());
+
+  shutdown();
+  wait();
+}
+
+TEST_P(Lifecycle, WireShutdownDrainsInFlightWorkFirst) {
+  start();
+  Client client = Client::tcp(port());
+
+  // The shutdown answer is the drain barrier: the running exploration's
+  // response is on the wire before `drained` is. (The pause lets buffyd's
+  // pool start the job; a job still queued when the drain begins answers
+  // shutting_down instead — ShutdownDrainsInFlightAndRejectsQueued.)
+  client.send_line(explore_request(1, h263_xml()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  client.send_line("{\"id\":2,\"method\":\"shutdown\"}");
+  const service::JsonValue first =
+      service::JsonValue::parse(client.recv_line());
+  EXPECT_EQ(response_id(first), 1);
+  EXPECT_EQ(result_of(first).find("front")->as_string(),
+            h263_reference_front());
+  const service::JsonValue second =
+      service::JsonValue::parse(client.recv_line());
+  EXPECT_EQ(response_id(second), 2);
+  EXPECT_TRUE(result_of(second).find("drained")->as_bool());
+
+  wait();
+  EXPECT_TRUE(client.recv_line().empty());
+}
+
+TEST_P(Lifecycle, IdleConnectionsCloseWhenTheDrainCompletes) {
+  start();
+  Client client = Client::tcp(port());
   // A round-trip guarantees the accept loop has handed the connection to
   // a reader thread (a connect() alone may still sit in the backlog,
   // where closing the listener resets it).
@@ -603,8 +577,8 @@ TEST(Service, IdleConnectionsCloseWhenTheDrainCompletes) {
   // With no jobs in flight the drain completes immediately and the
   // reader side of every open connection is torn down: the client sees
   // an orderly EOF, not a wedged socket.
-  server.shutdown();
-  server.wait();
+  shutdown();
+  wait();
   EXPECT_TRUE(client.recv_line().empty());
 }
 
