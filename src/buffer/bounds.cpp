@@ -35,11 +35,19 @@ StorageDistribution lower_bound_distribution(const sdf::Graph& graph) {
 DesignSpaceBounds design_space_bounds(const sdf::Graph& graph,
                                       sdf::ActorId target, u64 max_steps,
                                       state::ThroughputSolver* solver) {
+  return design_space_bounds(graph, target, analysis::max_throughput(graph),
+                             max_steps, solver);
+}
+
+DesignSpaceBounds design_space_bounds(const sdf::Graph& graph,
+                                      sdf::ActorId target,
+                                      const analysis::MaxThroughput& mt,
+                                      u64 max_steps,
+                                      state::ThroughputSolver* solver) {
   DesignSpaceBounds bounds;
   bounds.per_channel_lb = lower_bound_distribution(graph);
   bounds.lb_size = bounds.per_channel_lb.size();
 
-  const analysis::MaxThroughput mt = analysis::max_throughput(graph);
   if (mt.deadlock) {
     bounds.deadlock = true;
     return bounds;

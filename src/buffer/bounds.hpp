@@ -16,6 +16,10 @@
 #include "buffer/distribution.hpp"
 #include "sdf/graph.hpp"
 
+namespace buffy::analysis {
+struct MaxThroughput;
+}  // namespace buffy::analysis
+
 namespace buffy::state {
 class ThroughputSolver;
 }  // namespace buffy::state
@@ -58,6 +62,14 @@ struct DesignSpaceBounds {
 /// over `graph`.
 [[nodiscard]] DesignSpaceBounds design_space_bounds(
     const sdf::Graph& graph, sdf::ActorId target, u64 max_steps = 100'000'000,
+    state::ThroughputSolver* solver = nullptr);
+
+/// The same bounds from an already computed maximal throughput `mt` of
+/// `graph` (analysis::max_throughput), so a caller that needs both pays
+/// for the MCM once. The result equals the overload above.
+[[nodiscard]] DesignSpaceBounds design_space_bounds(
+    const sdf::Graph& graph, sdf::ActorId target,
+    const analysis::MaxThroughput& mt, u64 max_steps = 100'000'000,
     state::ThroughputSolver* solver = nullptr);
 
 }  // namespace buffy::buffer

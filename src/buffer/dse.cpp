@@ -71,7 +71,9 @@ void apply_quantization_levels(DseOptions& options,
   }
 }
 
-DseResult explore(const sdf::Graph& graph, const DseOptions& options) {
+namespace {
+
+void require_explorable(const sdf::Graph& graph, const DseOptions& options) {
   BUFFY_REQUIRE(options.target.valid() &&
                     options.target.index() < graph.num_actors(),
                 "DSE target actor is not part of the graph");
@@ -84,15 +86,13 @@ DseResult explore(const sdf::Graph& graph, const DseOptions& options) {
                   "engine (the exhaustive engine's Fig. 7 box assumes "
                   "unbound execution)");
   }
+}
 
-  // With engine reuse on, the bounds' capacity-doubling runs and (under a
-  // binding) the plateau search share one solver instead of rebuilding an
-  // engine per run — the same reuse the engines apply per candidate.
-  std::optional<state::ThroughputSolver> setup_solver;
-  if (options.reuse_engines) setup_solver.emplace(graph);
-  const DesignSpaceBounds bounds =
-      design_space_bounds(graph, options.target, options.max_steps_per_run,
-                          setup_solver.has_value() ? &*setup_solver : nullptr);
+// The one exploration path behind both explore() overloads. `setup_solver`
+// (may be null) serves the plateau search under a processor binding.
+DseResult explore_within(const sdf::Graph& graph, const DseOptions& options,
+                         const DesignSpaceBounds& bounds,
+                         state::ThroughputSolver* setup_solver) {
   if (bounds.deadlock) {
     // Every distribution deadlocks; the Pareto space is empty.
     DseResult result;
@@ -140,7 +140,7 @@ DseResult explore(const sdf::Graph& graph, const DseOptions& options) {
       run_opts.progress = options.progress;
       state::ThroughputResult run;
       try {
-        run = setup_solver.has_value()
+        run = setup_solver != nullptr
                   ? setup_solver->compute(state::Capacities::bounded(caps),
                                           run_opts)
                   : state::compute_throughput(
@@ -195,6 +195,35 @@ DseResult explore(const sdf::Graph& graph, const DseOptions& options) {
   // is on — including partial fronts of cancelled runs (DESIGN.md §9).
   if (audit::enabled()) audit_verify_monotone_front(result.pareto);
   return result;
+}
+
+}  // namespace
+
+DseResult explore(const sdf::Graph& graph, const DseOptions& options) {
+  require_explorable(graph, options);
+  // With engine reuse on, the bounds' capacity-doubling runs and (under a
+  // binding) the plateau search share one solver instead of rebuilding an
+  // engine per run — the same reuse the engines apply per candidate.
+  std::optional<state::ThroughputSolver> setup_solver;
+  if (options.reuse_engines) setup_solver.emplace(graph);
+  state::ThroughputSolver* solver =
+      setup_solver.has_value() ? &*setup_solver : nullptr;
+  return explore_within(
+      graph, options,
+      design_space_bounds(graph, options.target, options.max_steps_per_run,
+                          solver),
+      solver);
+}
+
+DseResult explore(const sdf::Graph& graph, const DseOptions& options,
+                  const DesignSpaceBounds& bounds) {
+  require_explorable(graph, options);
+  std::optional<state::ThroughputSolver> setup_solver;
+  if (options.reuse_engines && !options.binding.empty()) {
+    setup_solver.emplace(graph);
+  }
+  return explore_within(graph, options, bounds,
+                        setup_solver.has_value() ? &*setup_solver : nullptr);
 }
 
 }  // namespace buffy::buffer

@@ -242,6 +242,15 @@ struct DseResult {
 [[nodiscard]] DseResult explore(const sdf::Graph& graph,
                                 const DseOptions& options);
 
+/// The same exploration framed by already computed `bounds`, which must be
+/// design_space_bounds(graph, options.target, options.max_steps_per_run)
+/// — a caller that memoizes them per graph (buffyd's cache registry) skips
+/// the MCM and the capacity doubling. The overload above computes the
+/// bounds and takes this path; the result is byte-identical.
+[[nodiscard]] DseResult explore(const sdf::Graph& graph,
+                                const DseOptions& options,
+                                const DesignSpaceBounds& bounds);
+
 /// Rounds a throughput down to the quantisation grid (no-op when the step
 /// is unset).
 [[nodiscard]] Rational quantize_down(const Rational& value,

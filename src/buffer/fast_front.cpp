@@ -15,8 +15,20 @@ FastFrontResult fast_front(const sdf::Graph& graph, sdf::ActorId target,
                            i64 levels, u64 max_steps) {
   BUFFY_REQUIRE(levels >= 1, "fast_front requires levels >= 1");
   const auto t0 = std::chrono::steady_clock::now();
+  FastFrontResult result = fast_front(
+      graph, target, levels, design_space_bounds(graph, target, max_steps));
+  result.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  return result;
+}
+
+FastFrontResult fast_front(const sdf::Graph& graph, sdf::ActorId target,
+                           i64 levels, const DesignSpaceBounds& bounds) {
+  BUFFY_REQUIRE(levels >= 1, "fast_front requires levels >= 1");
+  const auto t0 = std::chrono::steady_clock::now();
   FastFrontResult result;
-  result.bounds = design_space_bounds(graph, target, max_steps);
+  result.bounds = bounds;
   const auto stamp = [&] {
     result.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -57,4 +57,12 @@ struct FastFrontResult {
                                          sdf::ActorId target, i64 levels = 8,
                                          u64 max_steps = 100'000'000);
 
+/// The same front framed by already computed `bounds`, which must be
+/// design_space_bounds(graph, target) — a caller holding them (buffyd's
+/// cache registry) skips the MCM and the bootstrap simulations. The
+/// overload above computes the bounds and forwards here.
+[[nodiscard]] FastFrontResult fast_front(const sdf::Graph& graph,
+                                         sdf::ActorId target, i64 levels,
+                                         const DesignSpaceBounds& bounds);
+
 }  // namespace buffy::buffer

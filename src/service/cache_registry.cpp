@@ -1,18 +1,24 @@
 #include "service/cache_registry.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <sstream>
+#include <tuple>
 
+#include "base/audit.hpp"
 #include "base/diagnostics.hpp"
 #include "base/hash.hpp"
+#include "buffer/dse.hpp"
 #include "io/dsl.hpp"
+#include "state/throughput.hpp"
 
 namespace buffy::service {
 
-u64 graph_fingerprint(const sdf::Graph& graph,
-                      const std::string& target_name) {
-  const std::string canonical = io::write_dsl(graph);
+GraphKey graph_key(const sdf::Graph& graph, const std::string& target_name) {
+  GraphKey key;
+  key.canonical = io::write_dsl(graph);
   u64 h = kFnvOffset;
-  for (const char c : canonical) {
+  for (const char c : key.canonical) {
     h = hash_step(h, static_cast<u64>(static_cast<unsigned char>(c)));
   }
   // A separator no DSL byte can be (words are hashed, not bytes), then
@@ -22,41 +28,213 @@ u64 graph_fingerprint(const sdf::Graph& graph,
   for (const char c : target_name) {
     h = hash_step(h, static_cast<u64>(static_cast<unsigned char>(c)));
   }
-  return mix64(h);
+  key.fingerprint = mix64(h);
+  key.canonical.push_back('\0');
+  key.canonical += target_name;
+  return key;
 }
+
+u64 graph_fingerprint(const sdf::Graph& graph,
+                      const std::string& target_name) {
+  return graph_key(graph, target_name).fingerprint;
+}
+
+GraphAnalysis analyze_graph(const sdf::Graph& graph, sdf::ActorId target) {
+  analysis::MaxThroughput mt = analysis::max_throughput(graph);
+  // As explore() does: one reusable solver for the capacity doubling.
+  std::optional<state::ThroughputSolver> solver;
+  if (!mt.deadlock) solver.emplace(graph);
+  buffer::DesignSpaceBounds bounds = buffer::design_space_bounds(
+      graph, target, mt, buffer::DseOptions{}.max_steps_per_run,
+      solver.has_value() ? &*solver : nullptr);
+  return {std::move(mt), std::move(bounds)};
+}
+
+namespace {
+
+// Every field of an analysis, for comparison and diagnostics.
+std::string describe(const GraphAnalysis& a) {
+  const analysis::MaxThroughput& mt = a.max_throughput;
+  const buffer::DesignSpaceBounds& b = a.bounds;
+  std::ostringstream out;
+  out << "mcm deadlock " << mt.deadlock << " period "
+      << mt.iteration_period.str() << " repetitions [";
+  for (const i64 q : mt.repetitions.counts()) out << ' ' << q;
+  out << " ]; bounds deadlock " << b.deadlock << " lb " << b.lb_size << ' '
+      << b.per_channel_lb.str() << " ub " << b.ub_size << ' '
+      << b.max_throughput_distribution.str() << " max "
+      << b.max_throughput.str();
+  return out.str();
+}
+
+// BUFFY_AUDIT `memoized-analysis`: a memoized analysis must equal one
+// re-derived through the uncached entry points (the MCM and the bounds
+// overload that computes its own MCM without a reusable solver).
+void audit_check_memoized_analysis(const sdf::Graph& graph,
+                                   sdf::ActorId target,
+                                   const GraphAnalysis& memo) {
+  audit::note_check();
+  const std::string memoized = describe(memo);
+  const std::string fresh =
+      describe({analysis::max_throughput(graph),
+                buffer::design_space_bounds(graph, target)});
+  if (memoized != fresh) {
+    audit::fail("memoized-analysis",
+                "graph '" + graph.name() + "', target '" +
+                    graph.actor(target).name + "': memoized {" + memoized +
+                    "} != re-derived {" + fresh + "}");
+  }
+}
+
+}  // namespace
+
+struct CacheRegistry::Entry {
+  explicit Entry(std::string key) : canonical(std::move(key)) {}
+
+  const std::string canonical;
+  std::mutex compute_mu;  // serialises the one computation of `analysis`
+  std::atomic<bool> ready{false};
+  // Written once before `ready` is released, read-only afterwards (but
+  // for corrupt_analysis_for_test).
+  std::shared_ptr<GraphAnalysis> analysis;
+  std::shared_ptr<buffer::ThroughputCache> cache;
+};
 
 CacheRegistry::CacheRegistry(std::size_t max_graphs, u64 entries_per_graph)
     : max_graphs_(std::max<std::size_t>(1, max_graphs)),
       entries_per_graph_(entries_per_graph) {}
 
-CacheRegistry::Lease CacheRegistry::get_or_create(
-    u64 fingerprint, const Rational& max_throughput) {
-  const std::lock_guard<std::mutex> lock(mu_);
+std::pair<std::shared_ptr<CacheRegistry::Entry>, bool>
+CacheRegistry::find_or_insert_locked(u64 fingerprint,
+                                     const std::string& canonical) {
   const auto it = slots_.find(fingerprint);
   if (it != slots_.end()) {
-    if (it->second.cache->max_throughput() == max_throughput) {
+    if (it->second.entry->canonical == canonical) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      ++warm_hits_;
-      return {it->second.cache, /*warm=*/true};
+      return {it->second.entry, true};
     }
-    // Fingerprint collision between distinct graphs: replace rather than
-    // serve a cache whose values belong to another graph.
+    // Fingerprint collision between distinct keys: replace rather than
+    // serve state that belongs to another graph.
     lru_.erase(it->second.lru_it);
     slots_.erase(it);
   }
   lru_.push_front(fingerprint);
-  Slot slot{std::make_shared<buffer::ThroughputCache>(max_throughput,
-                                                      entries_per_graph_),
-            lru_.begin()};
-  auto cache = slot.cache;
-  slots_.emplace(fingerprint, std::move(slot));
-  if (slots_.size() > max_graphs_) {
+  auto entry = std::make_shared<Entry>(canonical);
+  slots_.emplace(fingerprint, Slot{entry, lru_.begin()});
+  return {std::move(entry), false};
+}
+
+void CacheRegistry::evict_over_capacity_locked() {
+  while (slots_.size() > max_graphs_) {
     const u64 victim = lru_.back();
     lru_.pop_back();
     slots_.erase(victim);
     ++evictions_;
   }
-  return {std::move(cache), /*warm=*/false};
+}
+
+void CacheRegistry::erase_if_current(u64 fingerprint,
+                                     const std::shared_ptr<Entry>& entry) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = slots_.find(fingerprint);
+  if (it != slots_.end() && it->second.entry == entry) {
+    lru_.erase(it->second.lru_it);
+    slots_.erase(it);
+  }
+}
+
+bool CacheRegistry::resolve(Entry& entry, const sdf::Graph& graph,
+                            sdf::ActorId target) {
+  if (entry.ready.load(std::memory_order_acquire)) return false;
+  const std::lock_guard<std::mutex> lock(entry.compute_mu);
+  if (entry.ready.load(std::memory_order_relaxed)) return false;
+  // A throw leaves `ready` false: nothing is memoized and the next caller
+  // computes afresh.
+  entry.analysis =
+      std::make_shared<GraphAnalysis>(analyze_graph(graph, target));
+  if (!entry.analysis->bounds.deadlock) {
+    entry.cache = std::make_shared<buffer::ThroughputCache>(
+        entry.analysis->bounds.max_throughput, entries_per_graph_);
+  }
+  entry.ready.store(true, std::memory_order_release);
+  analyses_computed_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+void CacheRegistry::note_analysis_hit(const Entry& entry, const GraphKey& key,
+                                      const sdf::Graph& graph,
+                                      sdf::ActorId target) {
+  const u64 ordinal = analysis_hits_.fetch_add(1, std::memory_order_relaxed);
+  if (audit::enabled() &&
+      audit::sample(hash_step(key.fingerprint, ordinal))) {
+    audit_check_memoized_analysis(graph, target, *entry.analysis);
+  }
+}
+
+CacheRegistry::Lease CacheRegistry::acquire(const GraphKey& key,
+                                            const sdf::Graph& graph,
+                                            sdf::ActorId target) {
+  std::shared_ptr<Entry> entry;
+  bool hit = false;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::tie(entry, hit) = find_or_insert_locked(key.fingerprint, key.canonical);
+  }
+  bool computed = false;
+  try {
+    computed = resolve(*entry, graph, target);
+  } catch (...) {
+    erase_if_current(key.fingerprint, entry);
+    throw;
+  }
+  if (!computed) note_analysis_hit(*entry, key, graph, target);
+  if (entry->analysis->bounds.deadlock) {
+    erase_if_current(key.fingerprint, entry);
+    return {nullptr, /*warm=*/false, entry->analysis};
+  }
+  if (hit) {
+    warm_hits_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    // Only now, with the graph known not to deadlock, may the new entry
+    // displace the least recently used one.
+    const std::lock_guard<std::mutex> lock(mu_);
+    evict_over_capacity_locked();
+  }
+  return {entry->cache, hit, entry->analysis};
+}
+
+std::shared_ptr<const GraphAnalysis> CacheRegistry::peek(
+    const GraphKey& key, const sdf::Graph& graph, sdf::ActorId target) {
+  std::shared_ptr<Entry> entry;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const auto it = slots_.find(key.fingerprint);
+    if (it == slots_.end() || it->second.entry->canonical != key.canonical ||
+        !it->second.entry->ready.load(std::memory_order_acquire)) {
+      return nullptr;
+    }
+    entry = it->second.entry;
+  }
+  note_analysis_hit(*entry, key, graph, target);
+  return entry->analysis;
+}
+
+CacheRegistry::Lease CacheRegistry::get_or_create(
+    u64 fingerprint, const Rational& max_throughput) {
+  // A NUL-led tag: never equal to a GraphKey's canonical DSL text.
+  std::string tag(1, '\0');
+  tag += "max_throughput " + max_throughput.str();
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto [entry, hit] = find_or_insert_locked(fingerprint, tag);
+  if (hit) {
+    warm_hits_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    entry->cache = std::make_shared<buffer::ThroughputCache>(
+        max_throughput, entries_per_graph_);
+    entry->ready.store(true, std::memory_order_release);
+    evict_over_capacity_locked();
+  }
+  return {entry->cache, hit, nullptr};
 }
 
 bool CacheRegistry::contains(u64 fingerprint) const {
@@ -70,8 +248,7 @@ std::size_t CacheRegistry::resident() const {
 }
 
 u64 CacheRegistry::warm_hits() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return warm_hits_;
+  return warm_hits_.load(std::memory_order_relaxed);
 }
 
 u64 CacheRegistry::evictions() const {
@@ -79,17 +256,43 @@ u64 CacheRegistry::evictions() const {
   return evictions_;
 }
 
+u64 CacheRegistry::analyses_computed() const {
+  return analyses_computed_.load(std::memory_order_relaxed);
+}
+
+u64 CacheRegistry::analysis_hits() const {
+  return analysis_hits_.load(std::memory_order_relaxed);
+}
+
 CacheRegistry::Totals CacheRegistry::totals() const {
   const std::lock_guard<std::mutex> lock(mu_);
   Totals t;
   for (const auto& [fp, slot] : slots_) {
-    t.exact_hits += slot.cache->exact_hits();
-    t.dominance_hits += slot.cache->dominance_hits();
-    t.entries_stored += slot.cache->entries_stored();
-    t.entries_resident += slot.cache->entries_resident();
-    t.entries_evicted += slot.cache->entries_evicted();
+    const Entry& e = *slot.entry;
+    // An entry whose analysis is still being computed has no cache yet.
+    if (!e.ready.load(std::memory_order_acquire) || e.cache == nullptr) {
+      continue;
+    }
+    t.exact_hits += e.cache->exact_hits();
+    t.dominance_hits += e.cache->dominance_hits();
+    t.entries_stored += e.cache->entries_stored();
+    t.entries_resident += e.cache->entries_resident();
+    t.entries_evicted += e.cache->entries_evicted();
   }
   return t;
+}
+
+bool CacheRegistry::corrupt_analysis_for_test(const GraphKey& key,
+                                              i64 delta) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = slots_.find(key.fingerprint);
+  if (it == slots_.end() || it->second.entry->canonical != key.canonical ||
+      !it->second.entry->ready.load(std::memory_order_acquire) ||
+      it->second.entry->analysis == nullptr) {
+    return false;
+  }
+  it->second.entry->analysis->bounds.ub_size += delta;
+  return true;
 }
 
 }  // namespace buffy::service

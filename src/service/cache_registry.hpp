@@ -1,67 +1,124 @@
-// Process-wide registry of warm throughput caches for the buffyd daemon.
+// Process-wide registry of warm per-graph state for the buffyd daemon.
 //
 // The throughput of a storage distribution is a pure function of (graph,
 // target actor, capacity vector), so a resident service can answer
-// repeated queries on the same graph from warm state: the registry maps a
-// stable fingerprint of (graph, target) to a shared ThroughputCache that
-// every request on that graph feeds and consults (DseOptions::
-// shared_cache). Entries within a cache are LRU-bounded (ThroughputCache
-// capacity) and the registry itself is LRU-bounded by graph fingerprint,
-// so a daemon serving an unbounded stream of distinct graphs cannot grow
-// without limit — the least-recently-queried graph's cache is dropped
-// first.
+// repeated queries on the same graph from warm state: the registry maps
+// the canonical identity of (graph, target) to an entry holding
 //
-// Caches are handed out as shared_ptr: an eviction never invalidates a
-// cache an in-flight exploration still holds, it only stops future
-// requests from finding it.
+//  * a shared ThroughputCache that every exact request on the graph feeds
+//    and consults (DseOptions::shared_cache), and
+//  * the graph's analysis — the maximal throughput (the MCM over the HSDF
+//    expansion) and the Fig. 7 design-space bounds — computed once per
+//    entry instead of once or twice per request.
+//
+// Entries within a cache are LRU-bounded (ThroughputCache capacity) and
+// the registry itself is LRU-bounded by graph, so a daemon serving an
+// unbounded stream of distinct graphs cannot grow without limit — the
+// least-recently-queried graph's entry is dropped first.
+//
+// Entries are handed out as shared_ptr: an eviction never invalidates a
+// cache or an analysis an in-flight request still holds, it only stops
+// future requests from finding it.
 #pragma once
 
+#include <atomic>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
-#include <vector>
+#include <utility>
 
+#include "analysis/max_throughput.hpp"
 #include "base/checked_math.hpp"
 #include "base/rational.hpp"
+#include "buffer/bounds.hpp"
 #include "buffer/throughput_cache.hpp"
 #include "sdf/graph.hpp"
 
 namespace buffy::service {
 
-/// Stable fingerprint of (graph, target actor): FNV-1a over the canonical
-/// DSL serialisation (io::write_dsl round-trips every semantic field:
-/// actor names, execution times, rates, initial tokens) combined with the
-/// target actor's name. Two graphs share a fingerprint exactly when their
-/// canonical forms are byte-identical.
+/// Canonical identity of (graph, target actor): the canonical DSL
+/// serialisation (io::write_dsl round-trips every semantic field: actor
+/// names, execution times, rates, initial tokens) and the target's name,
+/// plus their 64-bit FNV-1a fingerprint. The fingerprint indexes the
+/// registry (and routes a graph to its fleet shard); `canonical` decides
+/// identity, so a fingerprint collision can never share state.
+struct GraphKey {
+  u64 fingerprint = 0;
+  /// write_dsl(graph), a NUL byte (which no DSL text contains), the target.
+  std::string canonical;
+};
+
+[[nodiscard]] GraphKey graph_key(const sdf::Graph& graph,
+                                 const std::string& target_name);
+
+/// graph_key(graph, target_name).fingerprint.
 [[nodiscard]] u64 graph_fingerprint(const sdf::Graph& graph,
                                     const std::string& target_name);
 
-/// LRU registry of shared throughput caches; see file comment.
+/// The per-(graph, target) constants every request on the graph needs.
+struct GraphAnalysis {
+  analysis::MaxThroughput max_throughput;
+  /// design_space_bounds(graph, target) with the default step bound.
+  buffer::DesignSpaceBounds bounds;
+};
+
+/// Computes a GraphAnalysis: one MCM, and the bounds from it.
+[[nodiscard]] GraphAnalysis analyze_graph(const sdf::Graph& graph,
+                                          sdf::ActorId target);
+
+/// LRU registry of per-graph entries; see file comment.
 /// Thread-safe: all members may be called concurrently.
 class CacheRegistry {
  public:
-  /// At most `max_graphs` resident caches (>= 1), each bounded to
-  /// `entries_per_graph` exact entries (0 = unbounded entries).
+  /// At most `max_graphs` resident entries (>= 1), each cache bounded to
+  /// `entries_per_graph` exact entries (0 = unbounded entries). A new
+  /// entry evicts the least recently used one only once its analysis
+  /// shows the graph does not deadlock, so entries still computing their
+  /// analysis may briefly exceed the bound (by at most one per caller).
   CacheRegistry(std::size_t max_graphs, u64 entries_per_graph);
 
   struct Lease {
+    /// Null when the graph deadlocks for every distribution.
     std::shared_ptr<buffer::ThroughputCache> cache;
-    /// True when the cache already existed — the request is served from
+    /// True when the entry already existed — the request is served from
     /// warm state (the status endpoint's cache_warm_hits counter).
     bool warm = false;
+    /// The entry's analysis (acquire only; null from get_or_create).
+    std::shared_ptr<const GraphAnalysis> analysis;
   };
 
+  /// Returns the entry of `key`, creating it (cold) when absent; a hit
+  /// refreshes LRU recency. The entry's analysis of (graph, target) —
+  /// which `key` must identify — is computed once per entry: concurrent
+  /// callers on a cold entry wait for one computation. A computation that
+  /// throws is not memoized (the entry is dropped and the exception
+  /// propagates; the next request retries), and a graph that deadlocks
+  /// for every distribution keeps no entry: its lease has the analysis but
+  /// no cache and is never warm.
+  [[nodiscard]] Lease acquire(const GraphKey& key, const sdf::Graph& graph,
+                              sdf::ActorId target);
+
+  /// The analysis of a resident entry of `key` whose computation finished,
+  /// else null. Never creates an entry, refreshes its recency or evicts
+  /// one, so a caller that only peeks (quality=fast, maximal
+  /// analyze_throughput) cannot displace exact warm state. `graph` and
+  /// `target` are only read by the BUFFY_AUDIT cross-check.
+  [[nodiscard]] std::shared_ptr<const GraphAnalysis> peek(
+      const GraphKey& key, const sdf::Graph& graph, sdf::ActorId target);
+
   /// Returns the cache for `fingerprint`, creating it (cold) with the
-  /// given maximal throughput when absent. A hit refreshes LRU recency.
-  /// If a resident cache's maximal throughput differs (fingerprint
-  /// collision between distinct graphs), it is replaced by a fresh cache
-  /// rather than poisoning results — correctness never depends on the
-  /// fingerprint being collision-free.
+  /// given maximal throughput when absent — for in-process callers that
+  /// hold no GraphKey. Identity is (fingerprint, max_throughput): a
+  /// resident entry with another maximal throughput is replaced, but two
+  /// graphs colliding on the fingerprint with equal maximal throughputs
+  /// would share one cache; acquire() compares the full key instead.
+  /// These entries carry no analysis and never match an acquire() key.
   [[nodiscard]] Lease get_or_create(u64 fingerprint,
                                     const Rational& max_throughput);
 
-  /// True when the fingerprint currently has a resident cache (test and
+  /// True when the fingerprint currently has a resident entry (test and
   /// metrics hook; does not refresh recency).
   [[nodiscard]] bool contains(u64 fingerprint) const;
 
@@ -69,6 +126,10 @@ class CacheRegistry {
   [[nodiscard]] std::size_t max_graphs() const { return max_graphs_; }
   [[nodiscard]] u64 warm_hits() const;
   [[nodiscard]] u64 evictions() const;
+  /// Analyses acquire() computed (deadlocking graphs included).
+  [[nodiscard]] u64 analyses_computed() const;
+  /// acquire() and peek() calls answered from an analysis computed before.
+  [[nodiscard]] u64 analysis_hits() const;
 
   /// Aggregated counters over the resident caches (status endpoint).
   struct Totals {
@@ -80,19 +141,45 @@ class CacheRegistry {
   };
   [[nodiscard]] Totals totals() const;
 
+  /// Audit tamper hook: adds `delta` to the memoized upper bound (ub_size)
+  /// of the resident entry of `key`; returns false when there is no
+  /// finished analysis to corrupt. Exists only so test_audit can prove the
+  /// memoized-analysis cross-check catches a corrupted bound. Never
+  /// called outside tests, never concurrently with other members.
+  bool corrupt_analysis_for_test(const GraphKey& key, i64 delta);
+
  private:
+  struct Entry;
   struct Slot {
-    std::shared_ptr<buffer::ThroughputCache> cache;
+    std::shared_ptr<Entry> entry;
     std::list<u64>::iterator lru_it;
   };
+
+  /// The resident entry of (fingerprint, canonical), refreshed; else a
+  /// fresh entry put in its place. Second: whether it was a hit. Caller
+  /// holds mu_.
+  std::pair<std::shared_ptr<Entry>, bool> find_or_insert_locked(
+      u64 fingerprint, const std::string& canonical);
+  /// Drops LRU-tail entries while more than max_graphs_ are resident.
+  /// Caller holds mu_.
+  void evict_over_capacity_locked();
+  /// Drops the slot of `fingerprint` if it still holds `entry`.
+  void erase_if_current(u64 fingerprint, const std::shared_ptr<Entry>& entry);
+  /// Computes the entry's analysis unless done; true when this call did.
+  bool resolve(Entry& entry, const sdf::Graph& graph, sdf::ActorId target);
+  /// Counts an analysis hit and runs the sampled BUFFY_AUDIT cross-check.
+  void note_analysis_hit(const Entry& entry, const GraphKey& key,
+                         const sdf::Graph& graph, sdf::ActorId target);
 
   const std::size_t max_graphs_;
   const u64 entries_per_graph_;
   mutable std::mutex mu_;
   std::list<u64> lru_;  // front = most recently used fingerprint
   std::unordered_map<u64, Slot> slots_;
-  u64 warm_hits_ = 0;
-  u64 evictions_ = 0;
+  u64 evictions_ = 0;  // guarded by mu_
+  std::atomic<u64> warm_hits_{0};
+  std::atomic<u64> analyses_computed_{0};
+  std::atomic<u64> analysis_hits_{0};
 };
 
 }  // namespace buffy::service

@@ -1,6 +1,8 @@
 #include "service/server.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <utility>
 
 #include "analysis/max_throughput.hpp"
@@ -120,7 +122,13 @@ JsonValue Server::handle_analyze(const Request& req,
   if (req.capacities.empty()) {
     // Maximal achievable throughput: the MCM route (HSDF expansion), the
     // reference the state-space engines are differentially tested against.
-    const analysis::MaxThroughput mt = analysis::max_throughput(graph);
+    // A resident registry entry already holds it; peeking never creates
+    // one, so analyze requests cannot displace exact warm state.
+    const std::shared_ptr<const GraphAnalysis> memo = registry_.peek(
+        graph_key(graph, graph.actor(target).name), graph, target);
+    const analysis::MaxThroughput mt =
+        memo != nullptr ? memo->max_throughput
+                        : analysis::max_throughput(graph);
     result.set("deadlock", JsonValue::boolean(mt.deadlock));
     result.set("throughput",
                JsonValue::string(mt.actor_throughput(target).str()));
@@ -158,10 +166,17 @@ JsonValue Server::handle_explore(const Request& req,
   const sdf::ActorId target = resolve_target(graph, req.target);
   admit_magnitudes(graph);
 
+  // The registry identity of (graph, target); "cache":false bypasses the
+  // registry entirely.
+  std::optional<GraphKey> key;
+  if (req.use_cache) key = graph_key(graph, graph.actor(target).name);
+
   // quality=fast: the LP-only front (buffer/fast_front) — sound but
-  // approximate, answered without per-candidate simulation, and without
-  // touching the warm cache registry (fast answers must never displace or
-  // seed exact warm state; a later quality=exact query builds it).
+  // approximate, answered without per-candidate simulation. It only peeks
+  // at the warm cache registry: a resident entry's bounds spare the MCM
+  // and the bootstrap simulations, but fast answers never create, refresh
+  // or evict an entry (they must never displace or seed exact warm state;
+  // a later quality=exact query builds it).
   //
   // The fast tier rides on the LP models, whose exact rational arithmetic
   // the simplex pre-sizes from the stamped coefficient bound (DESIGN.md
@@ -179,8 +194,13 @@ JsonValue Server::handle_explore(const Request& req,
   bool want_fast = req.quality == std::optional<std::string>("fast");
   if (want_fast) {
     token.checkpoint();
-    const buffer::FastFrontResult fast = buffer::fast_front(
-        graph, target, req.levels.value_or(8));
+    const i64 levels = req.levels.value_or(8);
+    const std::shared_ptr<const GraphAnalysis> memo =
+        key.has_value() ? registry_.peek(*key, graph, target) : nullptr;
+    const buffer::FastFrontResult fast =
+        memo != nullptr
+            ? buffer::fast_front(graph, target, levels, memo->bounds)
+            : buffer::fast_front(graph, target, levels);
     token.checkpoint();
     if (fast.lp_solves > 0 && fast.lp_overflows == fast.lp_solves) {
       want_fast = false;
@@ -215,24 +235,21 @@ JsonValue Server::handle_explore(const Request& req,
   opts.progress = &progress_;
 
   // The warm-state machinery: repeated queries on the same (graph, target)
-  // share one ThroughputCache through the registry. Soundness rests on
-  // throughput being a pure function of (graph, target, capacities) — see
-  // cache_registry.hpp — and the front is byte-identical warm or cold.
-  CacheRegistry::Lease lease;  // keeps an evicted cache alive while used
-  bool warm = false;
-  if (req.use_cache) {
+  // share one ThroughputCache and one analysis (MCM + Fig. 7 bounds)
+  // through the registry. Soundness rests on throughput being a pure
+  // function of (graph, target, capacities) — see cache_registry.hpp — and
+  // the front is byte-identical warm or cold.
+  CacheRegistry::Lease lease;  // keeps an evicted entry alive while used
+  if (key.has_value()) {
     token.checkpoint();
-    const analysis::MaxThroughput mt = analysis::max_throughput(graph);
-    if (!mt.deadlock) {
-      const u64 fingerprint =
-          graph_fingerprint(graph, graph.actor(target).name);
-      lease = registry_.get_or_create(fingerprint, mt.actor_throughput(target));
-      opts.shared_cache = lease.cache.get();
-      warm = lease.warm;
-    }
+    lease = registry_.acquire(*key, graph, target);
+    opts.shared_cache = lease.cache.get();
   }
 
-  const buffer::DseResult result = buffer::explore(graph, opts);
+  const buffer::DseResult result =
+      lease.analysis != nullptr
+          ? buffer::explore(graph, opts, lease.analysis->bounds)
+          : buffer::explore(graph, opts);
   if (result.cancelled) {
     // The engines return a verified partial front on a deadline; the
     // protocol's contract is an error code, so the partial result is
@@ -260,7 +277,7 @@ JsonValue Server::handle_explore(const Request& req,
   res.set("max_states_stored",
           JsonValue::integer(static_cast<i64>(result.max_states_stored)));
   res.set("seconds", JsonValue::number(result.seconds));
-  res.set("cached_graph", JsonValue::boolean(warm));
+  res.set("cached_graph", JsonValue::boolean(lease.warm));
   return res;
 }
 
@@ -283,11 +300,21 @@ JsonValue Server::handle_explore_slice(const Request& req,
   opts.cancel = token;
   opts.progress = &progress_;
 
-  std::optional<state::ThroughputSolver> setup_solver;
-  if (opts.reuse_engines) setup_solver.emplace(graph);
-  const buffer::DesignSpaceBounds bounds = buffer::design_space_bounds(
-      graph, target, opts.max_steps_per_run,
-      setup_solver.has_value() ? &*setup_solver : nullptr);
+  // Fingerprint-affine warm state: the router routes every slice of a
+  // graph to its home shard, so repeated waves hit this lease warm — its
+  // cache and its memoized bounds.
+  CacheRegistry::Lease lease;
+  if (req.use_cache) {
+    token.checkpoint();
+    lease = registry_.acquire(graph_key(graph, graph.actor(target).name),
+                              graph, target);
+    opts.shared_cache = lease.cache.get();
+  }
+  const std::shared_ptr<const GraphAnalysis> analysis =
+      lease.analysis != nullptr
+          ? lease.analysis
+          : std::make_shared<const GraphAnalysis>(analyze_graph(graph, target));
+  const buffer::DesignSpaceBounds& bounds = analysis->bounds;
   if (bounds.deadlock) {
     throw ProtocolError(ErrorCode::GraphInvalid,
                         "the graph deadlocks for every storage "
@@ -297,17 +324,6 @@ JsonValue Server::handle_explore_slice(const Request& req,
   // d&c, so both sides evaluate the slice under identical engine-effective
   // options — the byte-identity contract of the scattered front.
   buffer::apply_quantization_levels(opts, bounds);
-
-  // Fingerprint-affine warm state: the router routes every slice of a
-  // graph to its home shard, so repeated waves hit this lease warm.
-  CacheRegistry::Lease lease;
-  if (req.use_cache) {
-    token.checkpoint();
-    const u64 fingerprint =
-        graph_fingerprint(graph, graph.actor(target).name);
-    lease = registry_.get_or_create(fingerprint, bounds.max_throughput);
-    opts.shared_cache = lease.cache.get();
-  }
 
   buffer::SliceRequest slice;
   slice.size = *req.slice_size;
@@ -367,6 +383,8 @@ JsonValue Server::status_json() const {
   cache.set("entries_stored", u(totals.entries_stored));
   cache.set("entries_resident", u(totals.entries_resident));
   cache.set("entries_evicted", u(totals.entries_evicted));
+  cache.set("analyses_computed", u(registry_.analyses_computed()));
+  cache.set("analysis_hits", u(registry_.analysis_hits()));
   o.set("cache", cache);
 
   o.set("progress", JsonValue::parse(progress_.snapshot().json()));

@@ -11,6 +11,7 @@
 #include "buffer/throughput_cache.hpp"
 #include "lp/sdf_model.hpp"
 #include "models/models.hpp"
+#include "service/cache_registry.hpp"
 #include "state/engine.hpp"
 #include "state/throughput.hpp"
 #include "state/visited_table.hpp"
@@ -258,6 +259,40 @@ TEST(AuditTamper, CorruptParetoThroughputTriggersMonotoneDiagnostic) {
     FAIL() << "expected AuditError";
   } catch (const audit::AuditError& e) {
     EXPECT_EQ(e.invariant(), "pareto-monotone");
+  }
+}
+
+// --- tamper: memoized graph analysis -------------------------------------
+
+TEST(AuditTamper, CorruptMemoizedBoundTriggersMemoizedAnalysisDiagnostic) {
+  const sdf::Graph g = models::paper_example();
+  const sdf::ActorId target = models::reported_actor(g);
+  const service::GraphKey key = service::graph_key(g, g.actor(target).name);
+  service::CacheRegistry registry(/*max_graphs=*/4, /*entries_per_graph=*/0);
+  (void)registry.acquire(key, g, target);  // computes and memoizes
+
+  const audit::ScopedAudit audit_on(/*denominator=*/1);
+  // Healthy memo: every hit re-derives the MCM and bounds and agrees.
+  const u64 before = audit::checks_performed();
+  EXPECT_NO_THROW((void)registry.acquire(key, g, target));
+  EXPECT_NO_THROW((void)registry.peek(key, g, target));
+  EXPECT_GT(audit::checks_performed(), before);
+
+  // Tampered memo: both hit paths must report the corrupted bound.
+  ASSERT_TRUE(registry.corrupt_analysis_for_test(key, 1));
+  for (const bool via_peek : {false, true}) {
+    try {
+      if (via_peek) {
+        (void)registry.peek(key, g, target);
+      } else {
+        (void)registry.acquire(key, g, target);
+      }
+      FAIL() << "expected AuditError";
+    } catch (const audit::AuditError& e) {
+      EXPECT_EQ(e.invariant(), "memoized-analysis");
+      EXPECT_NE(std::string(e.what()).find("re-derived"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

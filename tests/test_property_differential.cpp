@@ -362,6 +362,76 @@ TEST(PropertyDifferential, FrontsAreByteIdenticalUnderEveryLaneBackend) {
   }
 }
 
+// Every field of a Fig. 7 bounds result, for byte comparison.
+std::string bounds_str(const buffer::DesignSpaceBounds& b) {
+  return "deadlock " + std::to_string(b.deadlock) + " lb " +
+         b.per_channel_lb.str() + " (" + std::to_string(b.lb_size) +
+         ") ub " + b.max_throughput_distribution.str() + " (" +
+         std::to_string(b.ub_size) + ") max " + b.max_throughput.str();
+}
+
+// A DSE result's front, bounds and every engine counter a response
+// carries (all but the wall-clock seconds).
+std::string result_str(const buffer::DseResult& r) {
+  return r.pareto.str() + bounds_str(r.bounds) + " distributions " +
+         std::to_string(r.distributions_explored) + " sims " +
+         std::to_string(r.simulations_run) + " hits " +
+         std::to_string(r.cache_hits) + " dominance " +
+         std::to_string(r.dominance_skips) + " lp_prunes " +
+         std::to_string(r.lp_prunes) + " lp_cuts " +
+         std::to_string(r.lp_cuts) + " narrow " +
+         std::to_string(r.static_narrow) + " states " +
+         std::to_string(r.max_states_stored) + " cancelled " +
+         std::to_string(r.cancelled);
+}
+
+std::string fast_str(const buffer::FastFrontResult& r) {
+  return r.pareto.str() + bounds_str(r.bounds) + " solves " +
+         std::to_string(r.lp_solves) + " overflows " +
+         std::to_string(r.lp_overflows) + " pivots " +
+         std::to_string(r.lp_pivots) + " cuts " + std::to_string(r.lp_cuts);
+}
+
+// Property (i): precomputed bounds are invisible. buffyd's cache registry
+// computes a graph's MCM and Fig. 7 bounds once and hands them to every
+// request through the bounds-taking overloads; those must return exactly
+// what the overloads that compute the bounds themselves return — fronts,
+// witnesses and counters — for both engines and the fast tier, and the
+// bounds derived from a given MCM (with or without a reusable solver, as
+// the registry computes them) must equal the self-contained derivation.
+TEST(PropertyDifferential, PrecomputedBoundsAndMcmGiveByteIdenticalResults) {
+  for (const u64 seed : load_seeds()) {
+    const sdf::Graph graph = gen::random_graph(graph_options(seed));
+    const sdf::ActorId target(graph.num_actors() - 1);
+
+    buffer::DseOptions opts;
+    opts.target = target;
+    const buffer::DesignSpaceBounds bounds =
+        buffer::design_space_bounds(graph, target, opts.max_steps_per_run);
+    const analysis::MaxThroughput mt = analysis::max_throughput(graph);
+    ASSERT_EQ(bounds_str(buffer::design_space_bounds(graph, target, mt)),
+              bounds_str(bounds))
+        << repro(seed, graph);
+    state::ThroughputSolver solver(graph);
+    ASSERT_EQ(bounds_str(buffer::design_space_bounds(
+                  graph, target, mt, opts.max_steps_per_run, &solver)),
+              bounds_str(bounds))
+        << repro(seed, graph);
+
+    for (const buffer::DseEngine engine :
+         {buffer::DseEngine::Exhaustive, buffer::DseEngine::Incremental}) {
+      opts.engine = engine;
+      ASSERT_EQ(result_str(buffer::explore(graph, opts, bounds)),
+                result_str(buffer::explore(graph, opts)))
+          << repro(seed, graph) << "engine "
+          << (engine == buffer::DseEngine::Exhaustive ? "exh" : "inc");
+    }
+    ASSERT_EQ(fast_str(buffer::fast_front(graph, target, 8, bounds)),
+              fast_str(buffer::fast_front(graph, target)))
+        << repro(seed, graph);
+  }
+}
+
 // The pinned list itself: losing seeds would silently weaken the sweep.
 TEST(PropertyDifferential, SeedListHoldsAtLeastTwoHundredSeeds) {
   EXPECT_GE(load_seeds().size(), 200u);

@@ -27,6 +27,7 @@
 #include "analysis/max_throughput.hpp"
 #include "base/diagnostics.hpp"
 #include "buffer/dse.hpp"
+#include "buffer/fast_front.hpp"
 #include "fleet/router.hpp"
 #include "io/dsl.hpp"
 #include "io/sdf_xml.hpp"
@@ -117,6 +118,117 @@ TEST(CacheRegistry, FingerprintCollisionReplacesInsteadOfPoisoning) {
   EXPECT_EQ(lease.cache->max_throughput(), Rational(1, 5));
 }
 
+// Two distinct (graph, target) keys forced onto one fingerprint, with
+// equal maximal throughputs (the graphs differ only in an actor name):
+// the full canonical key tells them apart, so they never share a cache
+// or an analysis.
+TEST(CacheRegistry, CollidingKeysWithEqualMaxThroughputGetDistinctEntries) {
+  const sdf::Graph first = io::read_dsl(kTinyDsl);
+  const sdf::Graph second = io::read_dsl(
+      "graph tiny\n"
+      "actor a 1\n"
+      "actor c 2\n"
+      "channel ab a 1 c 1\n"
+      "channel ba c 1 a 1 tokens 2\n");
+  const sdf::ActorId target(1);
+  ASSERT_EQ(analysis::max_throughput(first).actor_throughput(target),
+            analysis::max_throughput(second).actor_throughput(target));
+
+  const service::GraphKey first_key = service::graph_key(first, "b");
+  service::GraphKey second_key = service::graph_key(second, "c");
+  ASSERT_NE(first_key.canonical, second_key.canonical);
+  second_key.fingerprint = first_key.fingerprint;
+
+  service::CacheRegistry registry(/*max_graphs=*/4, /*entries_per_graph=*/0);
+  const service::CacheRegistry::Lease a =
+      registry.acquire(first_key, first, target);
+  const service::CacheRegistry::Lease b =
+      registry.acquire(second_key, second, target);
+  EXPECT_FALSE(a.warm);
+  EXPECT_FALSE(b.warm);
+  ASSERT_NE(a.cache, nullptr);
+  ASSERT_NE(b.cache, nullptr);
+  EXPECT_NE(a.cache, b.cache);
+  EXPECT_NE(a.analysis, b.analysis);
+  EXPECT_EQ(registry.analyses_computed(), 2u);
+  EXPECT_EQ(registry.analysis_hits(), 0u);
+}
+
+// acquire() computes a graph's analysis once per entry and hands it out
+// on every hit; peek() reads a resident analysis but never creates an
+// entry or refreshes its recency; a deadlocking graph keeps no entry.
+TEST(CacheRegistry, AnalysisIsMemoizedPerEntryAndPeekNeverTouchesTheLru) {
+  const sdf::Graph tiny = io::read_dsl(kTinyDsl);
+  const sdf::ActorId target(1);
+  const service::GraphKey key = service::graph_key(tiny, "b");
+  service::CacheRegistry registry(/*max_graphs=*/2, /*entries_per_graph=*/0);
+
+  EXPECT_EQ(registry.peek(key, tiny, target), nullptr);
+  EXPECT_EQ(registry.resident(), 0u);
+
+  const service::CacheRegistry::Lease cold = registry.acquire(key, tiny, target);
+  EXPECT_FALSE(cold.warm);
+  ASSERT_NE(cold.analysis, nullptr);
+  const service::GraphAnalysis reference = service::analyze_graph(tiny, target);
+  EXPECT_EQ(cold.analysis->bounds.max_throughput,
+            reference.bounds.max_throughput);
+  EXPECT_EQ(cold.analysis->bounds.max_throughput_distribution,
+            reference.bounds.max_throughput_distribution);
+  EXPECT_EQ(cold.analysis->max_throughput.iteration_period,
+            reference.max_throughput.iteration_period);
+
+  const service::CacheRegistry::Lease warm = registry.acquire(key, tiny, target);
+  EXPECT_TRUE(warm.warm);
+  EXPECT_EQ(warm.cache, cold.cache);
+  EXPECT_EQ(warm.analysis, cold.analysis);
+  EXPECT_EQ(registry.peek(key, tiny, target), cold.analysis);
+  EXPECT_EQ(registry.analyses_computed(), 1u);
+  EXPECT_EQ(registry.analysis_hits(), 2u);
+  EXPECT_EQ(registry.warm_hits(), 1u);
+
+  // LRU order [key]; add two legacy entries. The peek in between must not
+  // refresh `key`, so it is the one evicted.
+  EXPECT_FALSE(registry.get_or_create(11, Rational(1, 3)).warm);  // [11, key]
+  EXPECT_NE(registry.peek(key, tiny, target), nullptr);
+  EXPECT_FALSE(registry.get_or_create(22, Rational(1, 3)).warm);  // [22, 11]
+  EXPECT_FALSE(registry.contains(key.fingerprint));
+  EXPECT_EQ(registry.peek(key, tiny, target), nullptr);
+
+  // Deadlock everywhere (a token-free cycle): the lease carries the
+  // analysis, but no cache, and no entry stays resident.
+  const sdf::Graph dead = io::read_dsl(
+      "graph dead\n"
+      "actor a 1\n"
+      "actor b 1\n"
+      "channel ab a 1 b 1\n"
+      "channel ba b 1 a 1\n");
+  const service::GraphKey dead_key = service::graph_key(dead, "b");
+  const service::CacheRegistry::Lease none =
+      registry.acquire(dead_key, dead, target);
+  EXPECT_FALSE(none.warm);
+  EXPECT_EQ(none.cache, nullptr);
+  ASSERT_NE(none.analysis, nullptr);
+  EXPECT_TRUE(none.analysis->bounds.deadlock);
+  EXPECT_FALSE(registry.contains(dead_key.fingerprint));
+  EXPECT_EQ(registry.resident(), 2u);
+
+  // A computation that throws (an inconsistent graph) is not memoized:
+  // no entry stays behind, and a retry computes afresh.
+  const sdf::Graph inconsistent = io::read_dsl(
+      "graph bad\n"
+      "actor a 1\n"
+      "actor b 1\n"
+      "channel ab a 2 b 1\n"
+      "channel ba b 1 a 1 tokens 1\n");
+  const service::GraphKey bad_key = service::graph_key(inconsistent, "b");
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_THROW((void)registry.acquire(bad_key, inconsistent, target), Error);
+    EXPECT_FALSE(registry.contains(bad_key.fingerprint));
+  }
+  EXPECT_EQ(registry.resident(), 2u);
+  EXPECT_EQ(registry.analyses_computed(), 2u);  // tiny + dead
+}
+
 TEST(CacheRegistry, DistinctGraphsGetDistinctFingerprints) {
   const sdf::Graph tiny = io::read_dsl(kTinyDsl);
   const sdf::Graph h263 = io::read_sdf_xml(h263_xml());
@@ -178,6 +290,10 @@ TEST(Service, EightConcurrentClientsGetByteIdenticalFronts) {
   const service::JsonValue& cache = *result_of(status).find("cache");
   EXPECT_GE(cache.find("warm_hits")->as_int(), 7);
   EXPECT_EQ(cache.find("graphs_resident")->as_int(), 1);
+  // The seven that arrived while the first computed the graph's MCM and
+  // bounds waited for that one computation instead of repeating it.
+  EXPECT_EQ(cache.find("analyses_computed")->as_int(), 1);
+  EXPECT_EQ(cache.find("analysis_hits")->as_int(), 7);
 
   server.shutdown();
   server.wait();
@@ -230,9 +346,10 @@ TEST(Service, MalformedInputsGetStructuredErrorCodes) {
   server.wait();
 }
 
-// quality=fast serves the LP-only front without ever touching the warm
-// cache registry, and a later quality=exact request on the same graph
-// still produces the byte-identical reference front from a cold cache.
+// quality=fast serves the LP-only front without ever creating a warm
+// cache registry entry, and a later quality=exact request on the same
+// graph still produces the byte-identical reference front from a cold
+// cache.
 TEST(Service, FastQualityServesLpFrontWithoutSeedingTheWarmCache) {
   service::Server server(tcp_options());
   server.start();
@@ -249,15 +366,17 @@ TEST(Service, FastQualityServesLpFrontWithoutSeedingTheWarmCache) {
   const service::JsonValue* points = fast.find("points");
   ASSERT_TRUE(points != nullptr && points->is_array());
   EXPECT_FALSE(points->as_array().empty());
-  // Fast answers carry no cache provenance: the registry was never
-  // consulted, so the member must be absent (not merely false).
+  // Fast answers carry no cache provenance: they never take a registry
+  // entry, so the member must be absent (not merely false).
   EXPECT_EQ(fast.find("cached_graph"), nullptr);
 
   // The registry holds nothing: a fast answer must never seed exact
-  // warm state.
+  // warm state. It computed its bounds itself, outside the registry.
   const service::JsonValue status = client.call("{\"method\":\"status\"}");
-  EXPECT_EQ(result_of(status).find("cache")->find("graphs_resident")->as_int(),
-            0);
+  const service::JsonValue& cache = *result_of(status).find("cache");
+  EXPECT_EQ(cache.find("graphs_resident")->as_int(), 0);
+  EXPECT_EQ(cache.find("analyses_computed")->as_int(), 0);
+  EXPECT_EQ(cache.find("analysis_hits")->as_int(), 0);
 
   // The first exact request is therefore cold — and still reproduces
   // the reference front byte for byte.
@@ -272,6 +391,61 @@ TEST(Service, FastQualityServesLpFrontWithoutSeedingTheWarmCache) {
               exact.find("lp_prunes")->is_int());
   EXPECT_TRUE(exact.find("lp_cuts") != nullptr &&
               exact.find("lp_cuts")->is_int());
+
+  server.shutdown();
+  server.wait();
+}
+
+// Exact explores, fast probes and maximal analyzes of one graph share the
+// registry entry's analysis: the MCM and the Fig. 7 bounds are computed
+// once, and every answer is the one the uncached path gives.
+TEST(Service, GraphAnalysisIsComputedOncePerRegistryEntry) {
+  service::Server server(tcp_options());
+  server.start();
+  Client client = Client::tcp(server.tcp_port());
+  const auto cache_counter = [&client](const char* name) {
+    const service::JsonValue status =
+        client.call("{\"method\":\"status\"}");
+    return result_of(status).find("cache")->find(name)->as_int();
+  };
+
+  const sdf::Graph h263 = io::read_sdf_xml(h263_xml());
+  const sdf::ActorId target(h263.num_actors() - 1);
+  const std::string fast_reference =
+      buffer::fast_front(h263, target).pareto.str();
+  const std::string analyze =
+      "{\"id\":9,\"method\":\"analyze_throughput\",\"graph\":" +
+      service::json_quote(h263_xml()) + "}";
+
+  // Cold: a maximal analyze only peeks, so it computes nothing in the
+  // registry and creates no entry.
+  const service::JsonValue cold = client.call(analyze);
+  ASSERT_TRUE(response_ok(cold));
+  EXPECT_EQ(result_of(cold).find("throughput")->as_string(),
+            analysis::max_throughput(h263).actor_throughput(target).str());
+  EXPECT_EQ(cache_counter("graphs_resident"), 0);
+  EXPECT_EQ(cache_counter("analyses_computed"), 0);
+
+  for (int i = 0; i < 2; ++i) {
+    const service::JsonValue exact = client.call(explore_request(i, h263_xml()));
+    ASSERT_TRUE(response_ok(exact));
+    EXPECT_EQ(result_of(exact).find("front")->as_string(),
+              h263_reference_front());
+    EXPECT_EQ(result_of(exact).find("cached_graph")->as_bool(), i == 1);
+  }
+  const service::JsonValue fast =
+      client.call(explore_request(3, h263_xml(), ",\"quality\":\"fast\""));
+  ASSERT_TRUE(response_ok(fast));
+  EXPECT_EQ(result_of(fast).find("front")->as_string(), fast_reference);
+  EXPECT_EQ(result_of(fast).find("cached_graph"), nullptr);
+  const service::JsonValue warm = client.call(analyze);
+  ASSERT_TRUE(response_ok(warm));
+  EXPECT_EQ(result_of(warm).dump(), result_of(cold).dump());
+
+  EXPECT_EQ(cache_counter("analyses_computed"), 1);
+  EXPECT_EQ(cache_counter("analysis_hits"), 3);  // explore, fast, analyze
+  EXPECT_EQ(cache_counter("warm_hits"), 1);
+  EXPECT_EQ(cache_counter("graphs_resident"), 1);
 
   server.shutdown();
   server.wait();
