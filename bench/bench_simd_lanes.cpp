@@ -14,16 +14,11 @@
 // host (SWAR needs no CPU feature); the AVX2 column reports speedup but
 // carries no gate, since CI hosts differ in vector width.
 //
-// A second section A/Bs the static magnitude certificate (DESIGN.md
-// §16) on the h263 incremental exploration: with certificates off the
-// lane solver re-derives the kernel width from every batch's capacity
-// vector; with certificates on (the default) the i32 narrow kernel is
-// selected once, statically. The fronts must be byte-identical either
-// way — the certificate is a gating optimization, never a semantic one —
-// and on h263 the certified runs must actually engage the static narrow
-// path (asserted under `--assert-lane-scaling`, where it is
+// Every lane run derives the static magnitude certificate (DESIGN.md
+// §16), which selects the i32 narrow kernel once per graph instead of
+// per batch. On h263 the lane runs must actually engage that static
+// narrow path (asserted under `--assert-lane-scaling`, where it is
 // deterministic: it depends only on graph magnitudes, not timing).
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -57,6 +52,7 @@ struct Measurement {
   u64 explored = 0;
   u64 simulations = 0;
   std::size_t points = 0;
+  bool static_narrow = false;  // certificate elected the i32 kernel
   bool identical = true;  // front matches the scalar run byte for byte
 };
 
@@ -78,40 +74,26 @@ bool fronts_identical(const buffer::DseResult& a, const buffer::DseResult& b) {
 }
 
 buffer::DseResult run_once(const BenchCase& c, state::SimdBackend backend,
-                           unsigned threads, bool use_certificate = true) {
+                           unsigned threads) {
   buffer::DseOptions opts{.target = models::reported_actor(c.graph),
                           .engine = c.engine};
   opts.threads = threads;
   opts.simd = backend;
-  opts.use_bounds_certificate = use_certificate;
   return buffer::explore(c.graph, opts);
 }
 
 // Best-of-N wall clock; N shrinks for slow configurations.
 buffer::DseResult run_timed(const BenchCase& c, state::SimdBackend backend,
-                            unsigned threads, double* seconds,
-                            bool use_certificate = true) {
-  buffer::DseResult best = run_once(c, backend, threads, use_certificate);
+                            unsigned threads, double* seconds) {
+  buffer::DseResult best = run_once(c, backend, threads);
   *seconds = best.seconds;
   const int reps = best.seconds > 0.5 ? 2 : 3;
   for (int r = 1; r < reps; ++r) {
-    buffer::DseResult again = run_once(c, backend, threads, use_certificate);
+    buffer::DseResult again = run_once(c, backend, threads);
     if (again.seconds < *seconds) *seconds = again.seconds;
   }
   return best;
 }
-
-// One row of the certificate A/B: the same exploration with the static
-// magnitude certificate off (dynamic per-batch width gate) and on
-// (static narrow-kernel selection).
-struct CertMeasurement {
-  std::string backend;
-  double off_seconds = 0;
-  double on_seconds = 0;
-  double speedup = 1.0;        // cert-off time / cert-on time
-  bool static_narrow = false;  // did the certified run skip the gate?
-  bool identical = true;       // cert-on front == cert-off front
-};
 
 }  // namespace
 
@@ -157,14 +139,18 @@ int main(int argc, char** argv) {
       "=== lane-parallel kernel: %zu backends x 1/8 threads (%u hardware) "
       "===\n\n",
       backends.size(), hw);
-  const std::vector<int> widths{12, 7, 8, 8, 10, 9, 10, 8, 7, 10};
+  const std::vector<int> widths{12, 7, 8, 8, 10, 9, 10, 8, 7, 7, 10};
   bench::print_row({"model", "engine", "backend", "threads", "time(s)",
-                    "speedup", "explored", "sims", "points", "identical"},
+                    "speedup", "explored", "sims", "points", "narrow",
+                    "identical"},
                    widths);
   bench::print_rule(widths);
 
   std::vector<Measurement> measurements;
   bool all_identical = true;
+  // h263's magnitudes sit far inside kNarrowLimit, so every h263 lane run
+  // must report static narrow-kernel selection.
+  bool h263_narrow_everywhere = true;
   for (const BenchCase& c : cases) {
     for (const unsigned threads : {1u, 8u}) {
       double scalar_seconds = 0;
@@ -186,53 +172,22 @@ int main(int argc, char** argv) {
         m.explored = r.distributions_explored;
         m.simulations = r.simulations_run;
         m.points = r.pareto.size();
+        m.static_narrow = r.static_narrow;
         m.identical = fronts_identical(scalar_front, r);
         all_identical = all_identical && m.identical;
+        if (c.model == "h263" && backend != state::SimdBackend::Scalar) {
+          h263_narrow_everywhere = h263_narrow_everywhere && m.static_narrow;
+        }
         std::printf(
-            "%-12s %-7s %-8s %-8u %-10.4f %-9.2f %-10llu %-8llu %-7zu %s\n",
+            "%-12s %-7s %-8s %-8u %-10.4f %-9.2f %-10llu %-8llu %-7zu %-7s "
+            "%s\n",
             m.model.c_str(), m.engine.c_str(), m.backend.c_str(), m.threads,
             m.seconds, m.speedup, static_cast<unsigned long long>(m.explored),
             static_cast<unsigned long long>(m.simulations), m.points,
-            m.identical ? "yes" : "NO");
+            m.static_narrow ? "yes" : "no", m.identical ? "yes" : "NO");
         measurements.push_back(std::move(m));
       }
     }
-  }
-
-  // Certificate A/B on the lane backends: h263 incremental is the one
-  // bundled exploration wide enough for the per-batch width scan to show
-  // up on the clock, and its magnitudes sit far inside kNarrowLimit, so
-  // every certified run must report static narrow-kernel selection.
-  const BenchCase& h263 = cases.front();
-  std::printf(
-      "\n=== certificate A/B: %s %s, 1 thread (static narrow kernel, "
-      "DESIGN.md §16) ===\n\n",
-      h263.model.c_str(), engine_name(h263.engine));
-  const std::vector<int> cert_widths{12, 8, 12, 12, 9, 7, 10};
-  bench::print_row({"model", "backend", "cert-off(s)", "cert-on(s)", "speedup",
-                    "narrow", "identical"},
-                   cert_widths);
-  bench::print_rule(cert_widths);
-  std::vector<CertMeasurement> cert_measurements;
-  bool cert_narrow_everywhere = true;
-  for (const state::SimdBackend backend : backends) {
-    if (backend == state::SimdBackend::Scalar) continue;
-    CertMeasurement m;
-    m.backend = state::backend_name(backend);
-    const buffer::DseResult off = run_timed(h263, backend, 1, &m.off_seconds,
-                                            /*use_certificate=*/false);
-    const buffer::DseResult on = run_timed(h263, backend, 1, &m.on_seconds,
-                                           /*use_certificate=*/true);
-    m.speedup = m.on_seconds > 0 ? m.off_seconds / m.on_seconds : 1.0;
-    m.static_narrow = on.static_narrow;
-    m.identical = fronts_identical(off, on);
-    all_identical = all_identical && m.identical;
-    cert_narrow_everywhere = cert_narrow_everywhere && m.static_narrow;
-    std::printf("%-12s %-8s %-12.4f %-12.4f %-9.2f %-7s %s\n",
-                h263.model.c_str(), m.backend.c_str(), m.off_seconds,
-                m.on_seconds, m.speedup, m.static_narrow ? "yes" : "NO",
-                m.identical ? "yes" : "NO");
-    cert_measurements.push_back(std::move(m));
   }
 
   std::vector<std::string> records;
@@ -248,19 +203,6 @@ int main(int argc, char** argv) {
         bench::json_field("explored", bench::json_num(m.explored)),
         bench::json_field("simulations", bench::json_num(m.simulations)),
         bench::json_field("points", bench::json_num(u64{m.points})),
-        bench::json_field("identical", m.identical ? "true" : "false"),
-    }));
-  }
-  for (const CertMeasurement& m : cert_measurements) {
-    records.push_back(bench::json_obj({
-        bench::json_field("section", bench::json_str("certificate_ab")),
-        bench::json_field("model", bench::json_str(h263.model)),
-        bench::json_field("engine", bench::json_str(engine_name(h263.engine))),
-        bench::json_field("backend", bench::json_str(m.backend)),
-        bench::json_field("threads", bench::json_num(u64{1})),
-        bench::json_field("cert_off_seconds", bench::json_num(m.off_seconds)),
-        bench::json_field("cert_on_seconds", bench::json_num(m.on_seconds)),
-        bench::json_field("cert_speedup", bench::json_num(m.speedup)),
         bench::json_field("static_narrow", m.static_narrow ? "true" : "false"),
         bench::json_field("identical", m.identical ? "true" : "false"),
     }));
@@ -297,19 +239,10 @@ int main(int argc, char** argv) {
     f.bullet(
         "lane contract (--assert-lane-scaling): single-thread SWAR h263 "
         "incremental >= 2x scalar");
-    f.bullet(std::string("certificate A/B (DESIGN.md §16): h263 incremental "
-                         "fronts byte-identical with the static magnitude "
-                         "certificate on and off: ") +
-             (cert_measurements.empty() ? "n/a"
-              : std::all_of(cert_measurements.begin(), cert_measurements.end(),
-                            [](const CertMeasurement& m) {
-                              return m.identical;
-                            })
-                  ? "yes"
-                  : "NO"));
-    f.bullet(std::string("certified h263 runs select the narrow i32 kernel "
-                         "statically (no per-batch width scan): ") +
-             (cert_narrow_everywhere ? "yes" : "NO"));
+    f.bullet(std::string("h263 lane runs select the narrow i32 kernel "
+                         "statically from the magnitude certificate "
+                         "(DESIGN.md §16, no per-batch width scan): ") +
+             (h263_narrow_everywhere ? "yes" : "NO"));
     f.write(*report_dir, "simd_lanes");
   }
 
@@ -332,17 +265,16 @@ int main(int argc, char** argv) {
           swar_speedup_1t);
       return 1;
     }
-    // Deterministic half of the certificate contract: h263's magnitudes
-    // fit the narrow envelope, so the certified lane runs must have
-    // engaged static narrow-kernel selection (the wall-clock delta is
-    // machine-dependent and reported only).
-    if (!cert_narrow_everywhere) {
+    // Deterministic half of the contract: h263's magnitudes fit the
+    // narrow envelope, so every lane run must have engaged static
+    // narrow-kernel selection.
+    if (!h263_narrow_everywhere) {
       std::printf(
-          "FAIL: a certified h263 lane run did not select the narrow "
-          "kernel statically\n");
+          "FAIL: an h263 lane run did not select the narrow kernel "
+          "statically\n");
       return 1;
     }
-    std::printf("lane scaling assertions passed (swar %.2fx, certified "
+    std::printf("lane scaling assertions passed (swar %.2fx, static "
                 "narrow selection engaged)\n",
                 swar_speedup_1t);
   }

@@ -1,29 +1,29 @@
-// Throughput hot-path A/B bench: the arena-backed visited-state table and
-// engine reuse against the seed evaluation path, and the cross-distribution
-// throughput cache against cache-less exploration.
+// Throughput hot-path A/B bench: the arena-backed visited-state table
+// reused across runs against a fresh engine per run, and the
+// cross-distribution throughput cache against cache-less exploration.
 //
 // Three sections, each emitted as machine-readable JSON (stdout, and
 // `--json FILE` for the checked-in perf baseline future PRs regress
 // against):
 //
-//  * kernel   — raw compute_throughput calls over a fixed capacity ladder,
-//               fresh engine per call (seed path) vs one reused
+//  * kernel   — raw throughput runs over a fixed capacity ladder, one-shot
+//               compute_throughput (fresh engine per call) vs one reused
 //               ThroughputSolver; reports wall time, speedup and the
 //               reused path's states/second.
-//  * dse      — end-to-end explorations with the cache and engine reuse on
-//               vs off (the seed configuration); reports wall-clock
-//               speedup, simulations run and the fraction saved, and
-//               checks the two Pareto fronts are byte-identical.
-//  * threads  — the optimised configuration at 1/2/8 worker threads;
-//               fronts must match the single-threaded run byte for byte.
+//  * dse      — end-to-end explorations with the throughput cache off vs
+//               on; reports wall-clock speedup, simulations run and the
+//               fraction the cache saved, and checks the two Pareto
+//               fronts are byte-identical.
+//  * threads  — the cached configuration at 1/2/8 worker threads; fronts
+//               must match the single-threaded run byte for byte.
 //
 // The exit status is nonzero only when a Pareto front diverges — timing
 // numbers are reported, never gated (CI machines are too noisy for that).
 //
-// The DSE A/B pins the scalar backend: it isolates the cache/engine-reuse
-// effect, and the lane engines batch candidates speculatively, which
-// changes the simulation counts on both sides of the A/B (the lane
-// backends have their own A/B in bench_simd_lanes).
+// The DSE A/B pins the scalar backend: it isolates the cache effect, and
+// the lane engines batch candidates speculatively, which changes the
+// simulation counts on both sides of the A/B (the lane backends have their
+// own A/B in bench_simd_lanes).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -138,11 +138,11 @@ KernelMeasurement bench_kernel(const std::string& name,
 struct DseMeasurement {
   std::string model;
   std::string engine;
-  double seed_seconds = 0;
-  double optimized_seconds = 0;
+  double nocache_seconds = 0;
+  double cache_seconds = 0;
   double speedup = 0;
-  u64 seed_simulations = 0;
-  u64 optimized_simulations = 0;
+  u64 nocache_simulations = 0;
+  u64 cache_simulations = 0;
   double simulations_saved_pct = 0;
   u64 cache_hits = 0;
   u64 dominance_skips = 0;
@@ -150,13 +150,12 @@ struct DseMeasurement {
 };
 
 buffer::DseResult run_dse(const sdf::Graph& graph, buffer::DseEngine engine,
-                          bool optimized, unsigned threads,
+                          bool cache, unsigned threads,
                           double* best_seconds) {
   buffer::DseOptions opts{.target = models::reported_actor(graph),
                           .engine = engine};
   opts.threads = threads;
-  opts.use_throughput_cache = optimized;
-  opts.reuse_engines = optimized;
+  opts.use_throughput_cache = cache;
   // Scalar pin: keep both sides of the A/B on the one-candidate solver so
   // the saved-simulation accounting compares like with like (see header).
   opts.simd = state::SimdBackend::Scalar;
@@ -177,24 +176,24 @@ DseMeasurement bench_dse(const std::string& name, const sdf::Graph& graph,
   DseMeasurement m;
   m.model = name;
   m.engine = engine == buffer::DseEngine::Exhaustive ? "exh" : "inc";
-  const buffer::DseResult seed =
-      run_dse(graph, engine, /*optimized=*/false, 1, &m.seed_seconds);
-  const buffer::DseResult opt =
-      run_dse(graph, engine, /*optimized=*/true, 1, &m.optimized_seconds);
-  m.speedup = m.optimized_seconds > 0 ? m.seed_seconds / m.optimized_seconds
-                                      : 1.0;
-  m.seed_simulations = seed.simulations_run;
-  m.optimized_simulations = opt.simulations_run;
+  const buffer::DseResult off =
+      run_dse(graph, engine, /*cache=*/false, 1, &m.nocache_seconds);
+  const buffer::DseResult on =
+      run_dse(graph, engine, /*cache=*/true, 1, &m.cache_seconds);
+  m.speedup =
+      m.cache_seconds > 0 ? m.nocache_seconds / m.cache_seconds : 1.0;
+  m.nocache_simulations = off.simulations_run;
+  m.cache_simulations = on.simulations_run;
   m.simulations_saved_pct =
-      seed.simulations_run > 0
+      off.simulations_run > 0
           ? 100.0 *
-                (static_cast<double>(seed.simulations_run) -
-                 static_cast<double>(opt.simulations_run)) /
-                static_cast<double>(seed.simulations_run)
+                (static_cast<double>(off.simulations_run) -
+                 static_cast<double>(on.simulations_run)) /
+                static_cast<double>(off.simulations_run)
           : 0.0;
-  m.cache_hits = opt.cache_hits;
-  m.dominance_skips = opt.dominance_skips;
-  m.identical = fronts_identical(seed, opt);
+  m.cache_hits = on.cache_hits;
+  m.dominance_skips = on.dominance_skips;
+  m.identical = fronts_identical(off, on);
   return m;
 }
 
@@ -257,11 +256,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.arena_bytes));
   }
 
-  std::printf("\n=== DSE end-to-end: seed path vs cache + engine reuse "
-              "===\n\n");
-  const std::vector<int> dwidths{12, 7, 10, 10, 9, 11, 11, 11, 10};
-  bench::print_row({"model", "engine", "seed(s)", "opt(s)", "speedup",
-                    "seed-sims", "opt-sims", "sims-saved", "identical"},
+  std::printf("\n=== DSE end-to-end: throughput cache off vs on ===\n\n");
+  const std::vector<int> dwidths{12, 7, 10, 10, 9, 12, 11, 11, 10};
+  bench::print_row({"model", "engine", "nocache(s)", "cache(s)", "speedup",
+                    "nocache-sims", "cache-sims", "sims-saved", "identical"},
                    dwidths);
   bench::print_rule(dwidths);
 
@@ -281,16 +279,17 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   for (const DseMeasurement& m : dse) {
     all_identical = all_identical && m.identical;
-    std::printf(
-        "%-12s %-7s %-10.4f %-10.4f %-9.2f %-11llu %-11llu %-10.1f%% %s\n",
-        m.model.c_str(), m.engine.c_str(), m.seed_seconds,
-        m.optimized_seconds, m.speedup,
-        static_cast<unsigned long long>(m.seed_simulations),
-        static_cast<unsigned long long>(m.optimized_simulations),
-        m.simulations_saved_pct, m.identical ? "yes" : "NO");
+    char pct[16];
+    std::snprintf(pct, sizeof pct, "%.1f%%", m.simulations_saved_pct);
+    std::printf("%-12s %-7s %-10.4f %-10.4f %-9.2f %-12llu %-11llu %-11s %s\n",
+                m.model.c_str(), m.engine.c_str(), m.nocache_seconds,
+                m.cache_seconds, m.speedup,
+                static_cast<unsigned long long>(m.nocache_simulations),
+                static_cast<unsigned long long>(m.cache_simulations), pct,
+                m.identical ? "yes" : "NO");
   }
 
-  std::printf("\n=== determinism: optimised configuration across threads "
+  std::printf("\n=== determinism: cached configuration across threads "
               "===\n\n");
   std::vector<ThreadCheck> checks;
   const struct {
@@ -304,14 +303,14 @@ int main(int argc, char** argv) {
   };
   for (const auto& c : thread_cases) {
     const buffer::DseResult base =
-        run_dse(c.graph, c.engine, /*optimized=*/true, 1, nullptr);
+        run_dse(c.graph, c.engine, /*cache=*/true, 1, nullptr);
     for (const unsigned threads : {1u, 2u, 8u}) {
       ThreadCheck t;
       t.model = c.name;
       t.engine = c.engine == buffer::DseEngine::Exhaustive ? "exh" : "inc";
       t.threads = threads;
       const buffer::DseResult r =
-          run_dse(c.graph, c.engine, /*optimized=*/true, threads, nullptr);
+          run_dse(c.graph, c.engine, /*cache=*/true, threads, nullptr);
       t.seconds = r.seconds;
       t.identical = fronts_identical(base, r);
       all_identical = all_identical && t.identical;
@@ -341,14 +340,14 @@ int main(int argc, char** argv) {
     dse_records.push_back(bench::json_obj({
         bench::json_field("model", bench::json_str(m.model)),
         bench::json_field("engine", bench::json_str(m.engine)),
-        bench::json_field("seed_seconds", bench::json_num(m.seed_seconds)),
-        bench::json_field("optimized_seconds",
-                          bench::json_num(m.optimized_seconds)),
+        bench::json_field("nocache_seconds",
+                          bench::json_num(m.nocache_seconds)),
+        bench::json_field("cache_seconds", bench::json_num(m.cache_seconds)),
         bench::json_field("speedup", bench::json_num(m.speedup)),
-        bench::json_field("seed_simulations",
-                          bench::json_num(m.seed_simulations)),
-        bench::json_field("optimized_simulations",
-                          bench::json_num(m.optimized_simulations)),
+        bench::json_field("nocache_simulations",
+                          bench::json_num(m.nocache_simulations)),
+        bench::json_field("cache_simulations",
+                          bench::json_num(m.cache_simulations)),
         bench::json_field("simulations_saved_pct",
                           bench::json_num(m.simulations_saved_pct)),
         bench::json_field("cache_hits", bench::json_num(m.cache_hits)),
@@ -380,38 +379,38 @@ int main(int argc, char** argv) {
   }
 
   if (report_dir.has_value()) {
-    trace::ReportFragment f(
-        "Throughput hot path: cache and engine reuse vs the seed path",
-        "bench_throughput_hotpath");
+    trace::ReportFragment f("Throughput hot path: the throughput cache",
+                            "bench_throughput_hotpath");
     f.paragraph("End-to-end explorations with the cross-distribution "
-                "throughput cache and per-worker solver reuse on vs off "
-                "(the seed configuration). Wall-clock speedups are "
-                "machine-dependent and reported by the binary only; the "
-                "simulation counts below are deterministic, and the fronts "
-                "must be byte-identical in every configuration.");
+                "throughput cache off vs on (per-worker solver reuse and "
+                "fused storage-dependency collection are always on). "
+                "Wall-clock speedups are machine-dependent and reported by "
+                "the binary only; the simulation counts below are "
+                "deterministic, and the fronts must be byte-identical in "
+                "every configuration.");
     std::vector<std::vector<std::string>> rows;
     for (const DseMeasurement& m : dse) {
       char pct[16];
       std::snprintf(pct, sizeof pct, "%.1f%%", m.simulations_saved_pct);
       rows.push_back({m.model, m.engine,
-                      std::to_string(m.seed_simulations),
-                      std::to_string(m.optimized_simulations), pct,
+                      std::to_string(m.nocache_simulations),
+                      std::to_string(m.cache_simulations), pct,
                       std::to_string(m.cache_hits),
                       std::to_string(m.dominance_skips),
                       m.identical ? "yes" : "NO"});
     }
-    f.table({"model", "engine", "seed-sims", "opt-sims", "sims-saved",
+    f.table({"model", "engine", "nocache-sims", "cache-sims", "sims-saved",
              "cache-hits", "dominance-skips", "identical"},
             rows);
-    f.bullet(std::string("optimised and parallel fronts identical to the "
-                         "seed front on every model and thread count: ") +
+    f.bullet(std::string("cached and parallel fronts identical to the "
+                         "cache-less front on every model and thread count: ") +
              (all_identical ? "yes" : "NO"));
     f.write(*report_dir, "throughput_hotpath");
   }
 
   if (!all_identical) {
-    std::printf("\nFAIL: an optimised or parallel front diverged from the "
-                "seed front\n");
+    std::printf("\nFAIL: a cached or parallel front diverged from the "
+                "cache-less front\n");
     return 1;
   }
   return 0;

@@ -89,7 +89,8 @@ void require_explorable(const sdf::Graph& graph, const DseOptions& options) {
 }
 
 // The one exploration path behind both explore() overloads. `setup_solver`
-// (may be null) serves the plateau search under a processor binding.
+// serves the plateau search under a processor binding; null = build one
+// when the binding needs it.
 DseResult explore_within(const sdf::Graph& graph, const DseOptions& options,
                          const DesignSpaceBounds& bounds,
                          state::ThroughputSolver* setup_solver) {
@@ -130,6 +131,8 @@ DseResult explore_within(const sdf::Graph& graph, const DseOptions& options,
       caps[c] = std::max(caps[c], ch.initial_tokens + ch.production +
                                       ch.consumption);
     }
+    std::optional<state::ThroughputSolver> own_solver;
+    if (setup_solver == nullptr) setup_solver = &own_solver.emplace(graph);
     Rational bound_max(0);
     int plateau = 0;
     for (int round = 0; round < 24 && plateau < 2; ++round) {
@@ -140,11 +143,8 @@ DseResult explore_within(const sdf::Graph& graph, const DseOptions& options,
       run_opts.progress = options.progress;
       state::ThroughputResult run;
       try {
-        run = setup_solver != nullptr
-                  ? setup_solver->compute(state::Capacities::bounded(caps),
-                                          run_opts)
-                  : state::compute_throughput(
-                        graph, state::Capacities::bounded(caps), run_opts);
+        run = setup_solver->compute(state::Capacities::bounded(caps),
+                                    run_opts);
       } catch (const exec::Cancelled&) {
         // Budget exhausted while establishing the bound goal: nothing was
         // explored yet, so the partial front is empty.
@@ -201,29 +201,21 @@ DseResult explore_within(const sdf::Graph& graph, const DseOptions& options,
 
 DseResult explore(const sdf::Graph& graph, const DseOptions& options) {
   require_explorable(graph, options);
-  // With engine reuse on, the bounds' capacity-doubling runs and (under a
-  // binding) the plateau search share one solver instead of rebuilding an
-  // engine per run — the same reuse the engines apply per candidate.
-  std::optional<state::ThroughputSolver> setup_solver;
-  if (options.reuse_engines) setup_solver.emplace(graph);
-  state::ThroughputSolver* solver =
-      setup_solver.has_value() ? &*setup_solver : nullptr;
+  // The bounds' capacity-doubling runs and (under a binding) the plateau
+  // search share one solver instead of rebuilding an engine per run — the
+  // same reuse the engines apply per candidate.
+  state::ThroughputSolver setup_solver(graph);
   return explore_within(
       graph, options,
       design_space_bounds(graph, options.target, options.max_steps_per_run,
-                          solver),
-      solver);
+                          &setup_solver),
+      &setup_solver);
 }
 
 DseResult explore(const sdf::Graph& graph, const DseOptions& options,
                   const DesignSpaceBounds& bounds) {
   require_explorable(graph, options);
-  std::optional<state::ThroughputSolver> setup_solver;
-  if (options.reuse_engines && !options.binding.empty()) {
-    setup_solver.emplace(graph);
-  }
-  return explore_within(graph, options, bounds,
-                        setup_solver.has_value() ? &*setup_solver : nullptr);
+  return explore_within(graph, options, bounds, nullptr);
 }
 
 }  // namespace buffy::buffer

@@ -113,17 +113,6 @@ struct DseOptions {
   /// additionally warm-starts its frontier from the LP necessary floors.
   bool use_lp_bounds = true;
 
-  /// Derive a static magnitude certificate (analysis::derive_bounds,
-  /// DESIGN.md §16) over the exploration's storage envelope and hand it
-  /// to the lane solvers, which then select the narrow (i32) kernel once
-  /// per graph instead of re-scanning every batch's capacities. Purely a
-  /// gating optimisation: kernel results are bit-identical at either
-  /// width, so the front is byte-identical with the certificate on or
-  /// off. Under BUFFY_AUDIT the retired per-batch gate re-runs as a
-  /// cross-check (`static-narrow-certificate`). No effect on the scalar
-  /// backend.
-  bool use_bounds_certificate = true;
-
   /// Entry bound for the throughput cache (0 = unbounded): beyond it the
   /// cache evicts least-recently-used exact entries (stripe-granular LRU,
   /// see ThroughputCache). Eviction only forgets — evicted candidates are
@@ -143,25 +132,19 @@ struct DseOptions {
   /// explorations may share one cache (it is internally synchronised).
   ThroughputCache* shared_cache = nullptr;
 
-  /// Evaluate candidates with a reusable per-worker solver (one engine +
-  /// one visited-state arena across all runs) and collect storage
-  /// dependencies during the throughput run itself. Disabling restores the
-  /// seed evaluation path — a fresh engine per run and, in the incremental
-  /// engine, a second dedicated dependency simulation — kept for A/B
-  /// benchmarking (bench_throughput_hotpath) and regression tests.
-  bool reuse_engines = true;
-
   /// State-space backend for candidate evaluation (DESIGN.md §15). Auto
   /// resolves to the widest lane kernel the host supports (AVX2, falling
   /// back to the portable SWAR path); Scalar forces the classic
-  /// one-candidate-at-a-time engine. A lane backend packs up to
+  /// one-candidate-at-a-time solver. A lane backend packs up to
   /// `simd_lanes` sibling candidates into each state-space batch; every
   /// per-candidate result is field-for-field identical to the scalar
   /// solver's, so the Pareto front is byte-identical across backends and
-  /// lane widths. The lane path engages only when `reuse_engines` is on
-  /// and (incremental engine) `binding` is empty; otherwise evaluation
-  /// silently stays scalar. Requesting an unavailable backend (Avx2 on a
-  /// host without it) is an error.
+  /// lane widths. The lane path derives a static magnitude certificate
+  /// (analysis::derive_bounds, DESIGN.md §16) over the exploration
+  /// envelope, which elects the narrow (i32) kernel once per graph. A
+  /// processor binding is the one reason the lane path stays scalar: the
+  /// lane kernel simulates unbound execution only. Requesting an
+  /// unavailable backend (Avx2 on a host without it) is an error.
   state::SimdBackend simd = state::SimdBackend::Auto;
 
   /// Candidates per lane batch, clamped to [1, 64]; 0 = the backend's
@@ -218,10 +201,10 @@ struct DseResult {
   u64 lp_prunes = 0;
   /// LP cycle cuts derived for the exploration.
   u64 lp_cuts = 0;
-  /// A magnitude certificate proved the narrow (i32) lane kernel for the
-  /// whole exploration envelope, so lane batches skipped the per-batch
-  /// capacity gate (false when certificates or the lane path were off,
-  /// or the envelope exceeds the narrow limit).
+  /// The lane path's magnitude certificate proved the narrow (i32) lane
+  /// kernel for the whole exploration envelope, so lane batches skipped
+  /// the per-batch capacity gate (false on the scalar backend, under a
+  /// processor binding, or when the envelope exceeds the narrow limit).
   bool static_narrow = false;
   /// Wall-clock seconds spent exploring.
   double seconds = 0.0;

@@ -69,20 +69,18 @@ struct Sweep {
   // simulating; the visitor updates only on strict improvement, so the
   // front stays byte-identical to the unpruned scan.
   const lp::ThroughputCuts* cuts = nullptr;
-  // null = fresh engine per run (options.reuse_engines == false).
   // Thread-affine: each worker keeps the slot's solver for the whole
-  // exploration — no per-shard acquire/release.
+  // exploration — no per-shard acquire/release. Set by attach_engines.
   state::WorkerSolvers* solvers = nullptr;
   // Lane-parallel leaf evaluation (DESIGN.md §15): non-null when the SIMD
   // lane kernel batches the enumeration's cache-missing leaves. Envelope
   // probes and slice seeds stay scalar — they are evaluated at the moment
-  // their value gates the traversal.
+  // their value gates the traversal. The bank carries a magnitude
+  // certificate whose storage budget is the enumeration box itself
+  // (sweep.ub after widening) — every enumerated candidate is inside it
+  // by construction, so lane batches skip the dynamic narrow-kernel gate
+  // (DESIGN.md §16).
   state::LaneSolverBank* lane_bank = nullptr;
-  // True when the bank carries a magnitude certificate whose storage
-  // budget is the enumeration box itself (sweep.ub after widening) —
-  // every enumerated candidate is inside it by construction, so lane
-  // batches skip the dynamic narrow-kernel gate (DESIGN.md §16).
-  bool lanes_within_certificate = false;
 
   // Per-slot scratch: the worker's cache delta plus its local simulation
   // cost sample, padded so neighbouring workers never share a cache line.
@@ -237,14 +235,9 @@ struct Sweep {
                                           options.max_steps_per_run};
     run_opts.cancel = options.cancel;
     run_opts.progress = options.progress;
-    state::ThroughputSolver* solver =
-        solvers != nullptr ? &solvers->at(slot) : nullptr;
     const auto sim_t0 = std::chrono::steady_clock::now();
-    const state::ThroughputResult run =
-        solver != nullptr
-            ? solver->compute(state::Capacities::bounded(caps), run_opts)
-            : state::compute_throughput(
-                  graph, state::Capacities::bounded(caps), run_opts);
+    const state::ThroughputResult run = solvers->at(slot).compute(
+        state::Capacities::bounded(caps), run_opts);
     slot_state[slot].sim_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       sim_t0)
@@ -262,7 +255,7 @@ struct Sweep {
                                      .max_steps = options.max_steps_per_run};
     run_opts.cancel = options.cancel;
     run_opts.progress = options.progress;
-    run_opts.within_certificate = lanes_within_certificate;
+    run_opts.within_certificate = true;
     const auto sim_t0 = std::chrono::steady_clock::now();
     std::vector<state::ThroughputResult> runs =
         lane_bank->at(slot).compute_batch(caps, run_opts);
@@ -919,28 +912,21 @@ void attach_engines(Sweep& sweep, SweepEngines& eng, std::size_t slots) {
     sweep.cache->add_max_witness(
         sweep.bounds.max_throughput_distribution.capacities());
   }
-  if (options.reuse_engines) {
-    eng.solvers.emplace(sweep.graph, slots);
-    sweep.solvers = &*eng.solvers;
-    const state::SimdBackend lane_backend =
-        state::resolve_backend(options.simd);
-    if (lane_backend != state::SimdBackend::Scalar) {
-      if (options.use_bounds_certificate) {
-        analysis::BoundsOptions cert_opts;
-        cert_opts.max_steps = options.max_steps_per_run;
-        cert_opts.storage_budget = sweep.ub;
-        eng.cert = analysis::derive_bounds(sweep.graph, cert_opts);
-        sweep.lanes_within_certificate = true;
-        eng.static_narrow =
-            eng.cert->fits_i64 &&
-            eng.cert->magnitude_bound <= state::kNarrowLimit;
-      }
-      eng.lane_bank.emplace(
-          sweep.graph, slots,
-          state::resolve_lanes(options.simd_lanes, lane_backend),
-          lane_backend, eng.cert.has_value() ? &*eng.cert : nullptr);
-      sweep.lane_bank = &*eng.lane_bank;
-    }
+  eng.solvers.emplace(sweep.graph, slots);
+  sweep.solvers = &*eng.solvers;
+  const state::SimdBackend lane_backend = state::resolve_backend(options.simd);
+  if (lane_backend != state::SimdBackend::Scalar) {
+    analysis::BoundsOptions cert_opts;
+    cert_opts.max_steps = options.max_steps_per_run;
+    cert_opts.storage_budget = sweep.ub;
+    eng.cert = analysis::derive_bounds(sweep.graph, cert_opts);
+    eng.static_narrow = eng.cert->fits_i64 &&
+                        eng.cert->magnitude_bound <= state::kNarrowLimit;
+    eng.lane_bank.emplace(
+        sweep.graph, slots,
+        state::resolve_lanes(options.simd_lanes, lane_backend), lane_backend,
+        &*eng.cert);
+    sweep.lane_bank = &*eng.lane_bank;
   }
   sweep.init_slots(slots);
 }

@@ -144,8 +144,7 @@ DseResult explore_incremental(const sdf::Graph& graph,
   // Thread-affine execution state: one solver (engine + warmed visited
   // arena) per pool slot for the whole exploration, indexed lock-free by
   // the worker's slot — no per-candidate acquire/release.
-  std::optional<state::WorkerSolvers> solvers;
-  if (options.reuse_engines) solvers.emplace(graph, slots);
+  state::WorkerSolvers solvers(graph, slots);
   // Lane-parallel candidate evaluation (DESIGN.md §15): the wave's
   // cache-missing candidates are packed into lane batches and stepped in
   // lockstep by the SIMD kernel. Per-candidate results are field-for-field
@@ -155,7 +154,7 @@ DseResult explore_incremental(const sdf::Graph& graph,
   // unbound execution only.
   const state::SimdBackend lane_backend = state::resolve_backend(options.simd);
   const bool lane_eval = lane_backend != state::SimdBackend::Scalar &&
-                         options.reuse_engines && options.binding.empty();
+                         options.binding.empty();
   const std::size_t lane_width =
       state::resolve_lanes(options.simd_lanes, lane_backend);
   std::optional<state::LaneSolverBank> lane_bank;
@@ -228,24 +227,15 @@ DseResult explore_incremental(const sdf::Graph& graph,
   // throughput goal.
   std::optional<analysis::BoundsCertificate> cert;
   i64 cert_budget_size = 0;
-  if (lane_eval && options.use_bounds_certificate) {
-    try {
-      i64 floor_total = 0;
-      for (const i64 f : floor_caps) floor_total = checked_add(floor_total, f);
-      cert_budget_size = std::max(bounds.ub_size, floor_total);
-      analysis::BoundsOptions cert_opts;
-      cert_opts.max_steps = options.max_steps_per_run;
-      cert_opts.storage_budget.assign(graph.num_channels(), cert_budget_size);
-      cert = analysis::derive_bounds(graph, cert_opts);
-      result.static_narrow = cert->fits_i64 &&
-                             cert->magnitude_bound <= state::kNarrowLimit;
-    } catch (const OverflowError&) {
-      cert.reset();  // envelope unrepresentable: dynamic gating only
-    }
-  }
   if (lane_eval) {
-    lane_bank.emplace(graph, slots, lane_width, lane_backend,
-                      cert.has_value() ? &*cert : nullptr);
+    cert_budget_size = std::max(bounds.ub_size, lb.size());
+    analysis::BoundsOptions cert_opts;
+    cert_opts.max_steps = options.max_steps_per_run;
+    cert_opts.storage_budget.assign(graph.num_channels(), cert_budget_size);
+    cert = analysis::derive_bounds(graph, cert_opts);
+    result.static_narrow =
+        cert->fits_i64 && cert->magnitude_bound <= state::kNarrowLimit;
+    lane_bank.emplace(graph, slots, lane_width, lane_backend, &*cert);
   }
 
   Rational best_seen(0);
@@ -369,31 +359,16 @@ DseResult explore_incremental(const sdf::Graph& graph,
       run_opts.processor_of = options.binding;
       run_opts.cancel = options.cancel;
       run_opts.progress = options.progress;
-      state::ThroughputSolver* solver =
-          solvers.has_value() ? &solvers->at(slot) : nullptr;
+      // The throughput run itself collects the storage dependencies: one
+      // simulation per candidate, no dedicated dependency re-run.
+      run_opts.collect_storage_deps = true;
       const auto sim_t0 = std::chrono::steady_clock::now();
       try {
-        if (solver != nullptr) {
-          // Fused path: the throughput run itself collects the storage
-          // dependencies — one simulation where the seed needed two.
-          run_opts.collect_storage_deps = true;
-          evals[i].run = solver->compute(capacities, run_opts);
-          evals[i].deps = std::move(evals[i].run.storage_deps);
-          simulations.fetch_add(1, std::memory_order_relaxed);
-          if (options.progress != nullptr) {
-            options.progress->add_sims_avoided(1);  // the fused dep re-run
-          }
-        } else {
-          evals[i].run =
-              state::compute_throughput(graph, capacities, run_opts);
-          evals[i].deps = storage_dependencies(
-              graph, capacities, evals[i].run.cycle_start_time,
-              evals[i].run.deadlocked ? 0 : evals[i].run.period,
-              options.binding);
-          simulations.fetch_add(2, std::memory_order_relaxed);
-          if (options.progress != nullptr) {
-            options.progress->add_simulations(1);  // the dependency re-run
-          }
+        evals[i].run = solvers.at(slot).compute(capacities, run_opts);
+        evals[i].deps = std::move(evals[i].run.storage_deps);
+        simulations.fetch_add(1, std::memory_order_relaxed);
+        if (options.progress != nullptr) {
+          options.progress->add_sims_avoided(1);  // the fused dep re-run
         }
       } catch (const exec::Cancelled&) {
         return;  // mid-run cut: a partial state space proves nothing
@@ -431,8 +406,7 @@ DseResult explore_incremental(const sdf::Graph& graph,
       run_opts.progress = options.progress;
       // Same-size wave: every candidate totals batch_size tokens, so the
       // wave is inside the certified budget iff its size is.
-      run_opts.within_certificate =
-          cert.has_value() && batch_size <= cert_budget_size;
+      run_opts.within_certificate = batch_size <= cert_budget_size;
       const auto sim_t0 = std::chrono::steady_clock::now();
       std::vector<state::ThroughputResult> runs;
       try {

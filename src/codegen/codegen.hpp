@@ -8,26 +8,29 @@
 // throughput of the target actor for a storage distribution given on the
 // command line (defaulting to the per-channel lower bounds).
 //
-// A second generator emits the lane-parallel twin (DESIGN.md §15): the
-// same graph specialised into a structure-of-arrays explorer that steps
-// `lanes` candidate distributions in lockstep with whole-word masks —
-// constant-folded rates, flattened channel rows, unrolled actor loops —
-// and batch-evaluates whole same-size waves in `--dse` mode. Its stdout is
-// byte-identical to the scalar explorer's in both modes; the differential
-// test in tests/test_codegen.cpp compiles both and compares.
+// One generator emits every variant, selected by an ExplorerShape:
 //
-// A third pair consumes a static magnitude certificate (DESIGN.md §16):
-// the checked scalar explorer guards every token/occupancy/time update
-// with overflow checks and clamps its exploration to the certified
-// storage budget, while the statically-narrow vectorized explorer runs
-// the same clamped exploration on 32-bit lane rows with no per-step
-// checks at all — the certificate's envelopes prove they cannot fire.
-// The two programs print byte-identical output; the differential test
-// pins narrow-without-checks against checked-with-guards, so a wrong
+//  * no lanes, no certificate: the scalar Fig. 8 program above;
+//  * lanes: the lane-parallel twin (DESIGN.md §15), a structure-of-arrays
+//    explorer stepping `lanes` candidate distributions in lockstep with
+//    whole-word masks — constant-folded rates, flattened channel rows,
+//    unrolled actor loops — that batch-evaluates whole same-size waves in
+//    `--dse` mode;
+//  * a certificate (DESIGN.md §16): the exploration is clamped to the
+//    certified storage budget. Without lanes this is the checked scalar
+//    program, which guards every token/occupancy/time update with
+//    overflow checks; with lanes it is the statically-narrow program,
+//    which runs on 32-bit lane rows with no per-step checks at all — the
+//    certificate's envelopes prove they cannot fire.
+//
+// Lane programs print byte-identical stdout to the scalar program of the
+// same certificate setting; the differential tests in
+// tests/test_codegen.cpp compile both and compare, so a wrong
 // certificate shows up as either a diff or a guarded abort.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
 #include "analysis/bounds.hpp"
@@ -35,97 +38,48 @@
 
 namespace buffy::codegen {
 
+/// Which explorer variant to emit (see the file comment).
+struct ExplorerShape {
+  /// Lockstep lane count baked in as `constexpr kLanes`, in [1, 64].
+  /// Unset = the scalar program.
+  std::optional<std::size_t> lanes;
+  /// Magnitude certificate of the graph (analysis::derive_bounds with one
+  /// budget entry per channel); not owned, may be null. Set = clamp the
+  /// exploration to its budget and emit the checked (scalar) or narrow
+  /// (lanes) program.
+  const analysis::BoundsCertificate* certificate = nullptr;
+};
+
 /// \brief Returns the full source text of the specialised exploration
-/// program (scalar, paper Fig. 8 style).
+/// program of the given shape.
+///
+/// The lane program holds the state of `lanes` simultaneous executions in
+/// structure-of-arrays rows and advances them in lockstep, retiring each
+/// lane the moment its cycle closes or deadlock is proven and refilling it
+/// from the candidate queue — the generated twin of the runtime lane
+/// kernel (DESIGN.md §15). In `--dse` mode it pops one whole same-size
+/// wave at a time and folds results in pop order, so its stdout is
+/// byte-identical to the scalar program's at every lane width. The narrow
+/// lane program keeps absolute timestamps 64-bit: they are bounded by the
+/// step horizon, not the budget.
 ///
 /// \param graph  The SDF graph to specialise the program for.
 /// \param target The actor whose firing rate the program measures.
+/// \param shape  Lane count and certificate; default = scalar Fig. 8.
 /// \return Self-contained C++17 source; build with `c++ -std=c++17`.
-/// \throws Error when \p target is not an actor of \p graph.
-[[nodiscard]] std::string generate_explorer_source(const sdf::Graph& graph,
-                                                   sdf::ActorId target);
-
-/// \brief Writes the scalar explorer source to a file.
-/// \throws Error on IO failure or an invalid \p target.
-void write_explorer_source(const sdf::Graph& graph, sdf::ActorId target,
-                           const std::string& path);
-
-/// \brief Returns the source text of the lane-parallel (vectorized)
-/// exploration program.
-///
-/// The emitted program holds the state of `lanes` simultaneous executions
-/// in structure-of-arrays rows (`laneClk[kActors][kLanes]`, flattened
-/// channel arrays) and advances them in lockstep with whole-word lane
-/// masks, retiring each lane the moment its cycle closes or deadlock is
-/// proven and refilling it from the candidate queue — the generated twin
-/// of the runtime lane kernel (DESIGN.md §15). Rates and execution times
-/// are constant-folded into unrolled per-actor lane loops that the
-/// compiler can auto-vectorize. In `--dse` mode the frontier is popped
-/// one whole same-size wave at a time and batch-evaluated, folding
-/// results in pop order, so stdout is byte-identical to the scalar
-/// explorer emitted by generate_explorer_source() at every lane width.
-///
-/// \param graph  The SDF graph to specialise the program for.
-/// \param target The actor whose firing rate the program measures.
-/// \param lanes  Lockstep lane count baked in as `constexpr kLanes`;
-///               clamped range [1, 64].
-/// \return Self-contained C++17 source; build with `c++ -std=c++17`.
-/// \throws Error when \p target is invalid or \p lanes is out of range.
-[[nodiscard]] std::string generate_vectorized_explorer_source(
-    const sdf::Graph& graph, sdf::ActorId target, std::size_t lanes);
-
-/// \brief Writes the vectorized explorer source to a file.
-/// \throws Error on IO failure, an invalid \p target, or out-of-range
-/// \p lanes.
-void write_vectorized_explorer_source(const sdf::Graph& graph,
-                                      sdf::ActorId target, std::size_t lanes,
-                                      const std::string& path);
-
-/// \brief Returns the overflow-checked scalar explorer: the Fig. 8
-/// program with every token, occupancy and timestamp update routed
-/// through __builtin overflow guards (aborting with an "overflow"
-/// diagnostic if one fires) and its exploration clamped to the
-/// certificate's storage budget — the doubling estimation saturates at
-/// the budget and children beyond it are never enqueued. This is the
-/// reference half of the narrow differential: its stdout is
-/// byte-identical to generate_narrow_explorer_source()'s program on the
-/// same certificate, and a violated envelope aborts loudly instead of
-/// wrapping silently.
-///
-/// \throws Error when \p target is invalid or \p certificate does not
-/// match \p graph (shape, consistency, one budget entry per channel).
-[[nodiscard]] std::string generate_checked_explorer_source(
+/// \throws Error when \p target is not an actor of \p graph, the lane
+/// count is outside [1, 64], or the certificate does not match \p graph
+/// (shape, consistency, one budget entry per channel). With lanes, the
+/// certificate must also be exact (fits_i64) and its magnitude_bound
+/// within the narrow kernel limit (state::kNarrowLimit).
+[[nodiscard]] std::string generate_explorer_source(
     const sdf::Graph& graph, sdf::ActorId target,
-    const analysis::BoundsCertificate& certificate);
+    const ExplorerShape& shape = {});
 
-/// \brief Writes the checked scalar explorer source to a file.
-void write_checked_explorer_source(const sdf::Graph& graph,
-                                   sdf::ActorId target,
-                                   const analysis::BoundsCertificate& cert,
-                                   const std::string& path);
-
-/// \brief Returns the statically-narrow vectorized explorer: the
-/// lane-parallel program specialised to 32-bit lane rows with no
-/// per-step overflow checks — the certificate proves every rate,
-/// execution time, capacity and per-step sum stays far inside i32, so
-/// the checks are elided at generation time rather than at run time.
-/// Exploration is clamped to the certified budget exactly like the
-/// checked scalar program, keeping the pair byte-identical on stdout.
-/// Absolute timestamps stay 64-bit (they are bounded by the step
-/// horizon, not the budget).
-///
-/// \throws Error when \p target or \p lanes is invalid, or the
-/// certificate does not match the graph, is inexact (!fits_i64), or its
-/// magnitude_bound exceeds the narrow kernel limit
-/// (state::kNarrowLimit).
-[[nodiscard]] std::string generate_narrow_explorer_source(
-    const sdf::Graph& graph, sdf::ActorId target, std::size_t lanes,
-    const analysis::BoundsCertificate& certificate);
-
-/// \brief Writes the narrow vectorized explorer source to a file.
-void write_narrow_explorer_source(const sdf::Graph& graph, sdf::ActorId target,
-                                  std::size_t lanes,
-                                  const analysis::BoundsCertificate& cert,
-                                  const std::string& path);
+/// \brief Writes generate_explorer_source(graph, target, shape) to a file.
+/// \throws Error on IO failure or whatever the generator throws.
+void write_explorer_source(const sdf::Graph& graph, sdf::ActorId target,
+                           const std::string& path,
+                           const ExplorerShape& shape = {});
 
 }  // namespace buffy::codegen

@@ -1,7 +1,5 @@
 #include "state/throughput.hpp"
 
-#include <algorithm>
-
 #include "base/audit.hpp"
 #include "base/diagnostics.hpp"
 #include "trace/trace.hpp"
@@ -165,34 +163,6 @@ ThroughputResult ThroughputSolver::compute(const Capacities& capacities,
   throw Error("throughput computation exceeded max_steps = " +
               std::to_string(opts.max_steps) + " on graph '" + graph.name() +
               "' (unbounded token growth or a bound set too low)");
-}
-
-std::unique_ptr<ThroughputSolver> ThroughputSolverPool::acquire() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (!free_.empty()) {
-      std::unique_ptr<ThroughputSolver> solver = std::move(free_.back());
-      free_.pop_back();
-      return solver;
-    }
-  }
-  return std::make_unique<ThroughputSolver>(graph_);
-}
-
-void ThroughputSolverPool::release(std::unique_ptr<ThroughputSolver> solver) {
-  if (solver == nullptr) return;
-  const std::lock_guard<std::mutex> lock(mu_);
-  max_table_bytes_ = std::max(max_table_bytes_, solver->table_bytes());
-  free_.push_back(std::move(solver));
-}
-
-std::size_t ThroughputSolverPool::max_table_bytes() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::size_t result = max_table_bytes_;
-  for (const auto& solver : free_) {
-    result = std::max(result, solver->table_bytes());
-  }
-  return result;
 }
 
 ThroughputResult compute_throughput(const sdf::Graph& graph,

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -130,33 +129,12 @@ class ThroughputSolver {
   VisitedTable table_;
 };
 
-/// A mutex-guarded free list of solvers over one graph, shared by the
-/// workers of a parallel exploration. acquire()/release() cost one lock
-/// each — noise next to the full state-space simulation in between — and
-/// returned solvers keep their warmed-up arenas for the next run.
-class ThroughputSolverPool {
- public:
-  explicit ThroughputSolverPool(const sdf::Graph& graph) : graph_(graph) {}
-
-  [[nodiscard]] std::unique_ptr<ThroughputSolver> acquire();
-  void release(std::unique_ptr<ThroughputSolver> solver);
-
-  /// Peak visited-table footprint over every solver ever released.
-  [[nodiscard]] std::size_t max_table_bytes() const;
-
- private:
-  const sdf::Graph& graph_;
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<ThroughputSolver>> free_;
-  std::size_t max_table_bytes_ = 0;
-};
-
 /// Slot-indexed solver bank for a parallel exploration: one lazily built
 /// ThroughputSolver per exec::ThreadPool slot (workers plus the caller),
-/// each used exclusively by the thread occupying that slot. Unlike
-/// ThroughputSolverPool there is no lock on the per-candidate path — a
-/// worker keeps the same solver (engine + warmed visited arena) for the
-/// whole exploration, which is what makes engine state thread-affine.
+/// each used exclusively by the thread occupying that slot. There is no
+/// lock on the per-candidate path — a worker keeps the same solver
+/// (engine + warmed visited arena) for the whole exploration, which is
+/// what makes engine state thread-affine.
 /// Slots are padded to cache lines so neighbouring workers' slots never
 /// false-share. Construction is cheap; a solver is built the first time
 /// its slot is touched, so sequential runs only ever build one.
@@ -203,30 +181,11 @@ class WorkerSolvers {
   std::vector<Slot> slots_;
 };
 
-/// Convenience RAII lease: acquires on construction, releases on scope
-/// exit. A null pool yields a null solver — the caller's signal to fall
-/// back to one-shot compute_throughput (the engine-per-run legacy path).
-class PooledSolver {
- public:
-  explicit PooledSolver(ThroughputSolverPool* pool)
-      : pool_(pool), solver_(pool != nullptr ? pool->acquire() : nullptr) {}
-  ~PooledSolver() {
-    if (pool_ != nullptr) pool_->release(std::move(solver_));
-  }
-  PooledSolver(const PooledSolver&) = delete;
-  PooledSolver& operator=(const PooledSolver&) = delete;
-
-  [[nodiscard]] ThroughputSolver* get() { return solver_.get(); }
-
- private:
-  ThroughputSolverPool* pool_;
-  std::unique_ptr<ThroughputSolver> solver_;
-};
-
-/// One-shot form: builds a fresh solver per call (the pre-reuse code path,
-/// still the right tool outside exploration loops). Same preconditions as
-/// ThroughputSolver::compute; safe to call concurrently on the same graph
-/// from any number of threads (each call owns its solver).
+/// One-shot form: builds a fresh solver per call — the right tool outside
+/// exploration loops, and the reference the reused solver is tested
+/// against. Same preconditions as ThroughputSolver::compute; safe to call
+/// concurrently on the same graph from any number of threads (each call
+/// owns its solver).
 [[nodiscard]] ThroughputResult compute_throughput(const sdf::Graph& graph,
                                                   const Capacities& capacities,
                                                   const ThroughputOptions& opts);

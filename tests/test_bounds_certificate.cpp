@@ -19,6 +19,7 @@
 #include "gen/random_graph.hpp"
 #include "io/dsl.hpp"
 #include "models/models.hpp"
+#include "oracle.hpp"
 #include "sdf/builder.hpp"
 #include "state/simd_backend.hpp"
 #include "state/simd_kernel.hpp"
@@ -208,30 +209,31 @@ TEST(BoundsCertificate, SweepGraphsDeriveExactVerifiedCertificates) {
 
 // The certificate is a pure gating optimization: with BUFFY_AUDIT
 // re-running the retired dynamic gate on every certified batch, both
-// engines must produce byte-identical fronts with certificates on and
-// off, and the certified runs must report static_narrow. A single audit
-// failure (a batch the certificate wrongly admitted to the narrow
-// kernel) throws and fails the test.
-TEST(BoundsCertificate, AuditedSweepFrontsAreIdenticalCertOnAndOff) {
-  const audit::ScopedAudit audit_on(/*denominator=*/16);
+// engines must reproduce the oracle's front byte for byte, and the
+// certified runs must report static_narrow. A single audit failure (a
+// batch the certificate wrongly admitted to the narrow kernel) throws and
+// fails the test. The oracle runs outside the audit scope: it has no lane
+// batches to cross-check.
+TEST(BoundsCertificate, AuditedSweepCertifiedFrontsMatchTheOracle) {
   std::size_t narrow_runs = 0;
   for (const u64 seed : load_seeds()) {
     const sdf::Graph graph = gen::random_graph(graph_options(seed));
-    buffer::DseOptions opts;
-    opts.target = sdf::ActorId(graph.num_actors() - 1);
-    opts.simd = state::SimdBackend::Swar;
-    opts.simd_lanes = 1 + seed % state::kMaxLanes;
+    const sdf::ActorId target(graph.num_actors() - 1);
     for (const buffer::DseEngine engine :
          {buffer::DseEngine::Exhaustive, buffer::DseEngine::Incremental}) {
+      const buffer::DseResult oracle =
+          buffer::explore(graph, testing::oracle_options(target, engine));
+      buffer::DseOptions opts;
+      opts.target = target;
       opts.engine = engine;
-      opts.use_bounds_certificate = true;
+      opts.simd = state::SimdBackend::Swar;
+      opts.simd_lanes = 1 + seed % state::kMaxLanes;
+      const audit::ScopedAudit audit_on(/*denominator=*/16);
       const buffer::DseResult certified = buffer::explore(graph, opts);
-      opts.use_bounds_certificate = false;
-      const buffer::DseResult plain = buffer::explore(graph, opts);
-      ASSERT_EQ(certified.pareto.str(), plain.pareto.str())
+      ASSERT_EQ(certified.pareto.str(), oracle.pareto.str())
           << repro(seed, graph) << "engine "
           << (engine == buffer::DseEngine::Exhaustive ? "exh" : "inc");
-      EXPECT_FALSE(plain.static_narrow);
+      EXPECT_FALSE(oracle.static_narrow);
       if (certified.static_narrow) ++narrow_runs;
     }
   }

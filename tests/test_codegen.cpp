@@ -74,7 +74,7 @@ TEST(Codegen, InvalidTargetThrows) {
 
 std::string vectorized_example_source(std::size_t lanes) {
   const sdf::Graph g = models::paper_example();
-  return generate_vectorized_explorer_source(g, *g.find_actor("c"), lanes);
+  return generate_explorer_source(g, *g.find_actor("c"), {.lanes = lanes});
 }
 
 TEST(CodegenVectorized, BakesLaneCountAndSoaRows) {
@@ -101,18 +101,15 @@ TEST(CodegenVectorized, UnrollsConstantFoldedRates) {
 
 TEST(CodegenVectorized, LaneCountOutOfRangeThrows) {
   const sdf::Graph g = models::paper_example();
-  EXPECT_THROW((void)generate_vectorized_explorer_source(
-                   g, *g.find_actor("c"), 0),
-               Error);
-  EXPECT_THROW((void)generate_vectorized_explorer_source(
-                   g, *g.find_actor("c"), 65),
-               Error);
+  const sdf::ActorId c = *g.find_actor("c");
+  EXPECT_THROW((void)generate_explorer_source(g, c, {.lanes = 0}), Error);
+  EXPECT_THROW((void)generate_explorer_source(g, c, {.lanes = 65}), Error);
 }
 
 TEST(CodegenVectorized, WritesFile) {
   const std::string path = ::testing::TempDir() + "/buffy_gen_vec.cpp";
   const sdf::Graph g = models::paper_example();
-  write_vectorized_explorer_source(g, *g.find_actor("c"), 8, path);
+  write_explorer_source(g, *g.find_actor("c"), path, {.lanes = 8});
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::ostringstream buffer;
@@ -125,7 +122,7 @@ TEST(CodegenCertified, CheckedSourceCarriesGuardsAndBudget) {
   const analysis::BoundsCertificate cert = analysis::derive_bounds(g);
   ASSERT_TRUE(cert.fits_i64);
   const std::string src =
-      generate_checked_explorer_source(g, *g.find_actor("c"), cert);
+      generate_explorer_source(g, *g.find_actor("c"), {.certificate = &cert});
   for (const char* marker :
        {"chkAdd", "chkSub", "overflowAbort", "kCapBudget", "doubleClamped"}) {
     EXPECT_NE(src.find(marker), std::string::npos) << marker;
@@ -135,8 +132,8 @@ TEST(CodegenCertified, CheckedSourceCarriesGuardsAndBudget) {
 TEST(CodegenCertified, NarrowSourceIsThirtyTwoBitAndCheckFree) {
   const sdf::Graph g = models::paper_example();
   const analysis::BoundsCertificate cert = analysis::derive_bounds(g);
-  const std::string src =
-      generate_narrow_explorer_source(g, *g.find_actor("c"), 8, cert);
+  const std::string src = generate_explorer_source(
+      g, *g.find_actor("c"), {.lanes = 8, .certificate = &cert});
   EXPECT_NE(src.find("using lane = std::int32_t"), std::string::npos);
   EXPECT_NE(src.find("kCapBudget"), std::string::npos);
   EXPECT_NE(src.find("lane{1} << 30"), std::string::npos);
@@ -149,12 +146,12 @@ TEST(CodegenCertified, MismatchedCertificateThrows) {
   const sdf::Graph g = models::paper_example();
   const analysis::BoundsCertificate other =
       analysis::derive_bounds(models::modem());
-  EXPECT_THROW((void)generate_checked_explorer_source(g, *g.find_actor("c"),
-                                                      other),
+  const sdf::ActorId c = *g.find_actor("c");
+  EXPECT_THROW((void)generate_explorer_source(g, c, {.certificate = &other}),
                Error);
-  EXPECT_THROW(
-      (void)generate_narrow_explorer_source(g, *g.find_actor("c"), 8, other),
-      Error);
+  EXPECT_THROW((void)generate_explorer_source(
+                   g, c, {.lanes = 8, .certificate = &other}),
+               Error);
 }
 
 TEST(CodegenCertified, InexactCertificateRejectedForNarrow) {
@@ -162,19 +159,20 @@ TEST(CodegenCertified, InexactCertificateRejectedForNarrow) {
   analysis::BoundsCertificate cert = analysis::derive_bounds(g);
   cert.fits_i64 = false;
   cert.overflow_detail = "synthetic";
-  // The checked generator still works (its guards carry the soundness)...
+  const sdf::ActorId c = *g.find_actor("c");
+  // The checked program still generates (its guards carry the soundness)...
   EXPECT_NO_THROW(
-      (void)generate_checked_explorer_source(g, *g.find_actor("c"), cert));
-  // ...but the narrow generator must refuse: elided checks need exactness.
-  EXPECT_THROW(
-      (void)generate_narrow_explorer_source(g, *g.find_actor("c"), 8, cert),
-      Error);
+      (void)generate_explorer_source(g, c, {.certificate = &cert}));
+  // ...but the narrow program must refuse: elided checks need exactness.
+  EXPECT_THROW((void)generate_explorer_source(
+                   g, c, {.lanes = 8, .certificate = &cert}),
+               Error);
 
   analysis::BoundsCertificate wide = analysis::derive_bounds(g);
   wide.magnitude_bound = i64{1} << 40;  // beyond the narrow kernel limit
-  EXPECT_THROW(
-      (void)generate_narrow_explorer_source(g, *g.find_actor("c"), 8, wide),
-      Error);
+  EXPECT_THROW((void)generate_explorer_source(
+                   g, c, {.lanes = 8, .certificate = &wide}),
+               Error);
 }
 
 // Integration: compile the generated program with the system compiler and
@@ -247,10 +245,9 @@ TEST_F(CodegenCompile, GeneratedDseReproducesFig5Staircase) {
   EXPECT_EQ(points[3], (std::pair<long long, std::string>{10, "1/4"}));
 }
 
-// The differential contract of the vectorized generator: at every lane
-// width, the lane-parallel program's stdout is byte-identical to the
-// scalar generated explorer's — single-candidate throughputs and the
-// full --dse staircase alike.
+// The differential contract of the lane program: at every lane width,
+// its stdout is byte-identical to the scalar program's — single-candidate
+// throughputs and the full --dse staircase alike.
 TEST_F(CodegenCompile, VectorizedExplorerMatchesScalarByteForByte) {
   if (!have_compiler()) GTEST_SKIP() << "no system compiler";
   const std::string dir = ::testing::TempDir();
@@ -277,7 +274,7 @@ TEST_F(CodegenCompile, VectorizedExplorerMatchesScalarByteForByte) {
     const std::string tag = std::to_string(lanes);
     const std::string src = dir + "/buffy_vec_" + tag + ".cpp";
     const std::string bin = dir + "/buffy_vec_" + tag;
-    write_vectorized_explorer_source(g, *g.find_actor("c"), lanes, src);
+    write_explorer_source(g, *g.find_actor("c"), src, {.lanes = lanes});
     ASSERT_EQ(std::system(
                   ("c++ -std=c++17 -O1 -o " + bin + " " + src + " 2>&1")
                       .c_str()),
@@ -309,7 +306,7 @@ TEST_F(CodegenCompile, VectorizedModemDseMatchesScalar) {
 
   const std::string vec_src = dir + "/buffy_modem_vec.cpp";
   const std::string vec_bin = dir + "/buffy_modem_vec";
-  write_vectorized_explorer_source(g, target, 8, vec_src);
+  write_explorer_source(g, target, vec_src, {.lanes = 8});
   ASSERT_EQ(std::system(("c++ -std=c++17 -O1 -o " + vec_bin + " " + vec_src +
                          " 2>&1")
                             .c_str()),
@@ -336,7 +333,7 @@ TEST_F(CodegenCompile, NarrowExplorerMatchesCheckedScalarByteForByte) {
 
   const std::string ref_src = dir + "/buffy_chk_ref.cpp";
   const std::string ref_bin = dir + "/buffy_chk_ref";
-  write_checked_explorer_source(g, target, cert, ref_src);
+  write_explorer_source(g, target, ref_src, {.certificate = &cert});
   ASSERT_EQ(std::system(("c++ -std=c++17 -O1 -o " + ref_bin + " " + ref_src +
                          " 2>&1")
                             .c_str()),
@@ -355,7 +352,8 @@ TEST_F(CodegenCompile, NarrowExplorerMatchesCheckedScalarByteForByte) {
     const std::string tag = std::to_string(lanes);
     const std::string src = dir + "/buffy_narrow_" + tag + ".cpp";
     const std::string bin = dir + "/buffy_narrow_" + tag;
-    write_narrow_explorer_source(g, target, lanes, cert, src);
+    write_explorer_source(g, target, src,
+                          {.lanes = lanes, .certificate = &cert});
     ASSERT_EQ(std::system(
                   ("c++ -std=c++17 -O1 -o " + bin + " " + src + " 2>&1")
                       .c_str()),
@@ -381,7 +379,7 @@ TEST_F(CodegenCompile, NarrowModemDseMatchesCheckedScalar) {
 
   const std::string ref_src = dir + "/buffy_chk_modem.cpp";
   const std::string ref_bin = dir + "/buffy_chk_modem";
-  write_checked_explorer_source(g, target, cert, ref_src);
+  write_explorer_source(g, target, ref_src, {.certificate = &cert});
   ASSERT_EQ(std::system(("c++ -std=c++17 -O1 -o " + ref_bin + " " + ref_src +
                          " 2>&1")
                             .c_str()),
@@ -389,7 +387,8 @@ TEST_F(CodegenCompile, NarrowModemDseMatchesCheckedScalar) {
 
   const std::string vec_src = dir + "/buffy_narrow_modem.cpp";
   const std::string vec_bin = dir + "/buffy_narrow_modem";
-  write_narrow_explorer_source(g, target, 8, cert, vec_src);
+  write_explorer_source(g, target, vec_src,
+                        {.lanes = 8, .certificate = &cert});
   ASSERT_EQ(std::system(("c++ -std=c++17 -O1 -o " + vec_bin + " " + vec_src +
                          " 2>&1")
                             .c_str()),

@@ -1,9 +1,9 @@
-// Determinism of the optimised throughput hot path (cache + engine reuse):
-// for every engine, the Pareto front must be byte-identical across thread
-// counts, with the throughput cache on or off, and with engine reuse on or
-// off — the Sec. 8 dominance answers are exact, so no configuration may
-// change a fold result. Also the regression suite for the fused storage-
-// dependency collection (it must reproduce buffer::storage_dependencies).
+// Determinism of the optimised throughput hot path: for every engine, the
+// Pareto front must be byte-identical to the oracle's (tests/oracle.hpp)
+// across thread counts with the throughput cache on or off — the Sec. 8
+// dominance answers are exact, so no configuration may change a fold
+// result. Also the regression suite for the fused storage-dependency
+// collection (it must reproduce buffer::storage_dependencies).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -15,6 +15,7 @@
 #include "buffer/dse_incremental.hpp"
 #include "gen/random_graph.hpp"
 #include "models/models.hpp"
+#include "oracle.hpp"
 #include "state/throughput.hpp"
 
 namespace buffy::buffer {
@@ -30,38 +31,32 @@ std::string front_signature(const DseResult& result) {
   return out.str();
 }
 
-// Runs the exploration under every (threads, cache, reuse) combination and
-// expects the identical front everywhere. `base` carries the engine, target
-// and any extra options (quantisation, binding, ...).
-void expect_identical_fronts(const sdf::Graph& graph, DseOptions base) {
-  base.threads = 1;
-  base.use_throughput_cache = false;
-  base.reuse_engines = false;
-  const DseResult baseline = explore(graph, base);
+// Runs the default evaluation path (lane backend, LP bounds) under every
+// (threads, cache) combination and expects the oracle's front everywhere.
+// `oracle` carries the engine, target and any extra inputs (quantisation,
+// binding, ...).
+void expect_identical_fronts(const sdf::Graph& graph,
+                             const DseOptions& oracle) {
+  const DseResult baseline = explore(graph, oracle);
   const std::string want = front_signature(baseline);
   EXPECT_FALSE(baseline.pareto.empty());
 
   for (const unsigned threads : {1u, 2u, 8u}) {
     for (const bool cache : {false, true}) {
-      for (const bool reuse : {false, true}) {
-        DseOptions opts = base;
-        opts.threads = threads;
-        opts.use_throughput_cache = cache;
-        opts.reuse_engines = reuse;
-        const DseResult run = explore(graph, opts);
-        EXPECT_EQ(front_signature(run), want)
-            << "divergent front: threads=" << threads << " cache=" << cache
-            << " reuse=" << reuse;
-      }
+      DseOptions opts = oracle;
+      opts.simd = DseOptions{}.simd;
+      opts.use_lp_bounds = DseOptions{}.use_lp_bounds;
+      opts.threads = threads;
+      opts.use_throughput_cache = cache;
+      const DseResult run = explore(graph, opts);
+      EXPECT_EQ(front_signature(run), want)
+          << "divergent front: threads=" << threads << " cache=" << cache;
     }
   }
 }
 
 DseOptions options_for(const sdf::Graph& graph, DseEngine engine) {
-  DseOptions opts;
-  opts.target = models::reported_actor(graph);
-  opts.engine = engine;
-  return opts;
+  return testing::oracle_options(models::reported_actor(graph), engine);
 }
 
 TEST(HotpathDeterminism, PaperExampleBothEngines) {
@@ -127,29 +122,14 @@ TEST(HotpathDeterminism, SmallRandomGraphExhaustive) {
   expect_identical_fronts(g, options_for(g, DseEngine::Exhaustive));
 }
 
-TEST(HotpathCounters, IncrementalReuseHalvesTheSimulations) {
-  // The seed evaluation path pays two simulations per candidate (throughput
-  // plus a dedicated dependency re-run); the fused path pays one.
-  const sdf::Graph g = models::modem();
-  DseOptions opts = options_for(g, DseEngine::Incremental);
-  opts.use_throughput_cache = false;
-
-  opts.reuse_engines = false;
-  const DseResult seed = explore(g, opts);
-  opts.reuse_engines = true;
-  const DseResult fused = explore(g, opts);
-
-  EXPECT_EQ(front_signature(seed), front_signature(fused));
-  EXPECT_EQ(fused.simulations_run * 2, seed.simulations_run);
-}
-
 TEST(HotpathCounters, ExhaustiveDominanceSkipsTheMaxWitness) {
   // The Fig. 7 max-throughput distribution seeds the witness set, so the
   // exhaustive engine's evaluation of the top size is answered by
   // dominance instead of a simulation.
   const sdf::Graph g = models::paper_example();
-  DseOptions opts = options_for(g, DseEngine::Exhaustive);
-  const DseResult run = explore(g, opts);
+  const DseResult run = explore(
+      g, DseOptions{.target = models::reported_actor(g),
+                    .engine = DseEngine::Exhaustive});
   EXPECT_GE(run.dominance_skips, 1u);
   EXPECT_EQ(run.simulations_run + run.cache_hits + run.dominance_skips,
             run.distributions_explored);

@@ -35,6 +35,7 @@
 #include "gen/random_graph.hpp"
 #include "io/dsl.hpp"
 #include "lp/sdf_model.hpp"
+#include "oracle.hpp"
 #include "state/simd_backend.hpp"
 #include "state/throughput.hpp"
 
@@ -325,12 +326,12 @@ TEST(PropertyDifferential, FrontsAreByteIdenticalAtAnyThreadCount) {
 }
 
 // Property (h): the SIMD backend is invisible in the result. Both
-// engines must produce byte-identical fronts — witnesses included — under
-// the scalar reference, the portable SWAR lane kernel and (when the host
-// has it) the hand-written AVX2 kernel, at a seed-varied lane width. This
-// sweeps the whole lane machinery per DESIGN.md §15: SoA packing, masked
-// retirement/refill, the i64/i32 width election and the per-lane witness
-// extraction feeding the caches.
+// engines must reproduce the oracle's front (tests/oracle.hpp) byte for
+// byte — witnesses included — under the portable SWAR lane kernel and
+// (when the host has it) the hand-written AVX2 kernel, at a seed-varied
+// lane width. This sweeps the whole lane machinery per DESIGN.md §15: SoA
+// packing, masked retirement/refill, the i64/i32 width election and the
+// per-lane witness extraction feeding the caches.
 TEST(PropertyDifferential, FrontsAreByteIdenticalUnderEveryLaneBackend) {
   std::vector<state::SimdBackend> lane_backends{state::SimdBackend::Swar};
   if (state::backend_available(state::SimdBackend::Avx2)) {
@@ -338,8 +339,9 @@ TEST(PropertyDifferential, FrontsAreByteIdenticalUnderEveryLaneBackend) {
   }
   for (const u64 seed : load_seeds()) {
     const sdf::Graph graph = gen::random_graph(graph_options(seed));
+    const sdf::ActorId target(graph.num_actors() - 1);
     buffer::DseOptions opts;
-    opts.target = sdf::ActorId(graph.num_actors() - 1);
+    opts.target = target;
     // Walk the whole [1, 64] lane range across the seed sweep, including
     // the single-lane degenerate batch.
     opts.simd_lanes = 1 + seed % state::kMaxLanes;
@@ -347,12 +349,12 @@ TEST(PropertyDifferential, FrontsAreByteIdenticalUnderEveryLaneBackend) {
     for (const buffer::DseEngine engine :
          {buffer::DseEngine::Exhaustive, buffer::DseEngine::Incremental}) {
       opts.engine = engine;
-      opts.simd = state::SimdBackend::Scalar;
-      const buffer::DseResult scalar = buffer::explore(graph, opts);
+      const buffer::DseResult oracle =
+          buffer::explore(graph, testing::oracle_options(target, engine));
       for (const state::SimdBackend backend : lane_backends) {
         opts.simd = backend;
         const buffer::DseResult lanes = buffer::explore(graph, opts);
-        ASSERT_EQ(scalar.pareto.str(), lanes.pareto.str())
+        ASSERT_EQ(oracle.pareto.str(), lanes.pareto.str())
             << repro(seed, graph) << "engine "
             << (engine == buffer::DseEngine::Exhaustive ? "exh" : "inc")
             << " backend " << state::backend_name(backend) << " lanes "
