@@ -1,18 +1,18 @@
 // Lane-parallel kernel scaling (state/ subsystem, DESIGN.md §15):
 // wall-clock of the DSE engines under each SIMD backend — scalar
-// reference, portable SWAR lanes, and the hand-written AVX2 kernel when
-// the host has it — at 1 and 8 worker threads, on the models whose
-// explorations are wide enough to fill lane batches (h263/mpeg4/modem
-// incremental, samplerate exhaustive). Every lane front is hard-gated
-// byte-identical to the scalar one at the same thread count (exit 1 on
-// divergence, always), pinning the equivalence argument of DESIGN.md §15
-// on real explorations rather than synthetic batches.
+// reference, the lane kernel built for the baseline ISA (swar) and for
+// AVX2 when the host has it — at 1 and 8 worker threads, on the models
+// whose explorations are wide enough to fill lane batches
+// (h263/mpeg4/modem incremental, samplerate exhaustive). Every lane front
+// is hard-gated byte-identical to the scalar one at the same thread count
+// (exit 1 on divergence, always), pinning the equivalence argument of
+// DESIGN.md §15 on real explorations rather than synthetic batches.
 //
 // `--assert-lane-scaling` additionally turns the lane-speedup contract
 // into exit codes for CI: the single-thread SWAR h263 incremental
-// exploration must be >= 2x the scalar one. The assertion runs on every
-// host (SWAR needs no CPU feature); the AVX2 column reports speedup but
-// carries no gate, since CI hosts differ in vector width.
+// exploration must be >= 2x the scalar one, on every host (SWAR needs no
+// CPU feature); on AVX2 hosts the AVX2 run must also be at least as fast
+// as SWAR, which catches a lost -mavx2 flag or a de-vectorized body.
 //
 // Every lane run derives the static magnitude certificate (DESIGN.md
 // §16), which selects the i32 narrow kernel once per graph instead of
@@ -220,12 +220,12 @@ int main(int argc, char** argv) {
                             "bench_simd_lanes");
     f.paragraph(
         "Each model's exploration runs under every SIMD backend the host "
-        "offers (scalar reference, portable SWAR lanes, hand-written AVX2 "
-        "kernel) at 1 and 8 worker threads; every lane front is checked "
-        "byte-for-byte against the scalar front at the same thread count. "
-        "Wall-clock numbers are machine-dependent and reported by the "
-        "binary only; the exploration counts below are deterministic per "
-        "engine (the lane engines batch candidates, so the exhaustive "
+        "offers (scalar reference, the lane kernel built for the baseline "
+        "ISA and for AVX2) at 1 and 8 worker threads; every lane front is "
+        "checked byte-for-byte against the scalar front at the same thread "
+        "count. Wall-clock numbers are machine-dependent and reported by "
+        "the binary only; the exploration counts below are deterministic "
+        "per engine (the lane engines batch candidates, so the exhaustive "
         "counts differ from scalar by design — the front never does).");
     std::vector<std::vector<std::string>> rows;
     for (const Measurement& m : measurements) {
@@ -238,7 +238,8 @@ int main(int argc, char** argv) {
              (all_identical ? "yes" : "NO"));
     f.bullet(
         "lane contract (--assert-lane-scaling): single-thread SWAR h263 "
-        "incremental >= 2x scalar");
+        "incremental >= 2x scalar, and AVX2 >= SWAR there on hosts with "
+        "AVX2");
     f.bullet(std::string("h263 lane runs select the narrow i32 kernel "
                          "statically from the magnitude certificate "
                          "(DESIGN.md §16, no per-batch width scan): ") +
@@ -253,16 +254,24 @@ int main(int argc, char** argv) {
 
   if (assert_lane_scaling) {
     double swar_speedup_1t = 0.0;
+    double avx2_speedup_1t = 0.0;
     for (const Measurement& m : measurements) {
-      if (m.model == "h263" && m.threads == 1 && m.backend == "swar") {
-        swar_speedup_1t = m.speedup;
-      }
+      if (m.model != "h263" || m.threads != 1) continue;
+      if (m.backend == "swar") swar_speedup_1t = m.speedup;
+      if (m.backend == "avx2") avx2_speedup_1t = m.speedup;
     }
     if (swar_speedup_1t < 2.0) {
       std::printf(
           "FAIL: single-thread h263 incremental under SWAR lanes is %.2fx "
           "scalar, expected >= 2x\n",
           swar_speedup_1t);
+      return 1;
+    }
+    if (state::backend_available(state::SimdBackend::Avx2) &&
+        avx2_speedup_1t < swar_speedup_1t) {
+      std::printf("FAIL: single-thread h263 incremental under AVX2 lanes is "
+                  "%.2fx scalar, below SWAR's %.2fx\n",
+                  avx2_speedup_1t, swar_speedup_1t);
       return 1;
     }
     // Deterministic half of the contract: h263's magnitudes fit the
@@ -274,9 +283,9 @@ int main(int argc, char** argv) {
           "statically\n");
       return 1;
     }
-    std::printf("lane scaling assertions passed (swar %.2fx, static "
-                "narrow selection engaged)\n",
-                swar_speedup_1t);
+    std::printf("lane scaling assertions passed (swar %.2fx, avx2 %.2fx, "
+                "static narrow selection engaged)\n",
+                swar_speedup_1t, avx2_speedup_1t);
   }
   return 0;
 }

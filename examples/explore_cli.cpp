@@ -34,6 +34,7 @@
 //   --cache-cap <n>       bound the cache to ~n resident entries (LRU
 //                         eviction; the front is identical at any cap)
 //   --stats               print exploration counters as one JSON object
+//                         and the backend that evaluated the candidates
 //                         (printed on every exit path, including deadline
 //                         cuts and graphs that deadlock everywhere)
 //   --trace <file>        write a Chrome trace_event JSON file of the
@@ -406,8 +407,9 @@ int main(int argc, char** argv) {
 
     // Every exit path below (success, deadline cut, all-deadlock graph)
     // flushes the trace file and prints the same stats JSON with the full
-    // counter set — partial runs must be as inspectable as complete ones.
-    const auto flush_trace_and_stats = [&]() {
+    // counter set — partial runs must be as inspectable as complete ones —
+    // plus the backend that actually evaluated the candidates.
+    const auto flush_trace_and_stats = [&](const buffer::DseResult& result) {
       if (collector.has_value()) {
         trace::attach(nullptr);
         progress.add_trace_events(collector->event_count());
@@ -422,6 +424,7 @@ int main(int argc, char** argv) {
       }
       if (args->stats) {
         std::printf("\nstats: %s\n", progress.snapshot().json().c_str());
+        std::printf("backend: %s\n", state::backend_name(result.backend));
       }
       // Reaching this line means no check threw: a violation would have
       // unwound to the error path (exit 1) before any flush.
@@ -439,7 +442,7 @@ int main(int argc, char** argv) {
     const auto result = buffer::explore(graph, opts);
     if (result.bounds.deadlock) {
       std::printf("the graph deadlocks under every storage distribution\n");
-      flush_trace_and_stats();
+      flush_trace_and_stats(result);
       return 1;
     }
     std::printf("bounds: lb = %lld tokens, ub = %lld tokens, maximal "
@@ -458,7 +461,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\nPareto points:\n%s", result.pareto.str().c_str());
 
-    flush_trace_and_stats();
+    flush_trace_and_stats(result);
 
     if (args->schedule) {
       for (const buffer::ParetoPoint& p : result.pareto.points()) {

@@ -206,6 +206,9 @@ struct DseResult {
   /// the per-batch capacity gate (false on the scalar backend, under a
   /// processor binding, or when the envelope exceeds the narrow limit).
   bool static_narrow = false;
+  /// The backend that evaluated candidates (never Auto): Scalar under a
+  /// processor binding, with `simd` = Scalar, or when nothing was explored.
+  state::SimdBackend backend = state::SimdBackend::Scalar;
   /// Wall-clock seconds spent exploring.
   double seconds = 0.0;
 };

@@ -955,6 +955,7 @@ DseResult explore_exhaustive(const sdf::Graph& graph, const DseOptions& options,
   SweepEngines eng;
   attach_engines(sweep, eng, lazy.num_slots());
   result.static_narrow = eng.static_narrow;
+  result.backend = state::resolve_backend(options.simd);
 
   // Divide and conquer over the size dimension (Sec. 9): throughput is
   // monotonic in the size, so an interval whose endpoints agree contains no

@@ -155,6 +155,7 @@ DseResult explore_incremental(const sdf::Graph& graph,
   const state::SimdBackend lane_backend = state::resolve_backend(options.simd);
   const bool lane_eval = lane_backend != state::SimdBackend::Scalar &&
                          options.binding.empty();
+  result.backend = lane_eval ? lane_backend : state::SimdBackend::Scalar;
   const std::size_t lane_width =
       state::resolve_lanes(options.simd_lanes, lane_backend);
   std::optional<state::LaneSolverBank> lane_bank;

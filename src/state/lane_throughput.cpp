@@ -30,9 +30,9 @@ LaneThroughputSolver::LaneThroughputSolver(
     step64_ = &lane_step_swar;
     step32_ = &lane_step_swar32;
   }
-  // The widest vector path consumes 8 narrow lanes per vector; round the
-  // row stride up to 8 so every backend runs whole vectors with the
-  // padding lanes permanently parked.
+  // The kernels are instantiated only for the strides 8, 16, ..., 64
+  // (fully unrolled, whole vectors at any ISA): round the lane count up,
+  // with the padding lanes permanently parked.
   stride_ = (lanes + 7) / 8 * 8;
 
   const std::size_t n = graph.num_actors();

@@ -1,361 +1,18 @@
-// AVX2 implementation of the lane-step kernel (DESIGN.md §15).
-//
-// Same contract and bit-identical results as lane_step_swar; four i64
-// lanes per 256-bit vector, hand-scheduled with compare/blend mask
-// arithmetic. The narrow twin (lane_step_avx2_32, eight i32 lanes per
-// vector) is likewise hand-written, block-outermost: each 8-lane block
-// runs the whole step with its masks, accumulator and time rows held in
-// registers, touching memory only for the per-actor/per-channel rows it
-// actually updates (testz gates skip the port loops of blocks where no
-// lane completed or started). This is the
-// only translation unit in the tree built with -mavx2 and the only place
-// raw vector intrinsics are permitted (layer_lint bans them elsewhere),
-// so nothing outside the runtime lane_avx2_available() gate ever executes
-// an AVX2 instruction — the library stays loadable on every x86-64
-// microarchitecture and non-x86 builds compile this file down to the SWAR
-// fallback.
-#include "state/simd_kernel.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-
-#include <immintrin.h>
-
-namespace buffy::state {
-
-namespace {
-
-inline __m256i load4(const i64* p) {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
-inline void store4(i64* p, __m256i x) {
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), x);
-}
-/// Signed 64-bit minimum (AVX2 has no epi64 min; blend on compare).
-inline __m256i min4(__m256i a, __m256i b) {
-  return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
-}
-/// One bit per lane from a whole-word lane mask.
-inline u64 bits4(__m256i m) {
-  return static_cast<u64>(_mm256_movemask_pd(_mm256_castsi256_pd(m)));
-}
-
-inline __m256i load8(const i32* p) {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
-inline void store8(i32* p, __m256i x) {
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), x);
-}
-/// One bit per lane from a whole-word i32 lane mask (eight lanes).
-inline u64 bits8(__m256i m) {
-  return static_cast<u64>(_mm256_movemask_ps(_mm256_castsi256_ps(m)));
-}
-/// Sign-extends the low/high four i32 lanes of a mask (or value) to i64,
-/// for the kernel rows that stay 64-bit under the narrow kernel.
-inline __m256i widen_lo(__m256i m) {
-  return _mm256_cvtepi32_epi64(_mm256_castsi256_si128(m));
-}
-inline __m256i widen_hi(__m256i m) {
-  return _mm256_cvtepi32_epi64(_mm256_extracti128_si256(m, 1));
-}
-
-}  // namespace
-
-LaneStepResult lane_step_avx2(const LaneKernelView& v) {
-  const std::size_t S = v.stride;
-  i64* const cm = v.scratch;
-  i64* const tok = v.scratch + S;
-  i64* const en = v.scratch + 2 * S;
-  i64* const acc = v.scratch + 3 * S;
-
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  const __m256i never = _mm256_set1_epi64x(kLaneNever);
-
-  for (std::size_t l = 0; l < S; l += 4) {
-    store4(v.now + l, _mm256_add_epi64(load4(v.now + l), load4(v.delta + l)));
-    store4(acc + l, never);
-  }
-
-  u64 target_bits = 0;
-
-  // Completion phase (see simd_swar.cpp for the phase semantics).
-  for (std::size_t a = 0; a < v.num_actors; ++a) {
-    i64* const row = v.clocks + a * S;
-    __m256i any = zero;
-    for (std::size_t l = 0; l < S; l += 4) {
-      const __m256i c = load4(row + l);
-      const __m256i idle = _mm256_cmpeq_epi64(c, zero);
-      const __m256i completed =
-          _mm256_andnot_si256(idle, _mm256_cmpeq_epi64(c, load4(v.delta + l)));
-      const __m256i left =
-          _mm256_sub_epi64(c, _mm256_andnot_si256(idle, load4(v.delta + l)));
-      store4(row + l, left);
-      store4(cm + l, completed);
-      any = _mm256_or_si256(any, completed);
-      const __m256i cand = _mm256_or_si256(
-          left, _mm256_and_si256(_mm256_cmpeq_epi64(left, zero), never));
-      store4(acc + l, min4(load4(acc + l), cand));
-    }
-    if (a == v.target) {
-      for (std::size_t l = 0; l < S; l += 4) {
-        target_bits |= bits4(load4(cm + l)) << l;
-      }
-    }
-    if (_mm256_testz_si256(any, any) != 0) continue;
-    for (std::size_t p = v.in_begin[a]; p < v.in_begin[a + 1]; ++p) {
-      const LanePort& port = v.in_ports[p];
-      i64* const tk = v.tokens + port.channel * S;
-      i64* const oc = v.occupied + port.channel * S;
-      const __m256i rate = _mm256_set1_epi64x(port.rate);
-      for (std::size_t l = 0; l < S; l += 4) {
-        const __m256i d = _mm256_and_si256(rate, load4(cm + l));
-        store4(tk + l, _mm256_sub_epi64(load4(tk + l), d));
-        store4(oc + l, _mm256_sub_epi64(load4(oc + l), d));
-      }
-    }
-    for (std::size_t p = v.out_begin[a]; p < v.out_begin[a + 1]; ++p) {
-      const LanePort& port = v.out_ports[p];
-      i64* const tk = v.tokens + port.channel * S;
-      const __m256i rate = _mm256_set1_epi64x(port.rate);
-      for (std::size_t l = 0; l < S; l += 4) {
-        store4(tk + l, _mm256_add_epi64(load4(tk + l),
-                                        _mm256_and_si256(rate, load4(cm + l))));
-      }
-    }
-  }
-
-  // Start phase, one pass in actor order.
-  for (std::size_t a = 0; a < v.num_actors; ++a) {
-    i64* const row = v.clocks + a * S;
-    const __m256i et = _mm256_set1_epi64x(v.exec_time[a]);
-    __m256i any = zero;
-    for (std::size_t l = 0; l < S; l += 4) {
-      const __m256i t = _mm256_and_si256(
-          load4(v.live + l), _mm256_cmpeq_epi64(load4(row + l), zero));
-      store4(tok + l, t);
-      any = _mm256_or_si256(any, t);
-    }
-    if (_mm256_testz_si256(any, any) != 0) continue;
-    for (std::size_t p = v.in_begin[a]; p < v.in_begin[a + 1]; ++p) {
-      const LanePort& port = v.in_ports[p];
-      const i64* const tk = v.tokens + port.channel * S;
-      const __m256i rate = _mm256_set1_epi64x(port.rate);
-      for (std::size_t l = 0; l < S; l += 4) {
-        // tokens >= rate  <=>  !(rate > tokens)
-        store4(tok + l,
-               _mm256_andnot_si256(_mm256_cmpgt_epi64(rate, load4(tk + l)),
-                                   load4(tok + l)));
-      }
-    }
-    for (std::size_t l = 0; l < S; l += 4) store4(en + l, load4(tok + l));
-    for (std::size_t p = v.out_begin[a]; p < v.out_begin[a + 1]; ++p) {
-      const LanePort& port = v.out_ports[p];
-      const i64* const oc = v.occupied + port.channel * S;
-      const i64* const cp = v.caps + port.channel * S;
-      const __m256i rate = _mm256_set1_epi64x(port.rate);
-      if (v.last_block != nullptr) {
-        i64* const lb = v.last_block + port.channel * S;
-        for (std::size_t l = 0; l < S; l += 4) {
-          const __m256i over = _mm256_cmpgt_epi64(
-              _mm256_add_epi64(load4(oc + l), rate), load4(cp + l));
-          const __m256i fail = _mm256_and_si256(load4(tok + l), over);
-          store4(en + l, _mm256_andnot_si256(fail, load4(en + l)));
-          store4(lb + l,
-                 _mm256_blendv_epi8(load4(lb + l), load4(v.now + l), fail));
-        }
-      } else {
-        for (std::size_t l = 0; l < S; l += 4) {
-          const __m256i over = _mm256_cmpgt_epi64(
-              _mm256_add_epi64(load4(oc + l), rate), load4(cp + l));
-          store4(en + l, _mm256_andnot_si256(over, load4(en + l)));
-        }
-      }
-    }
-    any = zero;
-    for (std::size_t l = 0; l < S; l += 4) {
-      any = _mm256_or_si256(any, load4(en + l));
-    }
-    if (_mm256_testz_si256(any, any) != 0) continue;
-    for (std::size_t l = 0; l < S; l += 4) {
-      const __m256i e = load4(en + l);
-      store4(row + l, _mm256_or_si256(load4(row + l),
-                                      _mm256_and_si256(et, e)));
-      const __m256i cand = _mm256_or_si256(
-          _mm256_and_si256(et, e), _mm256_andnot_si256(e, never));
-      store4(acc + l, min4(load4(acc + l), cand));
-    }
-    for (std::size_t p = v.out_begin[a]; p < v.out_begin[a + 1]; ++p) {
-      const LanePort& port = v.out_ports[p];
-      i64* const oc = v.occupied + port.channel * S;
-      const __m256i rate = _mm256_set1_epi64x(port.rate);
-      for (std::size_t l = 0; l < S; l += 4) {
-        store4(oc + l, _mm256_add_epi64(load4(oc + l),
-                                        _mm256_and_si256(rate, load4(en + l))));
-      }
-    }
-  }
-
-  // Next-completion fold and deadlock bits.
-  u64 dead_bits = 0;
-  for (std::size_t l = 0; l < S; l += 4) {
-    const __m256i a4 = load4(acc + l);
-    const __m256i live4 = load4(v.live + l);
-    const __m256i finite =
-        _mm256_andnot_si256(_mm256_cmpeq_epi64(a4, never), ones);
-    const __m256i next =
-        _mm256_and_si256(a4, _mm256_and_si256(finite, live4));
-    store4(v.delta + l, next);
-    dead_bits |= bits4(_mm256_and_si256(
-                     live4, _mm256_cmpeq_epi64(next, zero)))
-                 << l;
-  }
-  return LaneStepResult{target_bits, dead_bits};
-}
-
-// Narrow (i32) twin: identical structure at eight lanes per vector. Only
-// two rows are 64-bit here — `now` and `last_block` hold absolute
-// instants — so their updates widen the lane masks with sign-extending
-// unpacks; everything else is straight epi32 arithmetic, including the
-// native min (AVX2 has _mm256_min_epi32 but no epi64 min) and single
-// movemask bit extraction that the width-generic body cannot express.
-LaneStepResult lane_step_avx2_32(const LaneKernelView32& v) {
-  const std::size_t S = v.stride;
-
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i ones = _mm256_set1_epi32(-1);
-  const __m256i never = _mm256_set1_epi32(kLaneNever32);
-
-  u64 target_bits = 0;
-  u64 dead_bits = 0;
-
-  // Block-outermost: lanes never interact, so each eight-lane block runs
-  // the whole step — advance, completion phase, start phase, fold — with
-  // its delta, live, next-completion accumulator and both halves of `now`
-  // held in registers. No scratch rows at all (the view's scratch space
-  // is left untouched), and every phase gate is per block.
-  for (std::size_t l = 0; l < S; l += 8) {
-    const __m256i delta = load8(v.delta + l);
-    const __m256i live = load8(v.live + l);
-    const __m256i now_lo =
-        _mm256_add_epi64(load4(v.now + l), widen_lo(delta));
-    const __m256i now_hi =
-        _mm256_add_epi64(load4(v.now + l + 4), widen_hi(delta));
-    store4(v.now + l, now_lo);
-    store4(v.now + l + 4, now_hi);
-    __m256i acc = never;
-
-    // Completion phase (see simd_swar.cpp for the phase semantics).
-    for (std::size_t a = 0; a < v.num_actors; ++a) {
-      i32* const row = v.clocks + a * S + l;
-      const __m256i c = load8(row);
-      const __m256i idle = _mm256_cmpeq_epi32(c, zero);
-      const __m256i completed =
-          _mm256_andnot_si256(idle, _mm256_cmpeq_epi32(c, delta));
-      const __m256i left =
-          _mm256_sub_epi32(c, _mm256_andnot_si256(idle, delta));
-      store8(row, left);
-      acc = _mm256_min_epi32(
-          acc, _mm256_or_si256(
-                   left, _mm256_and_si256(_mm256_cmpeq_epi32(left, zero),
-                                          never)));
-      if (a == v.target) target_bits |= bits8(completed) << l;
-      if (_mm256_testz_si256(completed, completed) != 0) continue;
-      for (std::size_t p = v.in_begin[a]; p < v.in_begin[a + 1]; ++p) {
-        const LanePort& port = v.in_ports[p];
-        i32* const tk = v.tokens + port.channel * S + l;
-        i32* const oc = v.occupied + port.channel * S + l;
-        const __m256i d8 = _mm256_and_si256(
-            _mm256_set1_epi32(static_cast<i32>(port.rate)), completed);
-        store8(tk, _mm256_sub_epi32(load8(tk), d8));
-        store8(oc, _mm256_sub_epi32(load8(oc), d8));
-      }
-      for (std::size_t p = v.out_begin[a]; p < v.out_begin[a + 1]; ++p) {
-        const LanePort& port = v.out_ports[p];
-        i32* const tk = v.tokens + port.channel * S + l;
-        const __m256i d8 = _mm256_and_si256(
-            _mm256_set1_epi32(static_cast<i32>(port.rate)), completed);
-        store8(tk, _mm256_add_epi32(load8(tk), d8));
-      }
-    }
-
-    // Start phase, one pass in actor order (a start claims space but
-    // never adds tokens or frees space, so no start can enable another
-    // within the instant — the scalar engine's argument, lane-widened).
-    for (std::size_t a = 0; a < v.num_actors; ++a) {
-      i32* const row = v.clocks + a * S + l;
-      const __m256i c = load8(row);
-      __m256i tok = _mm256_and_si256(live, _mm256_cmpeq_epi32(c, zero));
-      if (_mm256_testz_si256(tok, tok) != 0) continue;
-      for (std::size_t p = v.in_begin[a]; p < v.in_begin[a + 1]; ++p) {
-        const LanePort& port = v.in_ports[p];
-        const __m256i rate = _mm256_set1_epi32(static_cast<i32>(port.rate));
-        // tokens >= rate  <=>  !(rate > tokens)
-        tok = _mm256_andnot_si256(
-            _mm256_cmpgt_epi32(rate, load8(v.tokens + port.channel * S + l)),
-            tok);
-      }
-      __m256i en = tok;
-      for (std::size_t p = v.out_begin[a]; p < v.out_begin[a + 1]; ++p) {
-        const LanePort& port = v.out_ports[p];
-        const __m256i rate = _mm256_set1_epi32(static_cast<i32>(port.rate));
-        const __m256i over = _mm256_cmpgt_epi32(
-            _mm256_add_epi32(load8(v.occupied + port.channel * S + l), rate),
-            load8(v.caps + port.channel * S + l));
-        if (v.last_block != nullptr) {
-          // Space-blocked instants are recorded whenever the token checks
-          // pass but a space check fails, mirroring
-          // Engine::can_start_tracked.
-          const __m256i fail = _mm256_and_si256(tok, over);
-          en = _mm256_andnot_si256(fail, en);
-          i64* const lb = v.last_block + port.channel * S + l;
-          store4(lb, _mm256_blendv_epi8(load4(lb), now_lo, widen_lo(fail)));
-          store4(lb + 4,
-                 _mm256_blendv_epi8(load4(lb + 4), now_hi, widen_hi(fail)));
-        } else {
-          en = _mm256_andnot_si256(over, en);
-        }
-      }
-      if (_mm256_testz_si256(en, en) != 0) continue;
-      const __m256i et = _mm256_set1_epi32(static_cast<i32>(v.exec_time[a]));
-      const __m256i claimed = _mm256_and_si256(et, en);
-      store8(row, _mm256_or_si256(c, claimed));  // c is 0 wherever en is set
-      acc = _mm256_min_epi32(
-          acc, _mm256_or_si256(claimed, _mm256_andnot_si256(en, never)));
-      for (std::size_t p = v.out_begin[a]; p < v.out_begin[a + 1]; ++p) {
-        const LanePort& port = v.out_ports[p];
-        i32* const oc = v.occupied + port.channel * S + l;
-        const __m256i rate = _mm256_set1_epi32(static_cast<i32>(port.rate));
-        store8(oc, _mm256_add_epi32(load8(oc), _mm256_and_si256(rate, en)));
-      }
-    }
-
-    // Next-completion fold and deadlock bits.
-    const __m256i finite =
-        _mm256_andnot_si256(_mm256_cmpeq_epi32(acc, never), ones);
-    const __m256i next =
-        _mm256_and_si256(acc, _mm256_and_si256(finite, live));
-    store8(v.delta + l, next);
-    dead_bits |= bits8(_mm256_and_si256(
-                     live, _mm256_cmpeq_epi32(next, zero)))
-                 << l;
-  }
-  return LaneStepResult{target_bits, dead_bits};
-}
-
-}  // namespace buffy::state
-
-#else  // non-x86 builds: no AVX2; keep the symbols, delegate to SWAR.
+// The lane-step kernel (simd_lanes_inl.hpp, DESIGN.md §15) instantiated
+// with -mavx2 (src/CMakeLists.txt), the only translation unit built with
+// that flag. It is entered only behind the runtime lane_avx2_available()
+// gate, so the library stays loadable on any x86-64; non-x86 hosts
+// compile it at the baseline ISA, where the gate is always false.
+#include "state/simd_lanes_inl.hpp"
 
 namespace buffy::state {
 
 LaneStepResult lane_step_avx2(const LaneKernelView& v) {
-  return lane_step_swar(v);
+  return lanes_inl::lane_step_dispatch<i64>(v);
 }
 
 LaneStepResult lane_step_avx2_32(const LaneKernelView32& v) {
-  return lane_step_swar32(v);
+  return lanes_inl::lane_step_dispatch<i32>(v);
 }
 
 }  // namespace buffy::state
-
-#endif

@@ -1,11 +1,11 @@
 // SIMD backend selection for the lane-parallel throughput kernel
 // (DESIGN.md §15).
 //
-// The lane kernel steps N candidate storage distributions in lockstep and
-// exists in two implementations: a portable SWAR baseline (plain i64
-// word-parallel masks, auto-vectorized by the compiler) and a hand-written
-// AVX2 path (src/state/simd_avx2.cpp, the one translation unit built with
-// -mavx2). Which one runs is a *runtime* decision — the AVX2 path is only
+// The lane kernel steps N candidate storage distributions in lockstep.
+// Its one portable body (word-parallel masks, auto-vectorized by the
+// compiler) is compiled twice: at the baseline ISA (SWAR) and with -mavx2
+// (src/state/simd_avx2.cpp, the one translation unit built with that
+// flag). Which one runs is a *runtime* decision — the AVX2 build is only
 // entered after __builtin_cpu_supports("avx2") says the host has it — so a
 // single binary serves every x86-64 microarchitecture and every non-x86
 // host falls back to SWAR. `Scalar` selects the classic one-candidate
@@ -29,7 +29,8 @@ enum class SimdBackend {
   Scalar,
   /// Portable uint64 SWAR lane kernel; available on every host.
   Swar,
-  /// Hand-vectorized AVX2 lane kernel; available when the CPU reports AVX2.
+  /// The same lane kernel compiled for AVX2; available when the CPU
+  /// reports AVX2.
   Avx2,
 };
 

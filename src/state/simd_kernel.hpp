@@ -11,12 +11,12 @@
 // finished is parked with delta == 0 and live == 0, which freezes every
 // row update for that lane while the others keep stepping.
 //
-// Two implementations share this header: lane_step_swar (portable i64
-// SWAR, src/state/simd_swar.cpp) and lane_step_avx2 (hand-written AVX2
-// intrinsics, src/state/simd_avx2.cpp — the only translation unit compiled
-// with -mavx2 and the only place intrinsics are allowed, enforced by
-// layer_lint). Both compute bit-identical results; the AVX2 entry point
-// must only be called after lane_avx2_available() returns true.
+// The kernel's semantics are written once, in simd_lanes_inl.hpp, and
+// compiled twice: lane_step_swar at the baseline ISA
+// (src/state/simd_swar.cpp) and lane_step_avx2 at -mavx2
+// (src/state/simd_avx2.cpp, the only translation unit built with that
+// flag). Both compute bit-identical results; the AVX2 entry points must
+// only be called after lane_avx2_available() returns true.
 //
 // The driver that owns the arrays, retires lanes and refills them from the
 // candidate queue is state::LaneThroughputSolver (lane_throughput.hpp).
@@ -150,9 +150,9 @@ struct LaneStepResult {
 /// identical to the i64 kernels on the same batch.
 [[nodiscard]] LaneStepResult lane_step_swar32(const LaneKernelView32& v);
 
-/// The AVX2 twin of lane_step_swar: identical contract, identical results
-/// bit for bit. Must only be called when lane_avx2_available() is true; on
-/// non-x86 builds it exists but delegates to the SWAR path.
+/// lane_step_swar compiled at -mavx2: identical contract, identical
+/// results bit for bit. Must only be called when lane_avx2_available() is
+/// true (never on non-x86 hosts, where it compiles at the baseline ISA).
 [[nodiscard]] LaneStepResult lane_step_avx2(const LaneKernelView& v);
 
 /// The AVX2 twin of lane_step_swar32 (8 lanes per vector); same contract

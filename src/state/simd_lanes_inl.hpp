@@ -1,17 +1,15 @@
-// Width-generic lane-step body (DESIGN.md §15), the reference semantics
-// behind the SWAR backends.
+// Width-generic lane-step body (DESIGN.md §15): the one source of the
+// lane kernel's semantics.
 //
-// The body is the reference semantics of one lockstep time step written
-// once over the lane word type T: i64 for the full-range kernel, i32 for
-// the narrow kernel (entered only under the kNarrowLimit gate, which
-// makes every sum exact at half width). Each instantiation compiles to
-// straight-line mask arithmetic over contiguous rows that the compiler
-// auto-vectorizes for the translation unit's target ISA; the stride
-// dispatcher below re-instantiates it with the batch width as a compile
-// time constant so the row loops fully unroll. simd_swar.cpp builds both
-// lane words from this body; simd_avx2.cpp hand-writes its two kernels
-// with intrinsics and keeps this body only as the semantic reference the
-// differential tests pin it against.
+// The body is one lockstep time step written once over the lane word
+// type T: i64 for the full-range kernel, i32 for the narrow kernel
+// (entered only under the kNarrowLimit gate, which makes every sum exact
+// at half width). Each instantiation compiles to straight-line mask
+// arithmetic over contiguous rows that the compiler auto-vectorizes for
+// the translation unit's target ISA; the stride dispatcher below
+// instantiates it with the batch width as a compile-time constant so the
+// row loops fully unroll. Both lane backends are this body: simd_swar.cpp
+// compiles it at the baseline ISA, simd_avx2.cpp at -mavx2.
 //
 // Two rows deliberately stay i64 at either width: `now` and `last_block`
 // hold absolute instants that grow with the run length, not with graph
@@ -22,6 +20,7 @@
 
 #include <algorithm>
 
+#include "base/diagnostics.hpp"
 #include "state/simd_kernel.hpp"
 
 namespace buffy::state::lanes_inl {
@@ -31,7 +30,7 @@ namespace buffy::state::lanes_inl {
 // (COMDAT) template linkage the linker would merge the baseline and the
 // -mavx2 instantiations and keep an arbitrary one — either pessimising
 // the AVX2 backend or, worse, leaking AVX2 instructions into the
-// baseline path that runs before the CPU gate.
+// baseline path that runs before the CPU gate (ctest LaneKernelLinkage).
 namespace {
 
 /// Whole-word boolean: -1 when the predicate holds, 0 otherwise.
@@ -40,15 +39,12 @@ inline T mask_of(bool b) {
   return -static_cast<T>(b);
 }
 
-/// One lockstep step. FixedS == 0 reads the stride from the view at run
-/// time; a non-zero FixedS bakes it in, letting the compiler fully unroll
-/// every row loop (the per-loop setup otherwise dominates at small
-/// strides). Dispatchers below pick the fixed variant for the strides the
-/// lane-width policy actually produces.
-template <typename T, std::size_t FixedS = 0>
+/// One lockstep step at the compile-time stride S (== v.stride), which
+/// lets the compiler fully unroll every row loop (the per-loop setup
+/// otherwise dominates at small strides).
+template <typename T, std::size_t S>
 LaneStepResult lane_step_generic(const LaneKernelViewT<T>& v) {
   constexpr T kNever = lane_never_of<T>;
-  const std::size_t S = FixedS != 0 ? FixedS : v.stride;
   T* __restrict const cm = v.scratch;          // completion mask of the current actor
   T* __restrict const tok = v.scratch + S;     // token-feasible mask (start phase)
   T* __restrict const en = v.scratch + 2 * S;  // enabled mask (start phase)
@@ -181,10 +177,9 @@ LaneStepResult lane_step_generic(const LaneKernelViewT<T>& v) {
   return LaneStepResult{target_bits, dead_bits};
 }
 
-/// Stride dispatcher: the lane-width policy only ever produces strides
-/// that are multiples of 8 in [8, 64] (resolve_lanes rounds up), so each
-/// gets a fully unrolled instantiation; anything else falls back to the
-/// run-time-stride body.
+/// Stride dispatcher: LaneThroughputSolver rounds its lane count in
+/// [1, 64] up to a multiple of 8, so every stride is one of the eight
+/// cases below, each a fully unrolled instantiation.
 template <typename T>
 LaneStepResult lane_step_dispatch(const LaneKernelViewT<T>& v) {
   switch (v.stride) {
@@ -205,8 +200,10 @@ LaneStepResult lane_step_dispatch(const LaneKernelViewT<T>& v) {
     case 64:
       return lane_step_generic<T, 64>(v);
     default:
-      return lane_step_generic<T>(v);
+      break;
   }
+  BUFFY_ASSERT(false, "lane stride must be a multiple of 8 in [8, 64]");
+  return {};
 }
 
 }  // namespace

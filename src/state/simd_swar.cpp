@@ -1,14 +1,7 @@
-// Portable SWAR implementation of the lane-step kernel (DESIGN.md §15).
-//
-// Every lane predicate is materialised as a whole-word mask (0 or -1) and
-// composed with plain AND/OR/min over contiguous rows — no branches on
-// lane data, so the compiler auto-vectorizes each row loop with whatever
-// the build target offers (SSE2 baseline and wider). The width-generic
-// body lives in simd_lanes_inl.hpp; this translation unit instantiates it
-// at baseline ISA for both lane words: i64 (full range) and i32 (the
-// narrow kernel, twice the lanes per vector under the kNarrowLimit gate).
-// These are the reference lane implementations every other backend must
-// match bit for bit; the -mavx2 twins live in simd_avx2.cpp.
+// The lane-step kernel (simd_lanes_inl.hpp, DESIGN.md §15) instantiated
+// at the baseline ISA for both lane words: i64 (full range) and i32 (the
+// narrow kernel under the kNarrowLimit gate). simd_avx2.cpp instantiates
+// the same body with -mavx2.
 #include "state/simd_lanes_inl.hpp"
 
 namespace buffy::state {

@@ -152,6 +152,7 @@ TEST(ExploreCli, StatsEmitsJsonCounters) {
       << r.output;
   EXPECT_NE(r.output.find("\"cancelled\": false"), std::string::npos)
       << r.output;
+  EXPECT_NE(r.output.find("\nbackend: "), std::string::npos) << r.output;
 }
 
 TEST(ExploreCli, StatsEmitsHotpathCounters) {

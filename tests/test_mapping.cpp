@@ -101,6 +101,12 @@ TEST(Binding, BufferSizingUnderBinding) {
                             .engine = buffer::DseEngine::Incremental});
   EXPECT_GT(unbound.pareto.points().back().throughput,
             r.pareto.points().back().throughput);
+  // The binding forces the scalar solver, and the result says so instead
+  // of falling back silently; the unbound Auto run resolves to a lane
+  // backend.
+  EXPECT_EQ(r.backend, state::SimdBackend::Scalar);
+  EXPECT_EQ(unbound.backend, state::resolve_backend(state::SimdBackend::Auto));
+  EXPECT_NE(unbound.backend, state::SimdBackend::Scalar);
 }
 
 TEST(Binding, ExhaustiveEngineRejectsBindings) {

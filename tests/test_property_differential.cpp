@@ -327,9 +327,9 @@ TEST(PropertyDifferential, FrontsAreByteIdenticalAtAnyThreadCount) {
 
 // Property (h): the SIMD backend is invisible in the result. Both
 // engines must reproduce the oracle's front (tests/oracle.hpp) byte for
-// byte — witnesses included — under the portable SWAR lane kernel and
-// (when the host has it) the hand-written AVX2 kernel, at a seed-varied
-// lane width. This sweeps the whole lane machinery per DESIGN.md §15: SoA
+// byte — witnesses included — under the lane kernel compiled at the
+// baseline ISA (swar) and, when the host has it, at -mavx2 (avx2), at a
+// seed-varied lane width. This sweeps the whole lane machinery per DESIGN.md §15: SoA
 // packing, masked retirement/refill, the i64/i32 width election and the
 // per-lane witness extraction feeding the caches.
 TEST(PropertyDifferential, FrontsAreByteIdenticalUnderEveryLaneBackend) {
