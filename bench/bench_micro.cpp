@@ -1,14 +1,20 @@
 // Micro-benchmarks (google-benchmark) of the machinery behind the paper's
 // numbers: state-space execution rate, throughput computation per model,
-// state hashing, MCM, repetition vectors and the exploration engines.
+// state hashing, MCM, repetition vectors, the exploration engines and the
+// throughput cache's per-candidate bookkeeping.
 #include <benchmark/benchmark.h>
+
+#include <optional>
+#include <vector>
 
 #include "analysis/hsdf.hpp"
 #include "analysis/max_throughput.hpp"
 #include "analysis/mcm.hpp"
 #include "analysis/repetition_vector.hpp"
+#include "base/hash.hpp"
 #include "buffer/bounds.hpp"
 #include "buffer/dse.hpp"
+#include "buffer/throughput_cache.hpp"
 #include "gen/random_graph.hpp"
 #include "models/models.hpp"
 #include "state/engine.hpp"
@@ -75,6 +81,69 @@ void BM_StateHash(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StateHash);
+
+// hash_words over 17 words (a corpus capacity vector) and 49 words (a
+// satellite visited-state record).
+void BM_HashWords(benchmark::State& state) {
+  std::vector<i64> words(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    words[i] = static_cast<i64>(i % 7) + 1;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(words.data());
+    benchmark::DoNotOptimize(hash_words(words));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HashWords)->Arg(17)->Arg(49);
+
+// Per-candidate cost of the bounded daemon cache (1 << 18 entries) over one
+// cold exact explore the size of g10_60's (24,000 candidates in waves of
+// 64): each candidate misses the snapshot, is recorded into the wave's
+// delta and is folded back by the wave's merge. Candidates are distinct
+// 17-channel vectors with a sub-maximal outcome, so the witness antichains
+// stay empty and the exact maps carry the whole cost. Building and
+// freeing the cache is not timed.
+void BM_CacheClassifyRecordMerge(benchmark::State& state) {
+  constexpr std::size_t kChannels = 17;
+  constexpr std::size_t kWave = 64;
+  constexpr std::size_t kWaves = 375;
+  buffer::CachedThroughput value;
+  value.throughput = Rational(1, 3);
+  value.states_stored = 3;
+  value.period = 7;
+  std::vector<std::vector<i64>> wave(kWave, std::vector<i64>(kChannels));
+  std::optional<buffer::ThroughputCache> cache;
+  for (auto _ : state) {
+    state.PauseTiming();
+    cache.emplace(Rational(1, 2), u64{1} << 18);
+    state.ResumeTiming();
+    u64 next = 0;
+    for (std::size_t w = 0; w < kWaves; ++w) {
+      // Distinct candidates: the mixed-radix digits of a running counter.
+      for (std::vector<i64>& caps : wave) {
+        u64 n = next++;
+        for (i64& c : caps) {
+          c = static_cast<i64>(n % 6) + 1;
+          n /= 6;
+        }
+      }
+      const buffer::ThroughputCache::Snapshot snap = cache->snapshot();
+      buffer::ThroughputCache::Delta delta = cache->make_delta();
+      for (const std::vector<i64>& caps : wave) {
+        const buffer::CapsKey key(caps);
+        if (!snap.find(key, /*require_deps=*/false).has_value()) {
+          delta.record(key, value);
+        }
+      }
+      buffer::ThroughputCache::Delta* const deltas[] = {&delta};
+      cache->merge(deltas);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<i64>(kWave * kWaves));
+}
+BENCHMARK(BM_CacheClassifyRecordMerge);
 
 void BM_RepetitionVector(benchmark::State& state) {
   const sdf::Graph& g = model(static_cast<int>(state.range(0)));

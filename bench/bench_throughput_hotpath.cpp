@@ -13,7 +13,9 @@
 //  * dse      — end-to-end explorations with the throughput cache off vs
 //               on; reports wall-clock speedup, simulations run and the
 //               fraction the cache saved, and checks the two Pareto
-//               fronts are byte-identical.
+//               fronts are byte-identical. The bundled models run with an
+//               unbounded cache; three exhaustive stress-corpus graphs run
+//               with buffyd's bounded one (1 << 18 entries).
 //  * threads  — the cached configuration at 1/2/8 worker threads; fronts
 //               must match the single-threaded run byte for byte.
 //
@@ -28,6 +30,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,6 +38,7 @@
 #include "buffer/bounds.hpp"
 #include "buffer/dse.hpp"
 #include "gen/random_graph.hpp"
+#include "io/dsl.hpp"
 #include "models/models.hpp"
 #include "report_util.hpp"
 #include "state/throughput.hpp"
@@ -135,9 +139,13 @@ KernelMeasurement bench_kernel(const std::string& name,
 
 // --- dse section -------------------------------------------------------
 
+// buffyd's per-graph cache bound (ServerOptions::cache_entries_per_graph).
+constexpr u64 kDaemonCacheCapacity = u64{1} << 18;
+
 struct DseMeasurement {
   std::string model;
   std::string engine;
+  u64 cache_capacity = 0;  // 0 = unbounded
   double nocache_seconds = 0;
   double cache_seconds = 0;
   double speedup = 0;
@@ -149,13 +157,14 @@ struct DseMeasurement {
   bool identical = true;
 };
 
-buffer::DseResult run_dse(const sdf::Graph& graph, buffer::DseEngine engine,
-                          bool cache, unsigned threads,
+buffer::DseResult run_dse(const sdf::Graph& graph, sdf::ActorId target,
+                          buffer::DseEngine engine, bool cache,
+                          u64 cache_capacity, unsigned threads,
                           double* best_seconds) {
-  buffer::DseOptions opts{.target = models::reported_actor(graph),
-                          .engine = engine};
+  buffer::DseOptions opts{.target = target, .engine = engine};
   opts.threads = threads;
   opts.use_throughput_cache = cache;
+  opts.cache_capacity = cache_capacity;
   // Scalar pin: keep both sides of the A/B on the one-candidate solver so
   // the saved-simulation accounting compares like with like (see header).
   opts.simd = state::SimdBackend::Scalar;
@@ -172,14 +181,16 @@ buffer::DseResult run_dse(const sdf::Graph& graph, buffer::DseEngine engine,
 }
 
 DseMeasurement bench_dse(const std::string& name, const sdf::Graph& graph,
-                         buffer::DseEngine engine) {
+                         sdf::ActorId target, buffer::DseEngine engine,
+                         u64 cache_capacity = 0) {
   DseMeasurement m;
   m.model = name;
   m.engine = engine == buffer::DseEngine::Exhaustive ? "exh" : "inc";
-  const buffer::DseResult off =
-      run_dse(graph, engine, /*cache=*/false, 1, &m.nocache_seconds);
-  const buffer::DseResult on =
-      run_dse(graph, engine, /*cache=*/true, 1, &m.cache_seconds);
+  m.cache_capacity = cache_capacity;
+  const buffer::DseResult off = run_dse(graph, target, engine, /*cache=*/false,
+                                        0, 1, &m.nocache_seconds);
+  const buffer::DseResult on = run_dse(graph, target, engine, /*cache=*/true,
+                                       cache_capacity, 1, &m.cache_seconds);
   m.speedup =
       m.cache_seconds > 0 ? m.nocache_seconds / m.cache_seconds : 1.0;
   m.nocache_simulations = off.simulations_run;
@@ -195,6 +206,23 @@ DseMeasurement bench_dse(const std::string& name, const sdf::Graph& graph,
   m.dominance_skips = on.dominance_skips;
   m.identical = fronts_identical(off, on);
   return m;
+}
+
+DseMeasurement bench_model_dse(const std::string& name,
+                               const sdf::Graph& graph,
+                               buffer::DseEngine engine) {
+  return bench_dse(name, graph, models::reported_actor(graph), engine);
+}
+
+// A stress-corpus graph under buffyd's bounded cache, exhaustive engine.
+DseMeasurement bench_corpus_dse(const std::string& name,
+                                const std::string& target) {
+  std::ifstream in(std::string(CORPUS_DIR) + "/" + name + ".sdf");
+  std::stringstream text;
+  text << in.rdbuf();
+  const sdf::Graph graph = io::read_dsl(text.str());
+  return bench_dse(name, graph, *graph.find_actor(target),
+                   buffer::DseEngine::Exhaustive, kDaemonCacheCapacity);
 }
 
 // --- threads section ---------------------------------------------------
@@ -264,18 +292,21 @@ int main(int argc, char** argv) {
   bench::print_rule(dwidths);
 
   std::vector<DseMeasurement> dse;
-  dse.push_back(bench_dse("example", models::paper_example(),
-                          buffer::DseEngine::Exhaustive));
-  dse.push_back(bench_dse("samplerate", models::samplerate_converter(),
-                          buffer::DseEngine::Exhaustive));
-  dse.push_back(bench_dse("example", models::paper_example(),
-                          buffer::DseEngine::Incremental));
-  dse.push_back(bench_dse("fig6-diamond", models::fig6_diamond(),
-                          buffer::DseEngine::Incremental));
-  dse.push_back(bench_dse("modem", models::modem(),
-                          buffer::DseEngine::Incremental));
-  dse.push_back(bench_dse("h263", models::h263_decoder(),
-                          buffer::DseEngine::Incremental));
+  dse.push_back(bench_model_dse("example", models::paper_example(),
+                                buffer::DseEngine::Exhaustive));
+  dse.push_back(bench_model_dse("samplerate", models::samplerate_converter(),
+                                buffer::DseEngine::Exhaustive));
+  dse.push_back(bench_model_dse("example", models::paper_example(),
+                                buffer::DseEngine::Incremental));
+  dse.push_back(bench_model_dse("fig6-diamond", models::fig6_diamond(),
+                                buffer::DseEngine::Incremental));
+  dse.push_back(bench_model_dse("modem", models::modem(),
+                                buffer::DseEngine::Incremental));
+  dse.push_back(bench_model_dse("h263", models::h263_decoder(),
+                                buffer::DseEngine::Incremental));
+  dse.push_back(bench_corpus_dse("g10_7", "a6"));
+  dse.push_back(bench_corpus_dse("g10_32", "a10"));
+  dse.push_back(bench_corpus_dse("g10_60", "a10"));
   bool all_identical = true;
   for (const DseMeasurement& m : dse) {
     all_identical = all_identical && m.identical;
@@ -287,6 +318,16 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.nocache_simulations),
                 static_cast<unsigned long long>(m.cache_simulations), pct,
                 m.identical ? "yes" : "NO");
+  }
+
+  // Timing is reported, not gated: name every row where the cache's
+  // bookkeeping still costs more than the simulations it saves.
+  for (const DseMeasurement& m : dse) {
+    if (m.speedup < 1.0) {
+      std::printf("note: cache on is slower than cache off on %s %s "
+                  "(%.2fx)\n",
+                  m.model.c_str(), m.engine.c_str(), m.speedup);
+    }
   }
 
   std::printf("\n=== determinism: cached configuration across threads "
@@ -302,15 +343,16 @@ int main(int argc, char** argv) {
       {"modem", models::modem(), buffer::DseEngine::Incremental},
   };
   for (const auto& c : thread_cases) {
+    const sdf::ActorId target = models::reported_actor(c.graph);
     const buffer::DseResult base =
-        run_dse(c.graph, c.engine, /*cache=*/true, 1, nullptr);
+        run_dse(c.graph, target, c.engine, /*cache=*/true, 0, 1, nullptr);
     for (const unsigned threads : {1u, 2u, 8u}) {
       ThreadCheck t;
       t.model = c.name;
       t.engine = c.engine == buffer::DseEngine::Exhaustive ? "exh" : "inc";
       t.threads = threads;
-      const buffer::DseResult r =
-          run_dse(c.graph, c.engine, /*cache=*/true, threads, nullptr);
+      const buffer::DseResult r = run_dse(c.graph, target, c.engine,
+                                          /*cache=*/true, 0, threads, nullptr);
       t.seconds = r.seconds;
       t.identical = fronts_identical(base, r);
       all_identical = all_identical && t.identical;
@@ -340,6 +382,7 @@ int main(int argc, char** argv) {
     dse_records.push_back(bench::json_obj({
         bench::json_field("model", bench::json_str(m.model)),
         bench::json_field("engine", bench::json_str(m.engine)),
+        bench::json_field("cache_capacity", bench::json_num(m.cache_capacity)),
         bench::json_field("nocache_seconds",
                           bench::json_num(m.nocache_seconds)),
         bench::json_field("cache_seconds", bench::json_num(m.cache_seconds)),
@@ -387,7 +430,9 @@ int main(int argc, char** argv) {
                 "Wall-clock speedups are machine-dependent and reported by "
                 "the binary only; the simulation counts below are "
                 "deterministic, and the fronts must be byte-identical in "
-                "every configuration.");
+                "every configuration. The stress-corpus rows (g10_*) run "
+                "with buffyd's bounded cache of 2^18 entries; the models "
+                "with an unbounded one.");
     std::vector<std::vector<std::string>> rows;
     for (const DseMeasurement& m : dse) {
       char pct[16];

@@ -18,8 +18,16 @@ u64 hash_step(u64 h, u64 word) {
 }
 
 u64 hash_words(std::span<const i64> words) {
+  // Each round is a bijection of the running state for a fixed word: the
+  // odd multiply spreads low bits upward and the xor-shift folds the high
+  // half back down, so every input bit can reach every state bit within two
+  // rounds and mix64 finishes the avalanche.
+  constexpr u64 kWordMul = 0x9fb21c651e98df25ULL;
   u64 h = kFnvOffset;
-  for (const i64 w : words) h = hash_step(h, static_cast<u64>(w));
+  for (const i64 w : words) {
+    h = (h ^ static_cast<u64>(w)) * kWordMul;
+    h ^= h >> 32;
+  }
   return mix64(h);
 }
 

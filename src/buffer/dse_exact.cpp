@@ -9,7 +9,6 @@
 
 #include "base/audit.hpp"
 #include "base/diagnostics.hpp"
-#include "base/hash.hpp"
 #include "analysis/bounds.hpp"
 #include "analysis/repetition_vector.hpp"
 #include "buffer/audit_checks.hpp"
@@ -139,7 +138,7 @@ struct Sweep {
   // the answer, or nullopt when the candidate needs a simulation.
   // `slot` keys the worker's thread-affine solver and delta (the pool's
   // current_slot(), or caller_slot on the sequential path).
-  [[nodiscard]] std::optional<Rational> classify(const std::vector<i64>& caps,
+  [[nodiscard]] std::optional<Rational> classify(const CapsKey& key,
                                                  std::size_t slot) {
     if (explored.fetch_add(1, std::memory_order_relaxed) + 1 >
         options.max_distributions) {
@@ -152,17 +151,18 @@ struct Sweep {
       // including its own witnesses, so a sequential scan sees exactly
       // the hit/miss pattern the per-candidate store() path produced.
       ThroughputCache::Delta& delta = *slot_state[slot].delta;
+      const std::vector<i64>& caps = key.caps();
       std::optional<CachedThroughput> hit =
-          snap->find(caps, /*require_deps=*/false);
-      if (!hit.has_value()) hit = delta.find(caps, /*require_deps=*/false);
+          snap->find(key, /*require_deps=*/false);
+      if (!hit.has_value()) hit = delta.find(key, /*require_deps=*/false);
       const bool exact = hit.has_value();
       if (!hit.has_value()) {
-        hit = snap->find_max_dominated(caps);
-        if (!hit.has_value()) hit = delta.find_max_dominated(caps);
+        hit = snap->find_max_dominated(key);
+        if (!hit.has_value()) hit = delta.find_max_dominated(key);
       }
       if (!hit.has_value()) {
-        hit = snap->find_deadlock_dominated(caps);
-        if (!hit.has_value()) hit = delta.find_deadlock_dominated(caps);
+        hit = snap->find_deadlock_dominated(key);
+        if (!hit.has_value()) hit = delta.find_deadlock_dominated(key);
       }
       if (hit.has_value()) {
         if (trace::enabled()) {
@@ -186,7 +186,7 @@ struct Sweep {
         // Audit mode re-simulates a deterministic sample of hits: exact
         // repeats re-verify the stored value, dominance answers re-verify
         // the Sec. 8 monotonicity end-to-end (DESIGN.md §9).
-        if (audit::enabled() && audit::sample(hash_words(caps))) {
+        if (audit::enabled() && audit::sample(key.hash())) {
           audit_check_cached_throughput(graph, options.target,
                                         options.max_steps_per_run, {}, caps,
                                         *hit);
@@ -199,15 +199,14 @@ struct Sweep {
 
   // Books one fresh simulation outcome shared by the scalar and lane
   // paths: peak-state fold, cache delta record, LP-bound audit sample.
-  void absorb_run(const std::vector<i64>& caps,
-                  const state::ThroughputResult& run, std::size_t slot) {
+  void absorb_run(const CapsKey& key, const state::ThroughputResult& run,
+                  std::size_t slot) {
     simulations.fetch_add(1, std::memory_order_relaxed);
     // The same deterministic sample cross-checks the LP cycle-cut bound
     // against the fresh simulation (DESIGN.md §9, §13): a bound below
     // reality would have let lp_rules_out discard a reachable point.
-    if (cuts != nullptr && audit::enabled() &&
-        audit::sample(hash_words(caps))) {
-      audit_check_lp_bound(graph, *cuts, caps, run.throughput,
+    if (cuts != nullptr && audit::enabled() && audit::sample(key.hash())) {
+      audit_check_lp_bound(graph, *cuts, key.caps(), run.throughput,
                            run.deadlocked);
     }
     u64 seen = max_states.load(std::memory_order_relaxed);
@@ -222,14 +221,13 @@ struct Sweep {
       value.states_stored = run.states_stored;
       value.cycle_start_time = run.cycle_start_time;
       value.period = run.period;
-      slot_state[slot].delta->record(caps, value);
+      slot_state[slot].delta->record(key, value);
     }
     if (options.progress != nullptr) options.progress->add_points(1);
   }
 
   // Scalar simulation of one cache-missing candidate.
-  [[nodiscard]] Rational simulate_one(const std::vector<i64>& caps,
-                                      std::size_t slot) {
+  [[nodiscard]] Rational simulate_one(const CapsKey& key, std::size_t slot) {
     state::ThroughputOptions run_opts{.target = options.target,
                                       .max_steps =
                                           options.max_steps_per_run};
@@ -237,20 +235,23 @@ struct Sweep {
     run_opts.progress = options.progress;
     const auto sim_t0 = std::chrono::steady_clock::now();
     const state::ThroughputResult run = solvers->at(slot).compute(
-        state::Capacities::bounded(caps), run_opts);
+        state::Capacities::bounded(key.caps()), run_opts);
     slot_state[slot].sim_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       sim_t0)
             .count();
     slot_state[slot].sims += 1;
-    absorb_run(caps, run, slot);
+    absorb_run(key, run, slot);
     return run.throughput;
   }
 
   // Simulates a group of cache-missing candidates as one lockstep lane
   // batch on the slot's lane solver; results land index-for-index.
   [[nodiscard]] std::vector<state::ThroughputResult> simulate_lanes(
-      std::span<const std::vector<i64>> caps, std::size_t slot) {
+      std::span<const CapsKey> keys, std::size_t slot) {
+    std::vector<std::vector<i64>> caps;
+    caps.reserve(keys.size());
+    for (const CapsKey& key : keys) caps.push_back(key.caps());
     state::LaneBatchOptions run_opts{.target = options.target,
                                      .max_steps = options.max_steps_per_run};
     run_opts.cancel = options.cancel;
@@ -264,8 +265,8 @@ struct Sweep {
                                       sim_t0)
             .count();
     slot_state[slot].sims += caps.size();
-    for (std::size_t k = 0; k < caps.size(); ++k) {
-      absorb_run(caps[k], runs[k], slot);
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      absorb_run(keys[k], runs[k], slot);
     }
     return runs;
   }
@@ -274,10 +275,11 @@ struct Sweep {
   // every leaf when the lane kernel is off).
   [[nodiscard]] Rational throughput_of(const std::vector<i64>& caps,
                                        std::size_t slot) {
-    if (const std::optional<Rational> hit = classify(caps, slot)) {
+    const CapsKey key(caps);
+    if (const std::optional<Rational> hit = classify(key, slot)) {
       return *hit;
     }
-    return simulate_one(caps, slot);
+    return simulate_one(key, slot);
   }
 
   // Books one LP-answered skip (a leaf candidate or an envelope probe that
@@ -332,7 +334,8 @@ class LeafQueue {
   // Returns false once the fold requested a stop.
   template <typename Visit>
   [[nodiscard]] bool leaf(const std::vector<i64>& caps, Visit&& visit) {
-    entries_.push_back(Entry{caps, sweep_.classify(caps, slot_)});
+    const CapsKey key(caps);
+    entries_.push_back(Entry{caps, key.hash(), sweep_.classify(key, slot_)});
     if (!entries_.back().tput.has_value()) {
       pending_.push_back(entries_.size() - 1);
     }
@@ -346,11 +349,13 @@ class LeafQueue {
   [[nodiscard]] bool flush(Visit&& visit) {
     if (entries_.empty()) return true;
     if (!pending_.empty()) {
-      std::vector<std::vector<i64>> caps;
-      caps.reserve(pending_.size());
-      for (const std::size_t k : pending_) caps.push_back(entries_[k].caps);
+      std::vector<CapsKey> keys;
+      keys.reserve(pending_.size());
+      for (const std::size_t k : pending_) {
+        keys.emplace_back(entries_[k].caps, entries_[k].hash);
+      }
       const std::vector<state::ThroughputResult> runs =
-          sweep_.simulate_lanes(caps, slot_);
+          sweep_.simulate_lanes(keys, slot_);
       for (std::size_t k = 0; k < pending_.size(); ++k) {
         entries_[pending_[k]].tput = runs[k].throughput;
       }
@@ -369,6 +374,7 @@ class LeafQueue {
  private:
   struct Entry {
     std::vector<i64> caps;
+    u64 hash = 0;  // hash_words(caps), carried to the batch's cache records
     std::optional<Rational> tput;
   };
 

@@ -10,7 +10,6 @@
 #include "analysis/repetition_vector.hpp"
 #include "base/audit.hpp"
 #include "base/diagnostics.hpp"
-#include "base/hash.hpp"
 #include "buffer/audit_checks.hpp"
 #include "lp/sdf_model.hpp"
 #include "buffer/throughput_cache.hpp"
@@ -267,6 +266,11 @@ DseResult explore_incremental(const sdf::Graph& graph,
       bool valid = false;
     };
     std::vector<Evaluation> evals(batch.size());
+    // Each candidate is hashed once here; its key serves the cache
+    // lookups, the delta record and the audit sample.
+    std::vector<CapsKey> keys;
+    keys.reserve(batch.size());
+    for (const std::vector<i64>& caps : batch) keys.emplace_back(caps);
     // Workers read the cache through a frozen point-in-time snapshot and
     // record fresh outcomes into their slot's delta — no shared-map or
     // witness-lock traffic inside the wave; the deltas are folded back
@@ -287,12 +291,12 @@ DseResult explore_incremental(const sdf::Graph& graph,
       // slot's delta covers what this worker learned inside it.
       ThroughputCache::Delta& delta = *wave_slots[slot].delta;
       std::optional<CachedThroughput> hit =
-          snap->find(batch[i], /*require_deps=*/true);
-      if (!hit.has_value()) hit = delta.find(batch[i], /*require_deps=*/true);
+          snap->find(keys[i], /*require_deps=*/true);
+      if (!hit.has_value()) hit = delta.find(keys[i], /*require_deps=*/true);
       const bool exact = hit.has_value();
       if (!hit.has_value() && options.binding.empty()) {
-        hit = snap->find_max_dominated(batch[i]);
-        if (!hit.has_value()) hit = delta.find_max_dominated(batch[i]);
+        hit = snap->find_max_dominated(keys[i]);
+        if (!hit.has_value()) hit = delta.find_max_dominated(keys[i]);
       }
       if (!hit.has_value()) return false;
       trace::emit_instant(exact ? trace::EventKind::CacheHit
@@ -319,7 +323,7 @@ DseResult explore_incremental(const sdf::Graph& graph,
       // Audit mode re-simulates a deterministic sample of hits: exact
       // repeats re-verify the stored value, dominance answers
       // re-verify the Sec. 8 monotonicity end-to-end (DESIGN.md §9).
-      if (audit::enabled() && audit::sample(hash_words(batch[i]))) {
+      if (audit::enabled() && audit::sample(keys[i].hash())) {
         audit_check_cached_throughput(graph, options.target,
                                       options.max_steps_per_run,
                                       options.binding, batch[i], *hit);
@@ -338,12 +342,12 @@ DseResult explore_incremental(const sdf::Graph& graph,
         value.period = evals[i].run.period;
         value.has_deps = true;
         value.storage_deps = evals[i].deps;
-        wave_slots[slot].delta->record(batch[i], value);
+        wave_slots[slot].delta->record(keys[i], value);
       }
       // Same deterministic sample as the cache check: the LP cycle-cut
       // bound must sit at or above the fresh simulation (DESIGN.md §13).
       if (cuts.has_value() && audit::enabled() &&
-          audit::sample(hash_words(batch[i]))) {
+          audit::sample(keys[i].hash())) {
         audit_check_lp_bound(graph, *cuts, batch[i], evals[i].run.throughput,
                              evals[i].run.deadlocked);
       }

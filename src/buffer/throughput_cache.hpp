@@ -21,12 +21,19 @@
 // processor binding (fixed-priority scheduling anomalies), so the engines
 // only consult the dominance rules for unbound explorations.
 //
+// Every exact map is keyed by the capacity vector together with its
+// hash_words value (CapsKey / StoredKey): an engine hashes a candidate once
+// and that one hash selects the stripe, probes the snapshot, the delta and
+// the merge check, and is kept in each stored key so a rehash or a
+// frozen-index copy never re-reads a key's words.
+//
 // Locking structure (DESIGN.md §14). The authoritative store is striped:
 // kStripes independent mutex+unordered_map shards selected by
 // capacity-vector hash. The witness sets are small antichains (minimal
-// max-throughput witnesses, maximal deadlock witnesses) kept SORTED by
-// total size so a dominance scan ends at the first witness whose total
-// already rules the rest out; they live under their own lock. Neither lock
+// max-throughput witnesses, maximal deadlock witnesses) stored as
+// contiguous rows and kept SORTED by total size so a dominance scan ends
+// at the first witness whose total already rules the rest out; they live
+// under their own lock. Neither lock
 // is on the parallel hot path any more: workers of a parallel wave read
 // through a point-in-time Snapshot (lock-free for unbounded caches) and
 // record fresh outcomes into a thread-local Delta; the coordinator folds
@@ -52,7 +59,6 @@
 
 #include <array>
 #include <atomic>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -61,6 +67,8 @@
 #include <vector>
 
 #include "base/checked_math.hpp"
+#include "base/diagnostics.hpp"
+#include "base/hash.hpp"
 #include "base/rational.hpp"
 #include "sdf/ids.hpp"
 
@@ -80,6 +88,35 @@ struct CachedThroughput {
   std::vector<sdf::ChannelId> storage_deps;
 };
 
+/// A capacity vector with its hash_words value and its total size,
+/// computed once. An engine builds one per candidate and hands it to every
+/// lookup and record of that candidate; one-shot callers pass the vector
+/// and convert implicitly. Holds a reference: the vector must outlive the
+/// key.
+class CapsKey {
+ public:
+  CapsKey(const std::vector<i64>& caps)  // NOLINT: implicit by design
+      : CapsKey(caps, hash_words(caps)) {}
+  /// Re-attaches a hash computed earlier; `hash` must be hash_words(caps).
+  CapsKey(const std::vector<i64>& caps, u64 hash)
+      : caps_(&caps), hash_(hash) {
+    for (const i64 c : caps) {
+      // The witness scans rely on it (see row_le).
+      BUFFY_REQUIRE(c >= 0, "channel capacities must be >= 0");
+      total_ = checked_add(total_, c);
+    }
+  }
+
+  [[nodiscard]] const std::vector<i64>& caps() const { return *caps_; }
+  [[nodiscard]] u64 hash() const { return hash_; }
+  [[nodiscard]] i64 total() const { return total_; }
+
+ private:
+  const std::vector<i64>* caps_;
+  u64 hash_;
+  i64 total_ = 0;
+};
+
 class ThroughputCache {
  public:
   class Snapshot;
@@ -97,18 +134,18 @@ class ThroughputCache {
   /// Exact lookup. With `require_deps`, only entries whose storage
   /// dependencies were recorded count as hits.
   [[nodiscard]] std::optional<CachedThroughput> find(
-      const std::vector<i64>& caps, bool require_deps) const;
+      const CapsKey& key, bool require_deps) const;
 
   /// Sec. 8 dominance, max rule: caps pointwise >= a recorded
   /// max-throughput witness. The answer carries the maximal throughput and
   /// no dependencies (callers only use it where dependencies are moot).
   [[nodiscard]] std::optional<CachedThroughput> find_max_dominated(
-      const std::vector<i64>& caps) const;
+      const CapsKey& key) const;
 
   /// Sec. 8 dominance, deadlock rule: caps pointwise <= a recorded
   /// deadlocked distribution. The answer is a deadlock (throughput 0).
   [[nodiscard]] std::optional<CachedThroughput> find_deadlock_dominated(
-      const std::vector<i64>& caps) const;
+      const CapsKey& key) const;
 
   /// Records a simulated outcome; feeds the witness antichains when the
   /// outcome is the maximal throughput or a deadlock. Note: the frozen
@@ -117,12 +154,12 @@ class ThroughputCache {
   /// once a first merge() has published that index — a safe stale miss;
   /// find() always sees it. The engines route everything through deltas;
   /// store() remains for one-shot callers and tests.
-  void store(const std::vector<i64>& caps, const CachedThroughput& value);
+  void store(const CapsKey& key, const CachedThroughput& value);
 
   /// Seeds a max-throughput witness without a full map entry (e.g. the
   /// Fig. 7 bound's max-throughput distribution, known before the
   /// exploration starts).
-  void add_max_witness(const std::vector<i64>& caps);
+  void add_max_witness(const CapsKey& key);
 
   /// Point-in-time read view for the workers of one wave. Witness scans
   /// are always lock-free (the antichains are copied out). Exact lookups
@@ -140,7 +177,9 @@ class ThroughputCache {
   /// (slot) order, each delta in its insertion order, so a sequential wave
   /// merges in exactly the order it simulated. Feeds the witness
   /// antichains, maintains the bounded-cache LRU, and republishes the
-  /// frozen index (unbounded caches) in one copy-on-write batch.
+  /// frozen index (unbounded caches) in one copy-on-write batch. The
+  /// deltas' entries move into the cache (no key is copied), so each delta
+  /// is left without entries; its local witnesses stay until clear().
   ///
   /// Determinism check: a capacity vector recorded by two deltas — or
   /// recorded by a delta and already resident — must carry the same
@@ -201,65 +240,170 @@ class ThroughputCache {
   // then just fires less often — never incorrectly).
   static constexpr std::size_t kMaxWitnesses = 64;
 
-  /// A witness plus its total size. Antichains are kept sorted ascending
-  /// by (total, caps): a max-rule witness must have total <= the
-  /// candidate's, a deadlock-rule witness total >= it, so each scan
-  /// touches only the qualifying prefix/suffix.
-  struct Witness {
-    std::vector<i64> caps;
-    i64 total = 0;
+  /// A capped antichain of witness capacity vectors, stored as contiguous
+  /// rows of one width (row r is rows_[r * width_, (r + 1) * width_)) so
+  /// the pointwise comparisons run branch-free over adjacent memory and
+  /// copying the set for a Snapshot is two allocations. Rows are sorted
+  /// ascending by total (ties in insertion order): a max-rule witness must
+  /// have total <= the candidate's, a deadlock-rule witness total >= it,
+  /// so each scan touches only the qualifying prefix/suffix. Two distinct
+  /// vectors of one total are incomparable, so an equal-total row matters
+  /// only when it IS the candidate — a hash compare settles that.
+  class Antichain {
+   public:
+    /// Adds caps unless a row lies pointwise below it; drops the rows it
+    /// lies below (max-throughput witnesses: minimal elements).
+    void insert_minimal(const CapsKey& key);
+    /// Adds caps unless a row lies pointwise above it; drops the rows it
+    /// lies above (deadlock witnesses: maximal elements).
+    void insert_maximal(const CapsKey& key);
+    /// True when some row lies pointwise <= caps.
+    [[nodiscard]] bool any_below(const CapsKey& key) const;
+    /// True when some row lies pointwise >= caps.
+    [[nodiscard]] bool any_above(const CapsKey& key) const;
+    void clear();
+
+   private:
+    struct RowMeta {
+      i64 total = 0;
+      u64 hash = 0;  // hash_words of the row
+      /// A channel on which the row last failed the removal test against
+      /// an inserted vector. Successive inserts tend to fail on the same
+      /// channel, so it is tried first before the full row compare.
+      std::size_t split = 0;
+    };
+
+    [[nodiscard]] const i64* row(std::size_t r) const {
+      return rows_.data() + r * width_;
+    }
+    [[nodiscard]] std::size_t size() const { return meta_.size(); }
+    /// True when key's vector is one of the rows [from, to).
+    [[nodiscard]] bool holds(std::size_t from, std::size_t to,
+                             const CapsKey& key) const;
+    /// First row whose total is >= / > `total`.
+    [[nodiscard]] std::size_t first_at_least(i64 total) const;
+    [[nodiscard]] std::size_t first_above(i64 total) const;
+    /// Fixes the row width on the first insert; all rows share it.
+    void adopt_width(const std::vector<i64>& caps);
+    /// Removes, in place and in order, the rows of [from, to) that lie
+    /// pointwise below caps (`below`) or above it (`!below`).
+    void remove_comparable(std::size_t from, std::size_t to,
+                           const std::vector<i64>& caps, bool below);
+    /// Appends key after the rows of its total unless the set is full.
+    void insert_sorted(const CapsKey& key);
+
+    std::size_t width_ = 0;
+    std::vector<RowMeta> meta_;
+    std::vector<i64> rows_;
   };
 
-  struct CapsHash {
-    std::size_t operator()(const std::vector<i64>& caps) const noexcept;
+  /// A stored exact-map key: the capacity vector and its hash_words value.
+  struct StoredKey {
+    std::vector<i64> caps;
+    u64 hash = 0;
   };
-  using ExactMap =
-      std::unordered_map<std::vector<i64>, CachedThroughput, CapsHash>;
+  /// Hash and equality over stored keys that also accept a CapsKey, so a
+  /// lookup reuses the candidate's hash and builds no key.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(const StoredKey& k) const noexcept {
+      return static_cast<std::size_t>(k.hash);
+    }
+    std::size_t operator()(const CapsKey& k) const noexcept {
+      return static_cast<std::size_t>(k.hash());
+    }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(const StoredKey& a, const StoredKey& b) const noexcept {
+      return a.hash == b.hash && a.caps == b.caps;
+    }
+    bool operator()(const CapsKey& a, const StoredKey& b) const noexcept {
+      return a.hash() == b.hash && a.caps() == b.caps;
+    }
+    bool operator()(const StoredKey& a, const CapsKey& b) const noexcept {
+      return (*this)(b, a);
+    }
+  };
+  /// The same over pointers to resident keys: an unbounded cache never
+  /// erases a stripe node, and each key is resident once, so the pointer
+  /// identifies the key.
+  struct KeyPtrHash {
+    using is_transparent = void;
+    std::size_t operator()(const StoredKey* k) const noexcept {
+      return static_cast<std::size_t>(k->hash);
+    }
+    std::size_t operator()(const CapsKey& k) const noexcept {
+      return static_cast<std::size_t>(k.hash());
+    }
+  };
+  struct KeyPtrEq {
+    using is_transparent = void;
+    bool operator()(const StoredKey* a, const StoredKey* b) const noexcept {
+      return a == b;
+    }
+    bool operator()(const CapsKey& a, const StoredKey* b) const noexcept {
+      return KeyEq{}(a, *b);
+    }
+    bool operator()(const StoredKey* a, const CapsKey& b) const noexcept {
+      return KeyEq{}(b, *a);
+    }
+  };
+  using FrozenMap = std::unordered_map<const StoredKey*, CachedThroughput,
+                                       KeyPtrHash, KeyPtrEq>;
 
   /// Immutable two-level exact index published to Snapshots of an
   /// unbounded cache. `overlay` holds entries merged since the last fold
   /// and shadows `base`; merge() folds the overlay into a fresh base once
   /// it reaches max(64, |base| / 8), so merge cost stays amortized O(new)
-  /// while lookups touch at most two hash tables.
+  /// while lookups touch at most two hash tables. Both point at the
+  /// stripes' keys and copy only the canonical values.
   struct Frozen {
-    std::shared_ptr<const ExactMap> base;  // never null, possibly empty
-    ExactMap overlay;
+    std::shared_ptr<const FrozenMap> base;  // never null, possibly empty
+    FrozenMap overlay;
   };
 
+  /// One exact entry. Deltas and stripes share this node type, so merge()
+  /// moves a delta's nodes into the stripes without copying a key or
+  /// allocating. A bounded cache's stripe also threads its entries into an
+  /// intrusive LRU list (nodes are stable across rehash); elsewhere the
+  /// links stay null.
   struct Entry {
     CachedThroughput value;
-    /// Position in the stripe's LRU list (meaningful only when the cache
-    /// is bounded; front = most recently used).
-    std::list<const std::vector<i64>*>::iterator lru_it;
+    const StoredKey* key = nullptr;  // the node's own key, for eviction
+    Entry* newer = nullptr;
+    Entry* older = nullptr;
   };
+  using EntryMap = std::unordered_map<StoredKey, Entry, KeyHash, KeyEq>;
   struct Stripe {
     mutable std::mutex mu;
-    std::unordered_map<std::vector<i64>, Entry, CapsHash> map;
-    /// LRU order over the map's keys (pointers stay valid across rehash:
-    /// unordered_map nodes are stable). Maintained only when bounded.
-    std::list<const std::vector<i64>*> lru;
+    EntryMap map;
+    Entry* newest = nullptr;  // LRU ends; maintained only when bounded
+    Entry* oldest = nullptr;
+
+    void unlink(Entry& e);
+    void push_front(Entry& e);
+    /// A use: moves e to the front of the LRU list.
+    void touch(Entry& e);
   };
 
-  [[nodiscard]] Stripe& stripe_of(const std::vector<i64>& caps) const;
-  void add_deadlock_witness(const std::vector<i64>& caps);
-  /// Applies one entry to the striped map under its stripe lock: insert
-  /// (with LRU bookkeeping) or upgrade, returning the canonical value now
-  /// resident. `checked` makes a value mismatch against a resident entry
-  /// throw (the merge determinism check) instead of keeping the old value.
-  CachedThroughput apply_entry(const std::vector<i64>& caps,
-                               const CachedThroughput& value, bool checked);
-  void feed_witnesses(const std::vector<i64>& caps,
-                      const CachedThroughput& value);
-
-  // Sorted-antichain helpers shared by the cache, Snapshot and Delta.
-  static void insert_minimal_witness(std::vector<Witness>& ws,
-                                     const std::vector<i64>& caps);
-  static void insert_maximal_witness(std::vector<Witness>& ws,
-                                     const std::vector<i64>& caps);
-  [[nodiscard]] static bool any_max_witness(const std::vector<Witness>& ws,
-                                            const std::vector<i64>& caps);
-  [[nodiscard]] static bool any_deadlock_witness(
-      const std::vector<Witness>& ws, const std::vector<i64>& caps);
+  [[nodiscard]] Stripe& stripe_of(u64 hash) const;
+  void add_deadlock_witness(const CapsKey& key);
+  /// Settles one insert attempt on `stripe` (lock held): a fresh entry is
+  /// linked into the LRU list and may evict the stripe's oldest; a
+  /// resident one is upgraded (a dependency-carrying value supersedes a
+  /// plain one) and touched. `checked` makes a value mismatch against a
+  /// resident entry throw (the merge determinism check) instead of
+  /// keeping the old value.
+  void settle(Stripe& stripe, EntryMap::iterator it, bool inserted,
+              const CachedThroughput& value, bool checked);
+  /// Moves one delta node into its stripe (merge's determinism-checked
+  /// path). For an unbounded cache, appends the resident key and
+  /// canonical value to `applied` for the frozen index.
+  void apply_node(
+      EntryMap::node_type node,
+      std::vector<std::pair<const StoredKey*, CachedThroughput>>& applied);
+  void feed_witnesses(const CapsKey& key, const CachedThroughput& value);
 
   Rational max_throughput_;
   u64 capacity_ = 0;         // 0 = unbounded
@@ -267,8 +411,8 @@ class ThroughputCache {
   mutable std::array<Stripe, kStripes> stripes_;
 
   mutable std::mutex witness_mu_;
-  std::vector<Witness> max_witnesses_;       // minimal elements, sorted
-  std::vector<Witness> deadlock_witnesses_;  // maximal elements, sorted
+  Antichain max_witnesses_;       // minimal elements
+  Antichain deadlock_witnesses_;  // maximal elements
 
   /// Serializes merge() bodies (concurrent merges from explorations
   /// sharing this cache) and corrupt_entry_for_test's frozen rebuild.
@@ -295,15 +439,15 @@ class ThroughputCache::Snapshot {
   /// against the frozen index when one exists; otherwise delegates to the
   /// cache's locked map (bounded caches, or before the first merge).
   [[nodiscard]] std::optional<CachedThroughput> find(
-      const std::vector<i64>& caps, bool require_deps) const;
+      const CapsKey& key, bool require_deps) const;
 
   /// Sec. 8 max rule over the snapshotted witness antichain; lock-free.
   [[nodiscard]] std::optional<CachedThroughput> find_max_dominated(
-      const std::vector<i64>& caps) const;
+      const CapsKey& key) const;
 
   /// Sec. 8 deadlock rule over the snapshotted antichain; lock-free.
   [[nodiscard]] std::optional<CachedThroughput> find_deadlock_dominated(
-      const std::vector<i64>& caps) const;
+      const CapsKey& key) const;
 
  private:
   friend class ThroughputCache;
@@ -311,8 +455,8 @@ class ThroughputCache::Snapshot {
 
   const ThroughputCache* cache_ = nullptr;
   std::shared_ptr<const Frozen> frozen_;  // null = use the locked map
-  std::vector<Witness> max_witnesses_;
-  std::vector<Witness> deadlock_witnesses_;
+  Antichain max_witnesses_;
+  Antichain deadlock_witnesses_;
 };
 
 /// See ThroughputCache::make_delta(). One per worker slot per wave; never
@@ -325,19 +469,19 @@ class ThroughputCache::Delta {
  public:
   /// Records one simulated outcome. Re-recording a key keeps the first
   /// value (upgrading it in place if the new one carries storage deps).
-  void record(const std::vector<i64>& caps, const CachedThroughput& value);
+  void record(const CapsKey& key, const CachedThroughput& value);
 
   /// Exact lookup among this delta's own entries.
   [[nodiscard]] std::optional<CachedThroughput> find(
-      const std::vector<i64>& caps, bool require_deps) const;
+      const CapsKey& key, bool require_deps) const;
 
   /// Sec. 8 max rule over this delta's local witnesses.
   [[nodiscard]] std::optional<CachedThroughput> find_max_dominated(
-      const std::vector<i64>& caps) const;
+      const CapsKey& key) const;
 
   /// Sec. 8 deadlock rule over this delta's local witnesses.
   [[nodiscard]] std::optional<CachedThroughput> find_deadlock_dominated(
-      const std::vector<i64>& caps) const;
+      const CapsKey& key) const;
 
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
@@ -350,10 +494,13 @@ class ThroughputCache::Delta {
   Delta() = default;
 
   const ThroughputCache* cache_ = nullptr;  // counters + max throughput
-  std::vector<std::pair<std::vector<i64>, CachedThroughput>> entries_;
-  std::unordered_map<std::vector<i64>, std::size_t, CapsHash> index_;
-  std::vector<Witness> max_witnesses_;
-  std::vector<Witness> deadlock_witnesses_;
+  /// Owns each recorded key once; `entries_` points into its (stable)
+  /// nodes in insertion order for the deterministic merge, which moves
+  /// the nodes into the cache and leaves both empty.
+  EntryMap index_;
+  std::vector<const EntryMap::value_type*> entries_;
+  Antichain max_witnesses_;
+  Antichain deadlock_witnesses_;
 };
 
 }  // namespace buffy::buffer

@@ -54,21 +54,4 @@ ProgressSnapshot Progress::snapshot() const {
   return s;
 }
 
-void Progress::reset() {
-  points_explored_.v.store(0, std::memory_order_relaxed);
-  states_visited_.v.store(0, std::memory_order_relaxed);
-  pruned_by_bound_.v.store(0, std::memory_order_relaxed);
-  pareto_points_.v.store(0, std::memory_order_relaxed);
-  waves_.v.store(0, std::memory_order_relaxed);
-  simulations_.v.store(0, std::memory_order_relaxed);
-  cache_hits_.v.store(0, std::memory_order_relaxed);
-  dominance_skips_.v.store(0, std::memory_order_relaxed);
-  lp_prunes_.v.store(0, std::memory_order_relaxed);
-  sims_avoided_.v.store(0, std::memory_order_relaxed);
-  arena_bytes_.v.store(0, std::memory_order_relaxed);
-  trace_events_.v.store(0, std::memory_order_relaxed);
-  cancelled_.v.store(0, std::memory_order_relaxed);
-  start_ = std::chrono::steady_clock::now();
-}
-
 }  // namespace buffy::exec

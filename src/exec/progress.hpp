@@ -90,9 +90,6 @@ class Progress {
   /// cross-counter skew is bounded by whatever is in flight).
   [[nodiscard]] ProgressSnapshot snapshot() const;
 
-  /// Zeroes every counter and restarts the wall clock.
-  void reset();
-
  private:
   /// One counter per cache line. Every worker of a parallel wave bumps
   /// several of these on every candidate; packed adjacently (the previous

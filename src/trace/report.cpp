@@ -1,6 +1,5 @@
 #include "trace/report.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -71,34 +70,6 @@ std::string ReportFragment::write(const std::string& dir,
   out.close();
   if (!out) throw Error("failed writing report fragment '" + path + "'");
   return path;
-}
-
-std::string summary_table(const std::vector<Event>& events) {
-  std::uint64_t count[kNumEventKinds] = {};
-  std::int64_t span_ns[kNumEventKinds] = {};
-  bool is_span[kNumEventKinds] = {};
-  for (const Event& e : events) {
-    const auto k = static_cast<std::size_t>(e.kind);
-    if (k >= kNumEventKinds) continue;
-    ++count[k];
-    if (e.dur_ns >= 0) {
-      is_span[k] = true;
-      span_ns[k] += e.dur_ns;
-    }
-  }
-  std::string out = "| event | kind | count | total span |\n|---|---|---|---|\n";
-  for (std::size_t k = 0; k < kNumEventKinds; ++k) {
-    if (count[k] == 0) continue;
-    char dur[32] = "—";
-    if (is_span[k]) {
-      std::snprintf(dur, sizeof dur, "%.3f ms",
-                    static_cast<double>(span_ns[k]) / 1e6);
-    }
-    out += "| " + std::string(kind_name(static_cast<EventKind>(k))) + " | " +
-           (is_span[k] ? "span" : "instant") + " | " +
-           std::to_string(count[k]) + " | " + dur + " |\n";
-  }
-  return out;
 }
 
 const std::vector<ManifestEntry>& experiments_manifest() {

@@ -51,10 +51,6 @@ class ReportFragment {
   std::vector<std::string> blocks_;
 };
 
-/// Per-kind event counts and total span time of a merged trace, as a
-/// Markdown table — the state-space statistics block of a report.
-[[nodiscard]] std::string summary_table(const std::vector<Event>& events);
-
 /// One entry of the EXPERIMENTS.md manifest: which fragment file a bench
 /// produces. Order in the manifest = order of sections in EXPERIMENTS.md.
 struct ManifestEntry {

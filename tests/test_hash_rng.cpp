@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <unordered_set>
 #include <vector>
 
 #include "base/diagnostics.hpp"
 #include "base/hash.hpp"
 #include "base/rng.hpp"
+#include "buffer/bounds.hpp"
+#include "buffer/throughput_cache.hpp"
+#include "io/dsl.hpp"
+#include "models/models.hpp"
+#include "service/cache_registry.hpp"
 
 namespace buffy {
 namespace {
@@ -54,6 +62,78 @@ TEST(Hash, FewCollisionsOnDenseStates) {
     }
   }
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(count));
+}
+
+// Appends to `out`, in lex order, every vector that adds `slack` tokens to
+// `caps` over channels c.. (a composition of the slack), up to `limit`.
+void add_compositions(std::vector<i64>& caps, std::size_t c, i64 slack,
+                      std::size_t limit, std::vector<std::vector<i64>>& out) {
+  if (out.size() >= limit) return;
+  if (c + 1 == caps.size()) {
+    caps[c] += slack;
+    out.push_back(caps);
+    caps[c] -= slack;
+    return;
+  }
+  for (i64 v = 0; v <= slack && out.size() < limit; ++v) {
+    caps[c] += v;
+    add_compositions(caps, c + 1, slack - v, limit, out);
+    caps[c] -= v;
+  }
+}
+
+// The first `limit` candidates of g10_60's exhaustive enumeration: the
+// distributions of each size from the Fig. 7 lower bound upward, every
+// channel at or above its lower bound, in lex order — long shared
+// prefixes and few distinct small values, the keys the throughput cache
+// sees on a cold explore.
+std::vector<std::vector<i64>> g10_60_candidates(std::size_t limit) {
+  std::ifstream in(std::string(CORPUS_DIR) + "/g10_60.sdf");
+  std::stringstream text;
+  text << in.rdbuf();
+  const sdf::Graph g = io::read_dsl(text.str());
+  const buffer::DesignSpaceBounds bounds =
+      buffer::design_space_bounds(g, *g.find_actor("a10"));
+  std::vector<i64> caps = bounds.per_channel_lb.capacities();
+  std::vector<std::vector<i64>> out;
+  for (i64 slack = 0; out.size() < limit; ++slack) {
+    add_compositions(caps, 0, slack, limit, out);
+  }
+  return out;
+}
+
+TEST(Hash, CorpusBoxVectorsHashDistinctly) {
+  const auto candidates = g10_60_candidates(24'000);
+  ASSERT_GE(candidates.size(), 20'000u);
+  std::unordered_set<u64> hashes;
+  for (const auto& caps : candidates) hashes.insert(hash_words(caps));
+  EXPECT_EQ(hashes.size(), candidates.size());
+}
+
+TEST(Hash, CorpusBoxVectorsSpreadOverCacheStripes) {
+  const auto candidates = g10_60_candidates(24'000);
+  ASSERT_GE(candidates.size(), 20'000u);
+  constexpr std::size_t kStripes = buffer::ThroughputCache::kStripes;
+  std::vector<std::size_t> per_stripe(kStripes, 0);
+  for (const auto& caps : candidates) {
+    ++per_stripe[static_cast<std::size_t>(hash_words(caps)) % kStripes];
+  }
+  const double uniform =
+      static_cast<double>(candidates.size()) / static_cast<double>(kStripes);
+  for (std::size_t s = 0; s < kStripes; ++s) {
+    EXPECT_GE(static_cast<double>(per_stripe[s]), 0.8 * uniform)
+        << "stripe " << s;
+    EXPECT_LE(static_cast<double>(per_stripe[s]), 1.2 * uniform)
+        << "stripe " << s;
+  }
+}
+
+TEST(Hash, RegistryFingerprintIsPinned) {
+  // graph_key hashes the canonical DSL byte-wise through hash_step; this
+  // value was produced before hash_words changed to a word-at-a-time mix,
+  // so it proves the registry key format did not move with it.
+  EXPECT_EQ(service::graph_fingerprint(models::h263_decoder(), "mc"),
+            7782398067175773919ULL);
 }
 
 TEST(Rng, DeterministicPerSeed) {

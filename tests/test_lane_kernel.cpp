@@ -234,16 +234,21 @@ TEST(LaneKernel, WideGraphMagnitudesMatchScalar) {
   // Execution times above kNarrowLimit disqualify the graph from the
   // narrow i32 kernel; every batch must run on the full-range i64 tables
   // and still match the scalar solver field for field (including the
-  // deadlock-at-zero retirement of the cap-0 candidate).
+  // deadlock-at-zero retirement of the cap-0 candidate). Widths 16-64
+  // cover the i64 kernel's wide strides; 70 candidates fill a 64-lane
+  // batch and refill lanes from the tail.
   sdf::GraphBuilder b("wide_exec");
   const sdf::ActorId a = b.actor("a", kNarrowLimit * 4);
   const sdf::ActorId c = b.actor("c", kNarrowLimit * 2 + 123);
   b.channel("ch", a, 1, c, 1, 0);
   const sdf::Graph g = b.build();
-  const std::vector<std::vector<i64>> candidates{{0}, {1}, {2}, {3}, {4}};
+  std::vector<std::vector<i64>> candidates;
+  for (i64 cap = 0; cap < 70; ++cap) candidates.push_back({cap});
   for (const SimdBackend backend : lane_backends()) {
-    check_batch(g, candidates, c, 2, backend, true);
-    check_batch(g, candidates, c, 8, backend, false);
+    for (const std::size_t lanes : {2, 8, 16, 32, 64}) {
+      check_batch(g, candidates, c, lanes, backend, true);
+      check_batch(g, candidates, c, lanes, backend, false);
+    }
   }
 }
 

@@ -12,6 +12,10 @@ namespace {
 
 const Rational kMax(1, 4);  // the paper example's maximal throughput
 
+// The cache's key type is CapsKey, which refers to its vector: braced
+// literals name a vector first.
+using Caps = std::vector<i64>;
+
 CachedThroughput periodic(const Rational& tput) {
   CachedThroughput value;
   value.throughput = tput;
@@ -30,9 +34,9 @@ CachedThroughput deadlock() {
 
 TEST(ThroughputCache, ExactStoreAndFindRoundTrip) {
   ThroughputCache cache(kMax);
-  cache.store({4, 2}, periodic(Rational(1, 7)));
+  cache.store(Caps{4, 2}, periodic(Rational(1, 7)));
 
-  const auto hit = cache.find({4, 2}, /*require_deps=*/false);
+  const auto hit = cache.find(Caps{4, 2}, /*require_deps=*/false);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->throughput, Rational(1, 7));
   EXPECT_FALSE(hit->deadlocked);
@@ -40,25 +44,25 @@ TEST(ThroughputCache, ExactStoreAndFindRoundTrip) {
   EXPECT_EQ(hit->cycle_start_time, 2);
   EXPECT_EQ(hit->period, 7);
 
-  EXPECT_FALSE(cache.find({4, 3}, false).has_value());
+  EXPECT_FALSE(cache.find(Caps{4, 3}, false).has_value());
   EXPECT_EQ(cache.exact_hits(), 1u);
   EXPECT_EQ(cache.entries_stored(), 1u);
 }
 
 TEST(ThroughputCache, RequireDepsRejectsEntriesWithoutDependencies) {
   ThroughputCache cache(kMax);
-  cache.store({4, 2}, periodic(Rational(1, 7)));  // has_deps = false
+  cache.store(Caps{4, 2}, periodic(Rational(1, 7)));  // has_deps = false
 
   // The incremental engine must not accept this entry: without the
   // dependencies it cannot expand the candidate's children.
-  EXPECT_FALSE(cache.find({4, 2}, /*require_deps=*/true).has_value());
-  EXPECT_TRUE(cache.find({4, 2}, /*require_deps=*/false).has_value());
+  EXPECT_FALSE(cache.find(Caps{4, 2}, /*require_deps=*/true).has_value());
+  EXPECT_TRUE(cache.find(Caps{4, 2}, /*require_deps=*/false).has_value());
 
   CachedThroughput with_deps = periodic(Rational(1, 7));
   with_deps.has_deps = true;
   with_deps.storage_deps = {sdf::ChannelId(1)};
-  cache.store({6, 2}, with_deps);
-  const auto hit = cache.find({6, 2}, /*require_deps=*/true);
+  cache.store(Caps{6, 2}, with_deps);
+  const auto hit = cache.find(Caps{6, 2}, /*require_deps=*/true);
   ASSERT_TRUE(hit.has_value());
   ASSERT_EQ(hit->storage_deps.size(), 1u);
   EXPECT_EQ(hit->storage_deps[0], sdf::ChannelId(1));
@@ -66,72 +70,92 @@ TEST(ThroughputCache, RequireDepsRejectsEntriesWithoutDependencies) {
 
 TEST(ThroughputCache, MaxDominanceAnswersPointwiseGreaterOrEqual) {
   ThroughputCache cache(kMax);
-  cache.add_max_witness({8, 2});
+  cache.add_max_witness(Caps{8, 2});
 
-  const auto above = cache.find_max_dominated({9, 5});
+  const auto above = cache.find_max_dominated(Caps{9, 5});
   ASSERT_TRUE(above.has_value());
   EXPECT_EQ(above->throughput, kMax);
   EXPECT_FALSE(above->deadlocked);
   // Dominance answers never carry dependencies.
   EXPECT_FALSE(above->has_deps);
 
-  EXPECT_TRUE(cache.find_max_dominated({8, 2}).has_value());   // equal
-  EXPECT_FALSE(cache.find_max_dominated({7, 5}).has_value());  // below in c0
-  EXPECT_FALSE(cache.find_max_dominated({9, 1}).has_value());  // below in c1
+  EXPECT_TRUE(cache.find_max_dominated(Caps{8, 2}).has_value());   // equal
+  // Below the witness in c0, then in c1.
+  EXPECT_FALSE(cache.find_max_dominated(Caps{7, 5}).has_value());
+  EXPECT_FALSE(cache.find_max_dominated(Caps{9, 1}).has_value());
   EXPECT_EQ(cache.dominance_hits(), 2u);
 }
 
 TEST(ThroughputCache, DeadlockDominanceAnswersPointwiseLessOrEqual) {
   ThroughputCache cache(kMax);
-  cache.store({3, 2}, deadlock());
+  cache.store(Caps{3, 2}, deadlock());
 
-  const auto below = cache.find_deadlock_dominated({2, 1});
+  const auto below = cache.find_deadlock_dominated(Caps{2, 1});
   ASSERT_TRUE(below.has_value());
   EXPECT_TRUE(below->deadlocked);
   EXPECT_EQ(below->throughput, Rational(0));
 
-  EXPECT_TRUE(cache.find_deadlock_dominated({3, 2}).has_value());   // equal
-  EXPECT_FALSE(cache.find_deadlock_dominated({4, 1}).has_value());  // above
+  EXPECT_TRUE(cache.find_deadlock_dominated(Caps{3, 2}).has_value());   // equal
+  EXPECT_FALSE(cache.find_deadlock_dominated(Caps{4, 1}).has_value());  // above
 }
 
 TEST(ThroughputCache, StoringTheMaximumFeedsTheMaxWitnesses) {
   ThroughputCache cache(kMax);
-  cache.store({6, 4}, periodic(kMax));  // simulated outcome == maximum
-  EXPECT_TRUE(cache.find_max_dominated({7, 4}).has_value());
+  cache.store(Caps{6, 4}, periodic(kMax));  // simulated outcome == maximum
+  EXPECT_TRUE(cache.find_max_dominated(Caps{7, 4}).has_value());
 
   // A sub-maximal outcome must NOT become a witness.
-  cache.store({5, 2}, periodic(Rational(1, 6)));
-  EXPECT_FALSE(cache.find_max_dominated({5, 3}).has_value());
+  cache.store(Caps{5, 2}, periodic(Rational(1, 6)));
+  EXPECT_FALSE(cache.find_max_dominated(Caps{5, 3}).has_value());
 }
 
 TEST(ThroughputCache, MaxWitnessesFormAMinimalAntichain) {
   ThroughputCache cache(kMax);
-  cache.add_max_witness({6, 4});
+  cache.add_max_witness(Caps{6, 4});
   // A smaller witness supersedes the bigger one...
-  cache.add_max_witness({4, 2});
-  EXPECT_TRUE(cache.find_max_dominated({5, 3}).has_value());  // >= {4,2} only
+  cache.add_max_witness(Caps{4, 2});
+  // >= {4,2} only.
+  EXPECT_TRUE(cache.find_max_dominated(Caps{5, 3}).has_value());
   // ...and a witness above an existing one changes nothing.
-  cache.add_max_witness({9, 9});
-  EXPECT_TRUE(cache.find_max_dominated({4, 2}).has_value());
-  EXPECT_FALSE(cache.find_max_dominated({3, 9}).has_value());
+  cache.add_max_witness(Caps{9, 9});
+  EXPECT_TRUE(cache.find_max_dominated(Caps{4, 2}).has_value());
+  EXPECT_FALSE(cache.find_max_dominated(Caps{3, 9}).has_value());
 }
 
 TEST(ThroughputCache, DeadlockWitnessesFormAMaximalAntichain) {
   ThroughputCache cache(kMax);
-  cache.store({1, 1}, deadlock());
-  cache.store({2, 2}, deadlock());  // supersedes {1,1}
-  EXPECT_TRUE(cache.find_deadlock_dominated({2, 1}).has_value());
-  EXPECT_TRUE(cache.find_deadlock_dominated({1, 2}).has_value());
-  EXPECT_FALSE(cache.find_deadlock_dominated({3, 2}).has_value());
+  cache.store(Caps{1, 1}, deadlock());
+  cache.store(Caps{2, 2}, deadlock());  // supersedes {1,1}
+  EXPECT_TRUE(cache.find_deadlock_dominated(Caps{2, 1}).has_value());
+  EXPECT_TRUE(cache.find_deadlock_dominated(Caps{1, 2}).has_value());
+  EXPECT_FALSE(cache.find_deadlock_dominated(Caps{3, 2}).has_value());
+}
+
+TEST(ThroughputCache, FullDeadlockAntichainMakesRoomOnlyByDominance) {
+  // 64 incomparable witnesses fill the set: a larger witness is kept only
+  // because it dominates (and so removes) some of them. The removal scan
+  // tries each row's last failing channel first; every branch of it runs
+  // here: rows separated by that channel (i >= 41 against {40, 40}), rows
+  // it lets through that the full compare keeps (i <= 22) or removes.
+  ThroughputCache cache(kMax);
+  for (i64 i = 0; i < 64; ++i) cache.store(Caps{i, 63 - i}, deadlock());
+  cache.store(Caps{40, 40}, deadlock());  // dominates {23, 40} .. {40, 23}
+  EXPECT_TRUE(cache.find_deadlock_dominated(Caps{40, 40}).has_value());
+  cache.store(Caps{10, 60}, deadlock());  // dominates {3, 60} .. {10, 53}
+  EXPECT_TRUE(cache.find_deadlock_dominated(Caps{10, 60}).has_value());
+  EXPECT_TRUE(cache.find_deadlock_dominated(Caps{22, 41}).has_value());
+  EXPECT_TRUE(cache.find_deadlock_dominated(Caps{41, 22}).has_value());
+  EXPECT_FALSE(cache.find_deadlock_dominated(Caps{23, 41}).has_value());
+  EXPECT_FALSE(cache.find_deadlock_dominated(Caps{11, 60}).has_value());
 }
 
 TEST(ThroughputCache, IncomparableWitnessesCoexist) {
   ThroughputCache cache(kMax);
-  cache.add_max_witness({6, 2});
-  cache.add_max_witness({2, 6});
-  EXPECT_TRUE(cache.find_max_dominated({6, 3}).has_value());
-  EXPECT_TRUE(cache.find_max_dominated({3, 6}).has_value());
-  EXPECT_FALSE(cache.find_max_dominated({5, 5}).has_value());
+  cache.add_max_witness(Caps{6, 2});
+  cache.add_max_witness(Caps{2, 6});
+  EXPECT_TRUE(cache.find_max_dominated(Caps{6, 3}).has_value());
+  EXPECT_TRUE(cache.find_max_dominated(Caps{3, 6}).has_value());
+  EXPECT_FALSE(cache.find_max_dominated(Caps{5, 5}).has_value());
 }
 
 
@@ -163,12 +187,12 @@ std::vector<std::vector<i64>> same_stripe_keys(const std::vector<i64>& ref,
 TEST(ThroughputCacheLru, UnboundedCacheNeverEvicts) {
   ThroughputCache cache(kMax);  // capacity 0 = unbounded
   for (i64 v = 1; v <= 200; ++v) {
-    cache.store({v, v}, periodic(Rational(1, 7)));
+    cache.store(Caps{v, v}, periodic(Rational(1, 7)));
   }
   EXPECT_EQ(cache.capacity(), 0u);
   EXPECT_EQ(cache.entries_evicted(), 0u);
   EXPECT_EQ(cache.entries_resident(), 200u);
-  EXPECT_TRUE(cache.find({1, 1}, false).has_value());
+  EXPECT_TRUE(cache.find(Caps{1, 1}, false).has_value());
 }
 
 TEST(ThroughputCacheLru, OverflowEvictsTheOldestEntryOfTheStripe) {
@@ -243,14 +267,14 @@ TEST(ThroughputCacheLru, DominanceWitnessesSurviveEviction) {
   // must not forget that {6, 4} attains the maximum. Eviction only ever
   // costs re-simulation, never dominance answers.
   ThroughputCache cache(kMax, /*capacity=*/ThroughputCache::kStripes);
-  cache.add_max_witness({6, 4});
-  cache.store({1, 1}, deadlock());
+  cache.add_max_witness(Caps{6, 4});
+  cache.store(Caps{1, 1}, deadlock());
   for (i64 v = 1; v <= 64; ++v) {
-    cache.store({v, v + 1}, periodic(Rational(1, 7)));
+    cache.store(Caps{v, v + 1}, periodic(Rational(1, 7)));
   }
   EXPECT_GT(cache.entries_evicted(), 0u);
-  EXPECT_TRUE(cache.find_max_dominated({7, 5}).has_value());
-  EXPECT_TRUE(cache.find_deadlock_dominated({1, 1}).has_value());
+  EXPECT_TRUE(cache.find_max_dominated(Caps{7, 5}).has_value());
+  EXPECT_TRUE(cache.find_deadlock_dominated(Caps{1, 1}).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -264,14 +288,14 @@ TEST(ThroughputCacheDelta, RecordedEntriesAnswerTheRecordingWorker) {
   ThroughputCache::Delta delta = cache.make_delta();
   EXPECT_TRUE(delta.empty());
 
-  delta.record({4, 2}, periodic(Rational(1, 7)));
+  delta.record(Caps{4, 2}, periodic(Rational(1, 7)));
   EXPECT_EQ(delta.size(), 1u);
-  const auto hit = delta.find({4, 2}, /*require_deps=*/false);
+  const auto hit = delta.find(Caps{4, 2}, /*require_deps=*/false);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->throughput, Rational(1, 7));
-  EXPECT_FALSE(delta.find({4, 3}, false).has_value());
+  EXPECT_FALSE(delta.find(Caps{4, 3}, false).has_value());
   // require_deps honors the recorded entry's has_deps, like find().
-  EXPECT_FALSE(delta.find({4, 2}, /*require_deps=*/true).has_value());
+  EXPECT_FALSE(delta.find(Caps{4, 2}, /*require_deps=*/true).has_value());
 }
 
 TEST(ThroughputCacheDelta, LocalWitnessesGiveImmediateDominance) {
@@ -280,66 +304,69 @@ TEST(ThroughputCacheDelta, LocalWitnessesGiveImmediateDominance) {
   // hit/miss sequence identical to the per-candidate store() path.
   ThroughputCache cache(kMax);
   ThroughputCache::Delta delta = cache.make_delta();
-  delta.record({6, 4}, periodic(kMax));
-  delta.record({1, 1}, deadlock());
+  delta.record(Caps{6, 4}, periodic(kMax));
+  delta.record(Caps{1, 1}, deadlock());
 
-  const auto above = delta.find_max_dominated({7, 4});
+  const auto above = delta.find_max_dominated(Caps{7, 4});
   ASSERT_TRUE(above.has_value());
   EXPECT_EQ(above->throughput, kMax);
-  EXPECT_FALSE(delta.find_max_dominated({5, 4}).has_value());
-  EXPECT_TRUE(delta.find_deadlock_dominated({1, 1}).has_value());
-  EXPECT_FALSE(delta.find_deadlock_dominated({2, 1}).has_value());
+  EXPECT_FALSE(delta.find_max_dominated(Caps{5, 4}).has_value());
+  EXPECT_TRUE(delta.find_deadlock_dominated(Caps{1, 1}).has_value());
+  EXPECT_FALSE(delta.find_deadlock_dominated(Caps{2, 1}).has_value());
   // Sub-maximal outcomes never become witnesses.
-  delta.record({5, 2}, periodic(Rational(1, 6)));
-  EXPECT_FALSE(delta.find_max_dominated({5, 3}).has_value());
+  delta.record(Caps{5, 2}, periodic(Rational(1, 6)));
+  EXPECT_FALSE(delta.find_max_dominated(Caps{5, 3}).has_value());
 }
 
 TEST(ThroughputCacheDelta, MergePublishesEntriesWitnessesAndCounters) {
   ThroughputCache cache(kMax);
   ThroughputCache::Delta d0 = cache.make_delta();
   ThroughputCache::Delta d1 = cache.make_delta();
-  d0.record({4, 2}, periodic(Rational(1, 7)));
-  d1.record({6, 4}, periodic(kMax));
-  d1.record({1, 1}, deadlock());
+  d0.record(Caps{4, 2}, periodic(Rational(1, 7)));
+  d1.record(Caps{6, 4}, periodic(kMax));
+  d1.record(Caps{1, 1}, deadlock());
 
   std::vector<ThroughputCache::Delta*> deltas{&d0, &d1};
   cache.merge(deltas);
   EXPECT_EQ(cache.merges(), 1u);
   EXPECT_EQ(cache.entries_stored(), 3u);
-  EXPECT_TRUE(cache.find({4, 2}, false).has_value());
-  EXPECT_TRUE(cache.find({6, 4}, false).has_value());
+  // The entries moved into the cache.
+  EXPECT_TRUE(d0.empty());
+  EXPECT_TRUE(d1.empty());
+  EXPECT_TRUE(cache.find(Caps{4, 2}, false).has_value());
+  EXPECT_TRUE(cache.find(Caps{6, 4}, false).has_value());
   // Witness antichains were fed through the merge.
-  EXPECT_TRUE(cache.find_max_dominated({7, 4}).has_value());
-  EXPECT_TRUE(cache.find_deadlock_dominated({1, 1}).has_value());
+  EXPECT_TRUE(cache.find_max_dominated(Caps{7, 4}).has_value());
+  EXPECT_TRUE(cache.find_deadlock_dominated(Caps{1, 1}).has_value());
 }
 
 TEST(ThroughputCacheDelta, SnapshotSeesMergedEntriesNotLiveOnes) {
   ThroughputCache cache(kMax);
   ThroughputCache::Delta delta = cache.make_delta();
-  delta.record({4, 2}, periodic(Rational(1, 7)));
+  delta.record(Caps{4, 2}, periodic(Rational(1, 7)));
   std::vector<ThroughputCache::Delta*> deltas{&delta};
   cache.merge(deltas);
   delta.clear();
   EXPECT_TRUE(delta.empty());
 
   const ThroughputCache::Snapshot before = cache.snapshot();
-  EXPECT_TRUE(before.find({4, 2}, false).has_value());
-  EXPECT_FALSE(before.find({9, 9}, false).has_value());
+  EXPECT_TRUE(before.find(Caps{4, 2}, false).has_value());
+  EXPECT_FALSE(before.find(Caps{9, 9}, false).has_value());
 
   // An entry merged after the snapshot was taken stays invisible to it (a
   // safe stale miss), and visible to a fresh snapshot.
-  delta.record({9, 9}, periodic(Rational(1, 5)));
+  delta.record(Caps{9, 9}, periodic(Rational(1, 5)));
   cache.merge(deltas);
-  EXPECT_FALSE(before.find({9, 9}, false).has_value());
-  EXPECT_TRUE(cache.snapshot().find({9, 9}, false).has_value());
+  EXPECT_FALSE(before.find(Caps{9, 9}, false).has_value());
+  EXPECT_TRUE(cache.snapshot().find(Caps{9, 9}, false).has_value());
 }
 
 TEST(ThroughputCacheDelta, SnapshotWitnessScansAreFrozenAtCreation) {
   ThroughputCache cache(kMax);
   const ThroughputCache::Snapshot before = cache.snapshot();
-  cache.add_max_witness({4, 2});
-  EXPECT_FALSE(before.find_max_dominated({5, 3}).has_value());
-  EXPECT_TRUE(cache.snapshot().find_max_dominated({5, 3}).has_value());
+  cache.add_max_witness(Caps{4, 2});
+  EXPECT_FALSE(before.find_max_dominated(Caps{5, 3}).has_value());
+  EXPECT_TRUE(cache.snapshot().find_max_dominated(Caps{5, 3}).has_value());
 }
 
 TEST(ThroughputCacheDelta, BoundedCacheSnapshotsDelegateToTheLiveMap) {
@@ -348,8 +375,8 @@ TEST(ThroughputCacheDelta, BoundedCacheSnapshotsDelegateToTheLiveMap) {
   // immediately and keep recency exact.
   ThroughputCache cache(kMax, /*capacity=*/ThroughputCache::kStripes);
   const ThroughputCache::Snapshot snap = cache.snapshot();
-  cache.store({4, 2}, periodic(Rational(1, 7)));
-  EXPECT_TRUE(snap.find({4, 2}, false).has_value());
+  cache.store(Caps{4, 2}, periodic(Rational(1, 7)));
+  EXPECT_TRUE(snap.find(Caps{4, 2}, false).has_value());
 }
 
 TEST(ThroughputCacheDelta, ManyWavesFoldTheOverlayWithoutLosingEntries) {
@@ -360,7 +387,7 @@ TEST(ThroughputCacheDelta, ManyWavesFoldTheOverlayWithoutLosingEntries) {
   std::vector<ThroughputCache::Delta*> deltas{&delta};
   for (i64 wave = 0; wave < 10; ++wave) {
     for (i64 v = 0; v < 20; ++v) {
-      delta.record({wave, v}, periodic(Rational(1, 7)));
+      delta.record(Caps{wave, v}, periodic(Rational(1, 7)));
     }
     cache.merge(deltas);
     delta.clear();
@@ -369,7 +396,7 @@ TEST(ThroughputCacheDelta, ManyWavesFoldTheOverlayWithoutLosingEntries) {
   const ThroughputCache::Snapshot snap = cache.snapshot();
   for (i64 wave = 0; wave < 10; ++wave) {
     for (i64 v = 0; v < 20; ++v) {
-      EXPECT_TRUE(snap.find({wave, v}, false).has_value())
+      EXPECT_TRUE(snap.find(Caps{wave, v}, false).has_value())
           << wave << "," << v;
     }
   }
@@ -383,8 +410,8 @@ TEST(ThroughputCacheDelta, MergeRejectsDisagreeingDeltas) {
   ThroughputCache cache(kMax);
   ThroughputCache::Delta d0 = cache.make_delta();
   ThroughputCache::Delta d1 = cache.make_delta();
-  d0.record({4, 2}, periodic(Rational(1, 7)));
-  d1.record({4, 2}, periodic(Rational(1, 6)));  // divergent throughput
+  d0.record(Caps{4, 2}, periodic(Rational(1, 7)));
+  d1.record(Caps{4, 2}, periodic(Rational(1, 6)));  // divergent throughput
   std::vector<ThroughputCache::Delta*> deltas{&d0, &d1};
   EXPECT_THROW(cache.merge(deltas), Error);
 }
@@ -392,12 +419,13 @@ TEST(ThroughputCacheDelta, MergeRejectsDisagreeingDeltas) {
 TEST(ThroughputCacheDelta, MergeRejectsDisagreementWithResidentEntries) {
   ThroughputCache cache(kMax);
   ThroughputCache::Delta delta = cache.make_delta();
-  delta.record({4, 2}, periodic(Rational(1, 7)));
+  delta.record(Caps{4, 2}, periodic(Rational(1, 7)));
   std::vector<ThroughputCache::Delta*> deltas{&delta};
   cache.merge(deltas);
   delta.clear();
 
-  delta.record({4, 2}, periodic(Rational(1, 6)));  // disagrees with resident
+  // Disagrees with the resident entry.
+  delta.record(Caps{4, 2}, periodic(Rational(1, 6)));
   EXPECT_THROW(cache.merge(deltas), Error);
 
   // Agreement (same scalars, deps added) is NOT a conflict: fused and
@@ -406,22 +434,22 @@ TEST(ThroughputCacheDelta, MergeRejectsDisagreementWithResidentEntries) {
   CachedThroughput with_deps = periodic(Rational(1, 7));
   with_deps.has_deps = true;
   with_deps.storage_deps = {sdf::ChannelId(0)};
-  delta.record({4, 2}, with_deps);
+  delta.record(Caps{4, 2}, with_deps);
   cache.merge(deltas);
-  EXPECT_TRUE(cache.find({4, 2}, /*require_deps=*/true).has_value());
+  EXPECT_TRUE(cache.find(Caps{4, 2}, /*require_deps=*/true).has_value());
 }
 
 TEST(ThroughputCacheDelta, DuplicateRecordKeepsFirstValueAndUpgradesDeps) {
   ThroughputCache cache(kMax);
   ThroughputCache::Delta delta = cache.make_delta();
-  delta.record({4, 2}, periodic(Rational(1, 7)));
+  delta.record(Caps{4, 2}, periodic(Rational(1, 7)));
   CachedThroughput with_deps = periodic(Rational(1, 7));
   with_deps.has_deps = true;
   with_deps.storage_deps = {sdf::ChannelId(1)};
-  delta.record({4, 2}, with_deps);
+  delta.record(Caps{4, 2}, with_deps);
 
   EXPECT_EQ(delta.size(), 1u);
-  const auto hit = delta.find({4, 2}, /*require_deps=*/true);
+  const auto hit = delta.find(Caps{4, 2}, /*require_deps=*/true);
   ASSERT_TRUE(hit.has_value());
   ASSERT_EQ(hit->storage_deps.size(), 1u);
   EXPECT_EQ(hit->storage_deps[0], sdf::ChannelId(1));
@@ -436,17 +464,17 @@ TEST(ThroughputCacheWitnesses, ScanOrderIndependentOfInsertionOrder) {
   // Insert incomparable witnesses in descending-total order; the sorted
   // antichain must answer exactly as if they arrived ascending.
   ThroughputCache a(kMax);
-  a.add_max_witness({9, 1});
-  a.add_max_witness({5, 4});
-  a.add_max_witness({1, 8});
+  a.add_max_witness(Caps{9, 1});
+  a.add_max_witness(Caps{5, 4});
+  a.add_max_witness(Caps{1, 8});
   ThroughputCache b(kMax);
-  b.add_max_witness({1, 8});
-  b.add_max_witness({5, 4});
-  b.add_max_witness({9, 1});
+  b.add_max_witness(Caps{1, 8});
+  b.add_max_witness(Caps{5, 4});
+  b.add_max_witness(Caps{9, 1});
   for (i64 x = 0; x <= 10; ++x) {
     for (i64 y = 0; y <= 10; ++y) {
-      EXPECT_EQ(a.find_max_dominated({x, y}).has_value(),
-                b.find_max_dominated({x, y}).has_value())
+      EXPECT_EQ(a.find_max_dominated(Caps{x, y}).has_value(),
+                b.find_max_dominated(Caps{x, y}).has_value())
           << x << "," << y;
     }
   }
@@ -457,14 +485,14 @@ TEST(ThroughputCacheWitnesses, SupersededWitnessesAreEvictedNotShadowed) {
   // only dominated via a superseded witness must still answer (through
   // the survivor) and nothing below the survivor may answer.
   ThroughputCache cache(kMax);
-  cache.add_max_witness({6, 3});
-  cache.add_max_witness({3, 7});
-  cache.add_max_witness({3, 3});
-  EXPECT_TRUE(cache.find_max_dominated({6, 3}).has_value());
-  EXPECT_TRUE(cache.find_max_dominated({3, 7}).has_value());
-  EXPECT_TRUE(cache.find_max_dominated({3, 3}).has_value());
-  EXPECT_FALSE(cache.find_max_dominated({2, 9}).has_value());
-  EXPECT_FALSE(cache.find_max_dominated({9, 2}).has_value());
+  cache.add_max_witness(Caps{6, 3});
+  cache.add_max_witness(Caps{3, 7});
+  cache.add_max_witness(Caps{3, 3});
+  EXPECT_TRUE(cache.find_max_dominated(Caps{6, 3}).has_value());
+  EXPECT_TRUE(cache.find_max_dominated(Caps{3, 7}).has_value());
+  EXPECT_TRUE(cache.find_max_dominated(Caps{3, 3}).has_value());
+  EXPECT_FALSE(cache.find_max_dominated(Caps{2, 9}).has_value());
+  EXPECT_FALSE(cache.find_max_dominated(Caps{9, 2}).has_value());
 }
 
 TEST(ThroughputCacheWitnesses, CapDropsNewWitnessesWithoutBreakingAnswers) {
@@ -474,14 +502,14 @@ TEST(ThroughputCacheWitnesses, CapDropsNewWitnessesWithoutBreakingAnswers) {
   ThroughputCache cache(kMax);
   for (i64 i = 0; i < 70; ++i) {
     // Pairwise incomparable: x ascends while y descends.
-    cache.add_max_witness({i, 200 - i});
+    cache.add_max_witness(Caps{i, 200 - i});
   }
   // The first 64 all answer...
-  EXPECT_TRUE(cache.find_max_dominated({0, 200}).has_value());
-  EXPECT_TRUE(cache.find_max_dominated({63, 137}).has_value());
+  EXPECT_TRUE(cache.find_max_dominated(Caps{0, 200}).has_value());
+  EXPECT_TRUE(cache.find_max_dominated(Caps{63, 137}).has_value());
   // ...the dropped tail answers only through an earlier witness, i.e. not
   // at {69, 131} (every retained witness has y >= 137).
-  EXPECT_FALSE(cache.find_max_dominated({69, 131}).has_value());
+  EXPECT_FALSE(cache.find_max_dominated(Caps{69, 131}).has_value());
 }
 
 }  // namespace
