@@ -1,16 +1,15 @@
 // Lane-parallel kernel scaling (state/ subsystem, DESIGN.md §15):
 // wall-clock of the DSE engines under each SIMD backend — scalar
 // reference, the lane kernel built for the baseline ISA (swar) and for
-// AVX2 when the host has it — at 1 and 8 worker threads, on the models
-// whose explorations are wide enough to fill lane batches
-// (h263/mpeg4/modem incremental, samplerate exhaustive). Every lane front
-// is hard-gated byte-identical to the scalar one at the same thread count
-// (exit 1 on divergence, always), pinning the equivalence argument of
+// AVX2 when the host has it — on the models whose explorations are wide
+// enough to fill lane batches (h263/mpeg4/modem incremental, samplerate
+// exhaustive). Every lane front is hard-gated byte-identical to the scalar
+// one (exit 1 on divergence, always), pinning the equivalence argument of
 // DESIGN.md §15 on real explorations rather than synthetic batches.
 //
 // `--assert-lane-scaling` additionally turns the lane-speedup contract
-// into exit codes for CI: the single-thread SWAR h263 incremental
-// exploration must be >= 2x the scalar one, on every host (SWAR needs no
+// into exit codes for CI: the SWAR h263 incremental exploration must be
+// >= 2x the scalar one, on every host (SWAR needs no
 // CPU feature); on AVX2 hosts the AVX2 run must also be at least as fast
 // as SWAR, which catches a lost -mavx2 flag or a de-vectorized body.
 //
@@ -23,7 +22,6 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -46,9 +44,8 @@ struct Measurement {
   std::string model;
   std::string engine;
   std::string backend;
-  unsigned threads = 1;
   double seconds = 0;
-  double speedup = 1.0;  // vs scalar at the same thread count
+  double speedup = 1.0;  // vs scalar
   u64 explored = 0;
   u64 simulations = 0;
   std::size_t points = 0;
@@ -73,23 +70,21 @@ bool fronts_identical(const buffer::DseResult& a, const buffer::DseResult& b) {
   return true;
 }
 
-buffer::DseResult run_once(const BenchCase& c, state::SimdBackend backend,
-                           unsigned threads) {
+buffer::DseResult run_once(const BenchCase& c, state::SimdBackend backend) {
   buffer::DseOptions opts{.target = models::reported_actor(c.graph),
                           .engine = c.engine};
-  opts.threads = threads;
   opts.simd = backend;
   return buffer::explore(c.graph, opts);
 }
 
 // Best-of-N wall clock; N shrinks for slow configurations.
 buffer::DseResult run_timed(const BenchCase& c, state::SimdBackend backend,
-                            unsigned threads, double* seconds) {
-  buffer::DseResult best = run_once(c, backend, threads);
+                            double* seconds) {
+  buffer::DseResult best = run_once(c, backend);
   *seconds = best.seconds;
   const int reps = best.seconds > 0.5 ? 2 : 3;
   for (int r = 1; r < reps; ++r) {
-    buffer::DseResult again = run_once(c, backend, threads);
+    buffer::DseResult again = run_once(c, backend);
     if (again.seconds < *seconds) *seconds = again.seconds;
   }
   return best;
@@ -134,15 +129,11 @@ int main(int argc, char** argv) {
                 "scalar and swar only\n");
   }
 
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::printf(
-      "=== lane-parallel kernel: %zu backends x 1/8 threads (%u hardware) "
-      "===\n\n",
-      backends.size(), hw);
-  const std::vector<int> widths{12, 7, 8, 8, 10, 9, 10, 8, 7, 7, 10};
-  bench::print_row({"model", "engine", "backend", "threads", "time(s)",
-                    "speedup", "explored", "sims", "points", "narrow",
-                    "identical"},
+  std::printf("=== lane-parallel kernel: %zu backends ===\n\n",
+              backends.size());
+  const std::vector<int> widths{12, 7, 8, 10, 9, 10, 8, 7, 7, 10};
+  bench::print_row({"model", "engine", "backend", "time(s)", "speedup",
+                    "explored", "sims", "points", "narrow", "identical"},
                    widths);
   bench::print_rule(widths);
 
@@ -152,41 +143,37 @@ int main(int argc, char** argv) {
   // must report static narrow-kernel selection.
   bool h263_narrow_everywhere = true;
   for (const BenchCase& c : cases) {
-    for (const unsigned threads : {1u, 8u}) {
-      double scalar_seconds = 0;
-      buffer::DseResult scalar_front =
-          run_timed(c, state::SimdBackend::Scalar, threads, &scalar_seconds);
-      for (const state::SimdBackend backend : backends) {
-        Measurement m;
-        m.model = c.model;
-        m.engine = engine_name(c.engine);
-        m.backend = state::backend_name(backend);
-        m.threads = threads;
-        buffer::DseResult r = scalar_front;
-        if (backend == state::SimdBackend::Scalar) {
-          m.seconds = scalar_seconds;
-        } else {
-          r = run_timed(c, backend, threads, &m.seconds);
-        }
-        m.speedup = m.seconds > 0 ? scalar_seconds / m.seconds : 1.0;
-        m.explored = r.distributions_explored;
-        m.simulations = r.simulations_run;
-        m.points = r.pareto.size();
-        m.static_narrow = r.static_narrow;
-        m.identical = fronts_identical(scalar_front, r);
-        all_identical = all_identical && m.identical;
-        if (c.model == "h263" && backend != state::SimdBackend::Scalar) {
-          h263_narrow_everywhere = h263_narrow_everywhere && m.static_narrow;
-        }
-        std::printf(
-            "%-12s %-7s %-8s %-8u %-10.4f %-9.2f %-10llu %-8llu %-7zu %-7s "
-            "%s\n",
-            m.model.c_str(), m.engine.c_str(), m.backend.c_str(), m.threads,
-            m.seconds, m.speedup, static_cast<unsigned long long>(m.explored),
-            static_cast<unsigned long long>(m.simulations), m.points,
-            m.static_narrow ? "yes" : "no", m.identical ? "yes" : "NO");
-        measurements.push_back(std::move(m));
+    double scalar_seconds = 0;
+    buffer::DseResult scalar_front =
+        run_timed(c, state::SimdBackend::Scalar, &scalar_seconds);
+    for (const state::SimdBackend backend : backends) {
+      Measurement m;
+      m.model = c.model;
+      m.engine = engine_name(c.engine);
+      m.backend = state::backend_name(backend);
+      buffer::DseResult r = scalar_front;
+      if (backend == state::SimdBackend::Scalar) {
+        m.seconds = scalar_seconds;
+      } else {
+        r = run_timed(c, backend, &m.seconds);
       }
+      m.speedup = m.seconds > 0 ? scalar_seconds / m.seconds : 1.0;
+      m.explored = r.distributions_explored;
+      m.simulations = r.simulations_run;
+      m.points = r.pareto.size();
+      m.static_narrow = r.static_narrow;
+      m.identical = fronts_identical(scalar_front, r);
+      all_identical = all_identical && m.identical;
+      if (c.model == "h263" && backend != state::SimdBackend::Scalar) {
+        h263_narrow_everywhere = h263_narrow_everywhere && m.static_narrow;
+      }
+      std::printf(
+          "%-12s %-7s %-8s %-10.4f %-9.2f %-10llu %-8llu %-7zu %-7s %s\n",
+          m.model.c_str(), m.engine.c_str(), m.backend.c_str(), m.seconds,
+          m.speedup, static_cast<unsigned long long>(m.explored),
+          static_cast<unsigned long long>(m.simulations), m.points,
+          m.static_narrow ? "yes" : "no", m.identical ? "yes" : "NO");
+      measurements.push_back(std::move(m));
     }
   }
 
@@ -197,7 +184,6 @@ int main(int argc, char** argv) {
         bench::json_field("model", bench::json_str(m.model)),
         bench::json_field("engine", bench::json_str(m.engine)),
         bench::json_field("backend", bench::json_str(m.backend)),
-        bench::json_field("threads", bench::json_num(u64{m.threads})),
         bench::json_field("seconds", bench::json_num(m.seconds)),
         bench::json_field("speedup", bench::json_num(m.speedup)),
         bench::json_field("explored", bench::json_num(m.explored)),
@@ -221,15 +207,15 @@ int main(int argc, char** argv) {
     f.paragraph(
         "Each model's exploration runs under every SIMD backend the host "
         "offers (scalar reference, the lane kernel built for the baseline "
-        "ISA and for AVX2) at 1 and 8 worker threads; every lane front is "
-        "checked byte-for-byte against the scalar front at the same thread "
-        "count. Wall-clock numbers are machine-dependent and reported by "
-        "the binary only; the exploration counts below are deterministic "
-        "per engine (the lane engines batch candidates, so the exhaustive "
-        "counts differ from scalar by design — the front never does).");
+        "ISA and for AVX2); every lane front is checked byte-for-byte "
+        "against the scalar front. Wall-clock numbers are machine-dependent "
+        "and reported by the binary only; the exploration counts below are "
+        "deterministic per engine (the lane engines batch candidates, so "
+        "the exhaustive counts differ from scalar by design — the front "
+        "never does).");
     std::vector<std::vector<std::string>> rows;
     for (const Measurement& m : measurements) {
-      if (m.threads != 1 || m.backend == "scalar") continue;
+      if (m.backend == "scalar") continue;
       rows.push_back({m.model, m.engine, m.backend, std::to_string(m.explored),
                       std::to_string(m.points)});
     }
@@ -237,8 +223,8 @@ int main(int argc, char** argv) {
     f.bullet(std::string("every lane front identical to the scalar front: ") +
              (all_identical ? "yes" : "NO"));
     f.bullet(
-        "lane contract (--assert-lane-scaling): single-thread SWAR h263 "
-        "incremental >= 2x scalar, and AVX2 >= SWAR there on hosts with "
+        "lane contract (--assert-lane-scaling): SWAR h263 incremental "
+        ">= 2x scalar, and AVX2 >= SWAR there on hosts with "
         "AVX2");
     f.bullet(std::string("h263 lane runs select the narrow i32 kernel "
                          "statically from the magnitude certificate "
@@ -253,25 +239,25 @@ int main(int argc, char** argv) {
   }
 
   if (assert_lane_scaling) {
-    double swar_speedup_1t = 0.0;
-    double avx2_speedup_1t = 0.0;
+    double swar_speedup = 0.0;
+    double avx2_speedup = 0.0;
     for (const Measurement& m : measurements) {
-      if (m.model != "h263" || m.threads != 1) continue;
-      if (m.backend == "swar") swar_speedup_1t = m.speedup;
-      if (m.backend == "avx2") avx2_speedup_1t = m.speedup;
+      if (m.model != "h263") continue;
+      if (m.backend == "swar") swar_speedup = m.speedup;
+      if (m.backend == "avx2") avx2_speedup = m.speedup;
     }
-    if (swar_speedup_1t < 2.0) {
+    if (swar_speedup < 2.0) {
       std::printf(
-          "FAIL: single-thread h263 incremental under SWAR lanes is %.2fx "
-          "scalar, expected >= 2x\n",
-          swar_speedup_1t);
+          "FAIL: h263 incremental under SWAR lanes is %.2fx scalar, "
+          "expected >= 2x\n",
+          swar_speedup);
       return 1;
     }
     if (state::backend_available(state::SimdBackend::Avx2) &&
-        avx2_speedup_1t < swar_speedup_1t) {
-      std::printf("FAIL: single-thread h263 incremental under AVX2 lanes is "
-                  "%.2fx scalar, below SWAR's %.2fx\n",
-                  avx2_speedup_1t, swar_speedup_1t);
+        avx2_speedup < swar_speedup) {
+      std::printf("FAIL: h263 incremental under AVX2 lanes is %.2fx "
+                  "scalar, below SWAR's %.2fx\n",
+                  avx2_speedup, swar_speedup);
       return 1;
     }
     // Deterministic half of the contract: h263's magnitudes fit the
@@ -285,7 +271,7 @@ int main(int argc, char** argv) {
     }
     std::printf("lane scaling assertions passed (swar %.2fx, avx2 %.2fx, "
                 "static narrow selection engaged)\n",
-                swar_speedup_1t, avx2_speedup_1t);
+                swar_speedup, avx2_speedup);
   }
   return 0;
 }

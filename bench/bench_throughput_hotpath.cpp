@@ -2,7 +2,7 @@
 // reused across runs against a fresh engine per run, and the
 // cross-distribution throughput cache against cache-less exploration.
 //
-// Three sections, each emitted as machine-readable JSON (stdout, and
+// Two sections, each emitted as machine-readable JSON (stdout, and
 // `--json FILE` for the checked-in perf baseline future PRs regress
 // against):
 //
@@ -16,8 +16,6 @@
 //               fronts are byte-identical. The bundled models run with an
 //               unbounded cache; three exhaustive stress-corpus graphs run
 //               with buffyd's bounded one (1 << 18 entries).
-//  * threads  — the cached configuration at 1/2/8 worker threads; fronts
-//               must match the single-threaded run byte for byte.
 //
 // The exit status is nonzero only when a Pareto front diverges — timing
 // numbers are reported, never gated (CI machines are too noisy for that).
@@ -159,23 +157,19 @@ struct DseMeasurement {
 
 buffer::DseResult run_dse(const sdf::Graph& graph, sdf::ActorId target,
                           buffer::DseEngine engine, bool cache,
-                          u64 cache_capacity, unsigned threads,
-                          double* best_seconds) {
+                          u64 cache_capacity, double* best_seconds) {
   buffer::DseOptions opts{.target = target, .engine = engine};
-  opts.threads = threads;
   opts.use_throughput_cache = cache;
   opts.cache_capacity = cache_capacity;
   // Scalar pin: keep both sides of the A/B on the one-candidate solver so
   // the saved-simulation accounting compares like with like (see header).
   opts.simd = state::SimdBackend::Scalar;
   buffer::DseResult best = buffer::explore(graph, opts);
-  if (best_seconds != nullptr) {
-    *best_seconds = best.seconds;
-    const int reps = best.seconds > 0.5 ? 1 : 3;
-    for (int r = 1; r < reps; ++r) {
-      const buffer::DseResult again = buffer::explore(graph, opts);
-      if (again.seconds < *best_seconds) *best_seconds = again.seconds;
-    }
+  *best_seconds = best.seconds;
+  const int reps = best.seconds > 0.5 ? 1 : 3;
+  for (int r = 1; r < reps; ++r) {
+    const buffer::DseResult again = buffer::explore(graph, opts);
+    if (again.seconds < *best_seconds) *best_seconds = again.seconds;
   }
   return best;
 }
@@ -188,9 +182,9 @@ DseMeasurement bench_dse(const std::string& name, const sdf::Graph& graph,
   m.engine = engine == buffer::DseEngine::Exhaustive ? "exh" : "inc";
   m.cache_capacity = cache_capacity;
   const buffer::DseResult off = run_dse(graph, target, engine, /*cache=*/false,
-                                        0, 1, &m.nocache_seconds);
+                                        0, &m.nocache_seconds);
   const buffer::DseResult on = run_dse(graph, target, engine, /*cache=*/true,
-                                       cache_capacity, 1, &m.cache_seconds);
+                                       cache_capacity, &m.cache_seconds);
   m.speedup =
       m.cache_seconds > 0 ? m.nocache_seconds / m.cache_seconds : 1.0;
   m.nocache_simulations = off.simulations_run;
@@ -224,16 +218,6 @@ DseMeasurement bench_corpus_dse(const std::string& name,
   return bench_dse(name, graph, *graph.find_actor(target),
                    buffer::DseEngine::Exhaustive, kDaemonCacheCapacity);
 }
-
-// --- threads section ---------------------------------------------------
-
-struct ThreadCheck {
-  std::string model;
-  std::string engine;
-  unsigned threads = 1;
-  double seconds = 0;
-  bool identical = true;
-};
 
 }  // namespace
 
@@ -330,39 +314,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n=== determinism: cached configuration across threads "
-              "===\n\n");
-  std::vector<ThreadCheck> checks;
-  const struct {
-    const char* name;
-    sdf::Graph graph;
-    buffer::DseEngine engine;
-  } thread_cases[] = {
-      {"samplerate", models::samplerate_converter(),
-       buffer::DseEngine::Exhaustive},
-      {"modem", models::modem(), buffer::DseEngine::Incremental},
-  };
-  for (const auto& c : thread_cases) {
-    const sdf::ActorId target = models::reported_actor(c.graph);
-    const buffer::DseResult base =
-        run_dse(c.graph, target, c.engine, /*cache=*/true, 0, 1, nullptr);
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      ThreadCheck t;
-      t.model = c.name;
-      t.engine = c.engine == buffer::DseEngine::Exhaustive ? "exh" : "inc";
-      t.threads = threads;
-      const buffer::DseResult r = run_dse(c.graph, target, c.engine,
-                                          /*cache=*/true, 0, threads, nullptr);
-      t.seconds = r.seconds;
-      t.identical = fronts_identical(base, r);
-      all_identical = all_identical && t.identical;
-      std::printf("%-12s %-7s threads=%-3u %-10.4f %s\n", t.model.c_str(),
-                  t.engine.c_str(), t.threads, t.seconds,
-                  t.identical ? "identical" : "DIVERGED");
-      checks.push_back(std::move(t));
-    }
-  }
-
   std::vector<std::string> kernel_records;
   for (const KernelMeasurement& m : kernel) {
     kernel_records.push_back(bench::json_obj({
@@ -399,20 +350,9 @@ int main(int argc, char** argv) {
         bench::json_field("identical", m.identical ? "true" : "false"),
     }));
   }
-  std::vector<std::string> thread_records;
-  for (const ThreadCheck& t : checks) {
-    thread_records.push_back(bench::json_obj({
-        bench::json_field("model", bench::json_str(t.model)),
-        bench::json_field("engine", bench::json_str(t.engine)),
-        bench::json_field("threads", bench::json_num(u64{t.threads})),
-        bench::json_field("seconds", bench::json_num(t.seconds)),
-        bench::json_field("identical", t.identical ? "true" : "false"),
-    }));
-  }
   const std::string json = bench::json_obj({
       bench::json_field("kernel", bench::json_arr(kernel_records)),
       bench::json_field("dse", bench::json_arr(dse_records)),
-      bench::json_field("threads", bench::json_arr(thread_records)),
   });
   std::printf("\n=== JSON ===\n%s\n", json.c_str());
   if (!json_path.empty()) {
@@ -425,10 +365,10 @@ int main(int argc, char** argv) {
     trace::ReportFragment f("Throughput hot path: the throughput cache",
                             "bench_throughput_hotpath");
     f.paragraph("End-to-end explorations with the cross-distribution "
-                "throughput cache off vs on (per-worker solver reuse and "
-                "fused storage-dependency collection are always on). "
-                "Wall-clock speedups are machine-dependent and reported by "
-                "the binary only; the simulation counts below are "
+                "throughput cache off vs on (solver reuse and fused "
+                "storage-dependency collection are always on). Wall-clock "
+                "speedups are machine-dependent and reported by the binary "
+                "only; the simulation counts below are "
                 "deterministic, and the fronts must be byte-identical in "
                 "every configuration. The stress-corpus rows (g10_*) run "
                 "with buffyd's bounded cache of 2^18 entries; the models "
@@ -447,15 +387,15 @@ int main(int argc, char** argv) {
     f.table({"model", "engine", "nocache-sims", "cache-sims", "sims-saved",
              "cache-hits", "dominance-skips", "identical"},
             rows);
-    f.bullet(std::string("cached and parallel fronts identical to the "
-                         "cache-less front on every model and thread count: ") +
+    f.bullet(std::string("cached fronts identical to the cache-less front "
+                         "on every model: ") +
              (all_identical ? "yes" : "NO"));
     f.write(*report_dir, "throughput_hotpath");
   }
 
   if (!all_identical) {
-    std::printf("\nFAIL: a cached or parallel front diverged from the "
-                "cache-less front\n");
+    std::printf("\nFAIL: a cached front diverged from the cache-less "
+                "front\n");
     return 1;
   }
   return 0;

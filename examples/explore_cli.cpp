@@ -19,7 +19,6 @@
 //   --max-size <n>        explore distributions up to this size only
 //   --goal <rational>     stop once this throughput is reached (e.g. 1/4)
 //   --min-tput <rational> report only points at or above this throughput
-//   --threads <n>         worker threads (deterministic; default 1)
 //   --simd <mode>         candidate evaluation backend: auto (default),
 //                         scalar, swar, avx2. Lane backends batch sibling
 //                         candidates through the SoA state-space kernel;
@@ -88,8 +87,7 @@ void usage(std::FILE* out) {
       "                   [--quality fast|exact]\n"
       "                   [--levels N] [--max-size N] [--goal R] "
       "[--min-tput R]\n"
-      "                   [--threads N] [--simd auto|scalar|swar|avx2] "
-      "[--lanes N]\n"
+      "                   [--simd auto|scalar|swar|avx2] [--lanes N]\n"
       "                   [--deadline-ms N] [--no-cache] "
       "[--cache-cap N] [--stats]\n"
       "                   [--trace FILE] [--schedule] [--dot FILE] "
@@ -107,7 +105,6 @@ struct CliArgs {
   std::optional<i64> max_size;
   std::optional<Rational> goal;
   std::optional<Rational> min_tput;
-  std::optional<i64> threads;
   std::optional<state::SimdBackend> simd;
   std::optional<i64> lanes;
   std::optional<i64> deadline_ms;
@@ -154,9 +151,6 @@ std::optional<CliArgs> parse_args(int argc, char** argv) {
       args.goal = parse_rational(value());
     } else if (arg == "--min-tput") {
       args.min_tput = parse_rational(value());
-    } else if (arg == "--threads") {
-      args.threads = parse_i64(value());
-      if (*args.threads < 1) throw ParseError("--threads must be >= 1");
     } else if (arg == "--simd") {
       const std::string mode = value();
       args.simd = state::parse_backend(mode);
@@ -206,7 +200,6 @@ std::optional<CliArgs> parse_args(int argc, char** argv) {
     if (args.engine.has_value()) unsupported = "--engine";
     if (args.goal.has_value()) unsupported = "--goal";
     if (args.min_tput.has_value()) unsupported = "--min-tput";
-    if (args.threads.has_value()) unsupported = "--threads";
     if (args.simd.has_value()) unsupported = "--simd";
     if (args.lanes.has_value()) unsupported = "--lanes";
     if (args.deadline_ms.has_value()) unsupported = "--deadline-ms";
@@ -231,7 +224,6 @@ std::optional<CliArgs> parse_args(int argc, char** argv) {
     if (args.engine.has_value()) unsupported = "--engine";
     if (args.goal.has_value()) unsupported = "--goal";
     if (args.min_tput.has_value()) unsupported = "--min-tput";
-    if (args.threads.has_value()) unsupported = "--threads";
     if (args.simd.has_value()) unsupported = "--simd";
     if (args.lanes.has_value()) unsupported = "--lanes";
     if (args.deadline_ms.has_value()) unsupported = "--deadline-ms";
@@ -378,9 +370,6 @@ int main(int argc, char** argv) {
     opts.max_distribution_size = args->max_size;
     opts.throughput_goal = args->goal;
     opts.min_throughput = args->min_tput;
-    if (args->threads.has_value()) {
-      opts.threads = static_cast<unsigned>(*args->threads);
-    }
     if (args->simd.has_value()) opts.simd = *args->simd;
     if (args->lanes.has_value()) {
       opts.simd_lanes = static_cast<std::size_t>(*args->lanes);

@@ -77,6 +77,9 @@ void require_explorable(const sdf::Graph& graph, const DseOptions& options) {
   BUFFY_REQUIRE(options.target.valid() &&
                     options.target.index() < graph.num_actors(),
                 "DSE target actor is not part of the graph");
+  BUFFY_REQUIRE(options.threads == 1,
+                "DseOptions::threads must be 1: an exploration runs on one "
+                "thread");
   analysis::require_consistent(graph);
   if (!options.binding.empty()) {
     BUFFY_REQUIRE(options.binding.size() == graph.num_actors(),

@@ -85,14 +85,11 @@ struct DseOptions {
   /// context; see mapping/). Supported by the incremental engine.
   std::vector<std::size_t> binding;
 
-  /// Worker threads for the exploration (both engines; each throughput run
-  /// is independent). The incremental engine evaluates candidates of equal
-  /// size in parallel waves; the exhaustive engine shards the per-size
-  /// enumeration. Results are folded in deterministic (lexicographic)
-  /// order, so the Pareto set is identical to the single-threaded
-  /// exploration; `distributions_explored` may count a few extra
-  /// candidates evaluated past the sequential stopping point.
-  /// 1 = sequential.
+  /// Must be 1: every exploration runs on the calling thread, and
+  /// explore() / explore_size_slice() throw Error for any other value.
+  /// Concurrency lives across requests (buffyd's pool sharing one
+  /// ThroughputCache) and across processes (the fleet router). The field
+  /// stays because existing callers (the request-path benchmark) set it.
   unsigned threads = 1;
 
   /// Consult the per-exploration throughput cache: exact repeats are
@@ -221,10 +218,10 @@ struct DseResult {
 /// ConsistencyError for inconsistent graphs; returns an empty Pareto set
 /// when the graph deadlocks for every distribution.
 ///
-/// Thread-safety: explore() only reads `graph` (worker threads, if any,
-/// are created and joined internally), so concurrent explorations of the
-/// same graph are safe. Sizes are token counts; throughputs are exact
-/// target-firings-per-time-step rationals, quantised only when requested.
+/// Thread-safety: explore() only reads `graph` and runs on the calling
+/// thread, so concurrent explorations of the same graph are safe. Sizes
+/// are token counts; throughputs are exact target-firings-per-time-step
+/// rationals, quantised only when requested.
 [[nodiscard]] DseResult explore(const sdf::Graph& graph,
                                 const DseOptions& options);
 

@@ -1,7 +1,6 @@
 #include "buffer/dse_exact.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -13,8 +12,6 @@
 #include "analysis/repetition_vector.hpp"
 #include "buffer/audit_checks.hpp"
 #include "buffer/throughput_cache.hpp"
-#include "exec/parallel.hpp"
-#include "exec/thread_pool.hpp"
 #include "lp/sdf_model.hpp"
 #include "state/lane_throughput.hpp"
 #include "state/simd_kernel.hpp"
@@ -25,19 +22,7 @@ namespace buffy::buffer {
 
 namespace {
 
-// Adaptive shard granularity (DESIGN.md §14): a per-size slice only fans
-// out over the pool when its estimated simulation work — LP-floor-weighted
-// candidate count x running average per-simulation seconds — clears the
-// barrier threshold, and the pool is only spawned for a slice expensive
-// enough to also repay thread creation. kTargetShardSeconds sizes the
-// shard count so each shard holds roughly that much estimated work
-// instead of the former unconditional workers * 8 explosion.
-constexpr double kParallelSliceSeconds = 200e-6;
-constexpr double kSpawnSliceSeconds = 1e-3;
-constexpr double kTargetShardSeconds = 500e-6;
-
-// Shared state of one exhaustive exploration. Counters are atomic because
-// the per-size enumeration is sharded across the worker pool.
+// State of one exhaustive exploration.
 struct Sweep {
   const sdf::Graph& graph;
   const DseOptions& options;
@@ -46,123 +31,78 @@ struct Sweep {
   std::vector<i64> ub;  // per-channel enumeration ceiling (Fig. 7 box)
   std::vector<i64> lb_suffix;  // sum of lb over channels >= i
   std::vector<i64> ub_suffix;  // sum of ub over channels >= i
-  // Per-channel floor used ONLY for work estimation: lb lifted by the LP
-  // necessary floors when LP bounds are on. Candidates below these floors
-  // are answered by the LP leaf cut without simulating, so weighting the
-  // count by them keeps the shard-sizing estimate honest.
-  std::vector<i64> est_lb;
   Rational goal;               // stop improving a size beyond this
   // Names the caller in the max_distributions diagnostic (the Pareto
   // search and the tie enumeration share this machinery).
   const char* op_name = "exhaustive DSE";
-  std::atomic<u64> explored{0};
-  std::atomic<u64> max_states{0};
-  std::atomic<u64> simulations{0};
-  std::atomic<u64> cache_hits{0};
-  std::atomic<u64> dominance_skips{0};
-  std::atomic<u64> lp_prunes{0};
-  exec::LazyThreadPool* lazy = nullptr;  // null = sequential-only caller
-  ThroughputCache* cache = nullptr;      // null = cache disabled
+  u64 explored = 0;
+  u64 max_states = 0;
+  u64 simulations = 0;
+  u64 cache_hits = 0;
+  u64 dominance_skips = 0;
+  u64 lp_prunes = 0;
+  ThroughputCache* cache = nullptr;  // null = cache disabled
   // LP cycle cuts (null = LP bounds disabled). A candidate or envelope
   // whose cut bound cannot strictly beat the incumbent is answered without
   // simulating; the visitor updates only on strict improvement, so the
   // front stays byte-identical to the unpruned scan.
   const lp::ThroughputCuts* cuts = nullptr;
-  // Thread-affine: each worker keeps the slot's solver for the whole
-  // exploration — no per-shard acquire/release. Set by attach_engines.
-  state::WorkerSolvers* solvers = nullptr;
+  // The scalar solver, reused across every run of the exploration. Set by
+  // attach_engines.
+  state::ThroughputSolver* solver = nullptr;
   // Lane-parallel leaf evaluation (DESIGN.md §15): non-null when the SIMD
   // lane kernel batches the enumeration's cache-missing leaves. Envelope
   // probes and slice seeds stay scalar — they are evaluated at the moment
-  // their value gates the traversal. The bank carries a magnitude
+  // their value gates the traversal. The solver carries a magnitude
   // certificate whose storage budget is the enumeration box itself
   // (sweep.ub after widening) — every enumerated candidate is inside it
   // by construction, so lane batches skip the dynamic narrow-kernel gate
   // (DESIGN.md §16).
-  state::LaneSolverBank* lane_bank = nullptr;
+  state::LaneThroughputSolver* lanes = nullptr;
 
-  // Per-slot scratch: the worker's cache delta plus its local simulation
-  // cost sample, padded so neighbouring workers never share a cache line.
-  struct alignas(64) SlotState {
-    std::optional<ThroughputCache::Delta> delta;
-    double sim_seconds = 0.0;
-    u64 sims = 0;
-  };
-  std::vector<SlotState> slot_state;
-  std::size_t caller_slot = 0;
-  // Frozen read view for the current slice; workers read it lock-free and
-  // record fresh outcomes into their slot's delta (merged in end_slice).
+  // Frozen read view of the shared cache for the current slice, plus the
+  // outcomes this exploration learned inside it (merged in end_slice).
   std::optional<ThroughputCache::Snapshot> snap;
-  // Running per-simulation cost average feeding the adaptive granularity.
-  double total_sim_seconds = 0.0;
-  u64 total_sims = 0;
-  // Pruning-efficiency estimator: the box count wildly overstates what a
-  // seeded branch-and-bound scan actually visits, so slices also feed
-  // (predicted candidates, actually explored) totals and the work
-  // estimate is scaled by their ratio. Starts neutral (1.0) — the first
-  // slice is sequential anyway (no cost sample yet).
-  double predicted_candidates = 0.0;
-  u64 explored_in_slices = 0;
+  std::optional<ThroughputCache::Delta> delta;
 
-  void init_slots(std::size_t slots) {
-    slot_state = std::vector<SlotState>(slots);
-    caller_slot = slots - 1;
-    if (cache != nullptr) {
-      for (SlotState& s : slot_state) s.delta.emplace(cache->make_delta());
-    }
-  }
-
-  // Slice boundaries: snapshot before, merge + cost-sample fold after.
+  // Slice boundaries: snapshot before, merge after.
   void begin_slice() {
     if (cache != nullptr) snap.emplace(cache->snapshot());
   }
   void end_slice() {
-    if (cache != nullptr) {
-      std::vector<ThroughputCache::Delta*> deltas;
-      for (SlotState& s : slot_state) {
-        if (!s.delta->empty()) deltas.push_back(&*s.delta);
-      }
-      if (!deltas.empty()) cache->merge(deltas);
-      for (SlotState& s : slot_state) s.delta->clear();
+    if (cache == nullptr) return;
+    if (!delta->empty()) {
+      ThroughputCache::Delta* const deltas[] = {&*delta};
+      cache->merge(deltas);
     }
-    for (SlotState& s : slot_state) {
-      total_sim_seconds += s.sim_seconds;
-      total_sims += s.sims;
-      s.sim_seconds = 0.0;
-      s.sims = 0;
-    }
+    delta->clear();
   }
 
   // Books the candidate against the exploration budget and tries to
   // answer it from the cache (exact repeat or Sec. 8 dominance). Returns
   // the answer, or nullopt when the candidate needs a simulation.
-  // `slot` keys the worker's thread-affine solver and delta (the pool's
-  // current_slot(), or caller_slot on the sequential path).
-  [[nodiscard]] std::optional<Rational> classify(const CapsKey& key,
-                                                 std::size_t slot) {
-    if (explored.fetch_add(1, std::memory_order_relaxed) + 1 >
-        options.max_distributions) {
+  [[nodiscard]] std::optional<Rational> classify(const CapsKey& key) {
+    if (++explored > options.max_distributions) {
       throw Error(std::string(op_name) + " exceeded max_distributions = " +
                   std::to_string(options.max_distributions));
     }
     if (cache != nullptr) {
       // The snapshot covers everything merged before this slice; the
-      // slot's delta covers what this worker has learned inside it —
-      // including its own witnesses, so a sequential scan sees exactly
-      // the hit/miss pattern the per-candidate store() path produced.
-      ThroughputCache::Delta& delta = *slot_state[slot].delta;
+      // delta covers what this exploration has learned inside it —
+      // including its own witnesses, so the scan sees exactly the
+      // hit/miss pattern the per-candidate store() path produced.
       const std::vector<i64>& caps = key.caps();
       std::optional<CachedThroughput> hit =
           snap->find(key, /*require_deps=*/false);
-      if (!hit.has_value()) hit = delta.find(key, /*require_deps=*/false);
+      if (!hit.has_value()) hit = delta->find(key, /*require_deps=*/false);
       const bool exact = hit.has_value();
       if (!hit.has_value()) {
         hit = snap->find_max_dominated(key);
-        if (!hit.has_value()) hit = delta.find_max_dominated(key);
+        if (!hit.has_value()) hit = delta->find_max_dominated(key);
       }
       if (!hit.has_value()) {
         hit = snap->find_deadlock_dominated(key);
-        if (!hit.has_value()) hit = delta.find_deadlock_dominated(key);
+        if (!hit.has_value()) hit = delta->find_deadlock_dominated(key);
       }
       if (hit.has_value()) {
         if (trace::enabled()) {
@@ -172,8 +112,7 @@ struct Sweep {
                                     : trace::EventKind::DominanceSkip,
                               size);
         }
-        (exact ? cache_hits : dominance_skips)
-            .fetch_add(1, std::memory_order_relaxed);
+        ++(exact ? cache_hits : dominance_skips);
         if (options.progress != nullptr) {
           options.progress->add_points(1);
           options.progress->add_sims_avoided(1);
@@ -199,9 +138,8 @@ struct Sweep {
 
   // Books one fresh simulation outcome shared by the scalar and lane
   // paths: peak-state fold, cache delta record, LP-bound audit sample.
-  void absorb_run(const CapsKey& key, const state::ThroughputResult& run,
-                  std::size_t slot) {
-    simulations.fetch_add(1, std::memory_order_relaxed);
+  void absorb_run(const CapsKey& key, const state::ThroughputResult& run) {
+    ++simulations;
     // The same deterministic sample cross-checks the LP cycle-cut bound
     // against the fresh simulation (DESIGN.md §9, §13): a bound below
     // reality would have let lp_rules_out discard a reachable point.
@@ -209,11 +147,7 @@ struct Sweep {
       audit_check_lp_bound(graph, *cuts, key.caps(), run.throughput,
                            run.deadlocked);
     }
-    u64 seen = max_states.load(std::memory_order_relaxed);
-    while (run.states_stored > seen &&
-           !max_states.compare_exchange_weak(seen, run.states_stored,
-                                             std::memory_order_relaxed)) {
-    }
+    max_states = std::max(max_states, run.states_stored);
     if (cache != nullptr) {
       CachedThroughput value;
       value.throughput = run.throughput;
@@ -221,34 +155,28 @@ struct Sweep {
       value.states_stored = run.states_stored;
       value.cycle_start_time = run.cycle_start_time;
       value.period = run.period;
-      slot_state[slot].delta->record(key, value);
+      delta->record(key, value);
     }
     if (options.progress != nullptr) options.progress->add_points(1);
   }
 
   // Scalar simulation of one cache-missing candidate.
-  [[nodiscard]] Rational simulate_one(const CapsKey& key, std::size_t slot) {
+  [[nodiscard]] Rational simulate_one(const CapsKey& key) {
     state::ThroughputOptions run_opts{.target = options.target,
                                       .max_steps =
                                           options.max_steps_per_run};
     run_opts.cancel = options.cancel;
     run_opts.progress = options.progress;
-    const auto sim_t0 = std::chrono::steady_clock::now();
-    const state::ThroughputResult run = solvers->at(slot).compute(
-        state::Capacities::bounded(key.caps()), run_opts);
-    slot_state[slot].sim_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      sim_t0)
-            .count();
-    slot_state[slot].sims += 1;
-    absorb_run(key, run, slot);
+    const state::ThroughputResult run =
+        solver->compute(state::Capacities::bounded(key.caps()), run_opts);
+    absorb_run(key, run);
     return run.throughput;
   }
 
   // Simulates a group of cache-missing candidates as one lockstep lane
-  // batch on the slot's lane solver; results land index-for-index.
+  // batch; results land index-for-index.
   [[nodiscard]] std::vector<state::ThroughputResult> simulate_lanes(
-      std::span<const CapsKey> keys, std::size_t slot) {
+      std::span<const CapsKey> keys) {
     std::vector<std::vector<i64>> caps;
     caps.reserve(keys.size());
     for (const CapsKey& key : keys) caps.push_back(key.caps());
@@ -257,35 +185,28 @@ struct Sweep {
     run_opts.cancel = options.cancel;
     run_opts.progress = options.progress;
     run_opts.within_certificate = true;
-    const auto sim_t0 = std::chrono::steady_clock::now();
     std::vector<state::ThroughputResult> runs =
-        lane_bank->at(slot).compute_batch(caps, run_opts);
-    slot_state[slot].sim_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      sim_t0)
-            .count();
-    slot_state[slot].sims += caps.size();
+        lanes->compute_batch(caps, run_opts);
     for (std::size_t k = 0; k < keys.size(); ++k) {
-      absorb_run(keys[k], runs[k], slot);
+      absorb_run(keys[k], runs[k]);
     }
     return runs;
   }
 
   // The scalar evaluation used by envelope probes and slice seeds (and by
   // every leaf when the lane kernel is off).
-  [[nodiscard]] Rational throughput_of(const std::vector<i64>& caps,
-                                       std::size_t slot) {
+  [[nodiscard]] Rational throughput_of(const std::vector<i64>& caps) {
     const CapsKey key(caps);
-    if (const std::optional<Rational> hit = classify(key, slot)) {
+    if (const std::optional<Rational> hit = classify(key)) {
       return *hit;
     }
-    return simulate_one(key, slot);
+    return simulate_one(key);
   }
 
   // Books one LP-answered skip (a leaf candidate or an envelope probe that
   // never had to simulate). `size` is the candidate's distribution size.
   void note_lp_prune(i64 size) {
-    lp_prunes.fetch_add(1, std::memory_order_relaxed);
+    ++lp_prunes;
     if (trace::enabled()) {
       trace::emit_instant(trace::EventKind::LpPrune, size);
     }
@@ -324,18 +245,18 @@ struct SizeOutcome {
 // (throughput, witness) outcome — and with it the front — byte-identical
 // to the scalar scan; the enumeration may classify up to a queue's worth
 // of extra leaves past the sequential stopping point, booked in
-// distributions_explored exactly like the sharded scan's overshoot.
+// distributions_explored.
 class LeafQueue {
  public:
-  LeafQueue(Sweep& sweep, std::size_t slot)
-      : sweep_(sweep), slot_(slot), width_(sweep.lane_bank->lanes()) {}
+  explicit LeafQueue(Sweep& sweep)
+      : sweep_(sweep), width_(sweep.lanes->lanes()) {}
 
   // Queues one leaf; flushes when the queue reaches the lane width.
   // Returns false once the fold requested a stop.
   template <typename Visit>
   [[nodiscard]] bool leaf(const std::vector<i64>& caps, Visit&& visit) {
     const CapsKey key(caps);
-    entries_.push_back(Entry{caps, key.hash(), sweep_.classify(key, slot_)});
+    entries_.push_back(Entry{caps, key.hash(), sweep_.classify(key)});
     if (!entries_.back().tput.has_value()) {
       pending_.push_back(entries_.size() - 1);
     }
@@ -355,7 +276,7 @@ class LeafQueue {
         keys.emplace_back(entries_[k].caps, entries_[k].hash);
       }
       const std::vector<state::ThroughputResult> runs =
-          sweep_.simulate_lanes(keys, slot_);
+          sweep_.simulate_lanes(keys);
       for (std::size_t k = 0; k < pending_.size(); ++k) {
         entries_[pending_[k]].tput = runs[k].throughput;
       }
@@ -379,42 +300,10 @@ class LeafQueue {
   };
 
   Sweep& sweep_;
-  std::size_t slot_;
   std::size_t width_;
   std::vector<Entry> entries_;
   std::vector<std::size_t> pending_;
 };
-
-// Number of distributions of total `size` inside the estimation box
-// [est_lb, ub], as a double (a threshold estimate, not an exact count:
-// precision loss and +inf on astronomic boxes are both fine — anything
-// that large is parallel regardless).
-double count_candidates(const Sweep& sweep, i64 size) {
-  const std::size_t m = sweep.lb.size();
-  if (size < 0) return 0.0;
-  const std::size_t budget = static_cast<std::size_t>(size);
-  std::vector<double> ways(budget + 1, 0.0);
-  std::vector<double> prefix(budget + 2, 0.0);
-  ways[0] = 1.0;
-  for (std::size_t c = 0; c < m; ++c) {
-    prefix[0] = 0.0;
-    for (std::size_t b = 0; b <= budget; ++b) {
-      prefix[b + 1] = prefix[b] + ways[b];
-    }
-    const i64 lo = sweep.est_lb[c];
-    const i64 hi = sweep.ub[c];
-    for (std::size_t b = budget + 1; b-- > 0;) {
-      // new_ways[b] = sum of ways[b - cap] for cap in [lo, hi].
-      const i64 from = static_cast<i64>(b) - hi;
-      const i64 to = static_cast<i64>(b) - lo;
-      ways[b] = to < 0 ? 0.0
-                       : prefix[static_cast<std::size_t>(to) + 1] -
-                             prefix[static_cast<std::size_t>(std::max<i64>(
-                                 from, 0))];
-    }
-  }
-  return ways[budget];
-}
 
 // The pointwise upper envelope of every completion of the node
 // (channel, remaining): channel c >= `channel` can hold at most
@@ -433,9 +322,8 @@ std::vector<i64> envelope_caps(const Sweep& sweep, const std::vector<i64>& caps,
   return env;
 }
 
-Rational envelope_throughput(Sweep& sweep, std::size_t slot,
-                             const std::vector<i64>& env) {
-  return quantize_down(sweep.throughput_of(env, slot),
+Rational envelope_throughput(Sweep& sweep, const std::vector<i64>& env) {
+  return quantize_down(sweep.throughput_of(env),
                        sweep.options.quantization);
 }
 
@@ -444,14 +332,14 @@ Rational envelope_throughput(Sweep& sweep, std::size_t slot,
 // LP-answered prune cuts exactly subtrees the probe would also have cut —
 // the traversal (and therefore the front) is unchanged, only cheaper.
 template <typename Incumbent>
-bool subtree_pruned(Sweep& sweep, std::size_t slot,
-                    const std::vector<i64>& caps, std::size_t channel,
+bool subtree_pruned(Sweep& sweep, const std::vector<i64>& caps,
+                    std::size_t channel,
                     i64 remaining, const Incumbent& incumbent, bool strict) {
   const std::vector<i64> env = envelope_caps(sweep, caps, channel, remaining);
   i64 env_size = 0;
   for (const i64 c : env) env_size += c;
   if (sweep.lp_rules_out(env, incumbent, strict, env_size)) return true;
-  const Rational tput = envelope_throughput(sweep, slot, env);
+  const Rational tput = envelope_throughput(sweep, env);
   return strict ? tput < incumbent : tput <= incumbent;
 }
 
@@ -464,8 +352,8 @@ bool subtree_pruned(Sweep& sweep, std::size_t slot,
 // skipped candidate can change the outcome. `caps[0..channel)` must
 // already hold the fixed prefix.
 template <typename Leaf, typename Pruner, typename SkipLeaf>
-bool enumerate(Sweep& sweep, std::size_t slot,
-               std::vector<i64>& caps, std::size_t channel, i64 remaining,
+bool enumerate(Sweep& sweep, std::vector<i64>& caps, std::size_t channel,
+               i64 remaining,
                Leaf&& leaf, Pruner&& prune, SkipLeaf&& skip_leaf) {
   const std::size_t m = sweep.lb.size();
   if (channel == m) {
@@ -481,7 +369,7 @@ bool enumerate(Sweep& sweep, std::size_t slot,
   // two open channels and a few tokens of slack, otherwise the probe
   // costs as much as the handful of leaves it could save.
   if (channel + 2 <= m && remaining - sweep.lb_suffix[channel] >= 3 &&
-      prune(caps, channel, remaining, slot)) {
+      prune(caps, channel, remaining)) {
     return true;
   }
   // Budget window for this channel so the suffix can still hit `remaining`.
@@ -491,8 +379,8 @@ bool enumerate(Sweep& sweep, std::size_t slot,
   const i64 hi = std::min(sweep.ub[channel], remaining - rest_lb);
   for (i64 cap = lo; cap <= hi; ++cap) {
     caps[channel] = cap;
-    if (!enumerate(sweep, slot, caps, channel + 1, remaining - cap, leaf,
-                   prune, skip_leaf)) {
+    if (!enumerate(sweep, caps, channel + 1, remaining - cap, leaf, prune,
+                   skip_leaf)) {
       return false;
     }
   }
@@ -500,269 +388,80 @@ bool enumerate(Sweep& sweep, std::size_t slot,
 }
 
 // Builds the enumerate() leaf evaluator for one scan: scalar when no lane
-// bank is wired (classify + simulate one candidate inline), lane-queued
+// solver is wired (classify + simulate one candidate inline), lane-queued
 // otherwise. `run(fold)` performs the enumeration with the chosen leaf
 // and flushes the queue's tail, so both paths fold every surviving leaf
 // in the same lexicographic order.
 template <typename Fold, typename Enumerate>
-void scan_leaves(Sweep& sweep, std::size_t slot, Fold&& fold,
-                 Enumerate&& run) {
-  if (sweep.lane_bank == nullptr) {
+void scan_leaves(Sweep& sweep, Fold&& fold, Enumerate&& run) {
+  if (sweep.lanes == nullptr) {
     run([&](const std::vector<i64>& caps) {
-      return fold(caps, quantize_down(sweep.throughput_of(caps, slot),
+      return fold(caps, quantize_down(sweep.throughput_of(caps),
                                       sweep.options.quantization));
     });
     return;
   }
-  LeafQueue queue(sweep, slot);
+  LeafQueue queue(sweep);
   run([&](const std::vector<i64>& caps) { return queue.leaf(caps, fold); });
   (void)queue.flush(fold);
 }
 
-// Sequential reference: scan in lexicographic order, keep the first
-// distribution that strictly improves, stop at the slice goal. `best`
-// may arrive pre-seeded with a known distribution of this size (a padded
-// witness from a smaller slice), which arms the branch-and-bound cut
-// from the first node: subtrees whose envelope cannot strictly beat the
-// incumbent are skipped wholesale — sound by monotonicity, and
-// outcome-identical to the plain scan because skipped subtrees contain
-// no improving candidate.
-SizeOutcome max_throughput_sequential(Sweep& sweep, i64 size,
-                                      SizeOutcome best,
-                                      const Rational& slice_goal) {
-  const std::size_t slot = sweep.caller_slot;
-  std::vector<i64> caps(sweep.lb.size(), 0);
-  scan_leaves(
-      sweep, slot,
-      [&](const std::vector<i64>& found, const Rational& tput) {
-        if (best.witness.num_channels() == 0 || tput > best.throughput) {
-          best.throughput = tput;
-          best.witness = StorageDistribution(found);
-        }
-        return best.throughput < slice_goal;  // stop at the slice goal
-      },
-      [&](auto&& leaf) {
-        enumerate(
-            sweep, slot, caps, 0, size, leaf,
-            [&](const std::vector<i64>& prefix, std::size_t channel,
-                i64 remaining, std::size_t probe_slot) {
-              return best.witness.num_channels() != 0 &&
-                     subtree_pruned(sweep, probe_slot, prefix, channel,
-                                    remaining, best.throughput,
-                                    /*strict=*/false);
-            },
-            // LP leaf cut: a candidate whose cut bound cannot strictly beat
-            // the incumbent would never have updated `best` — skip its
-            // simulation.
-            [&](const std::vector<i64>& candidate) {
-              return best.witness.num_channels() != 0 &&
-                     sweep.lp_rules_out(candidate, best.throughput,
-                                        /*strict=*/false, size);
-            });
-      });
-  return best;
-}
-
-// One shard of a sharded per-size enumeration: a fixed capacity prefix
-// (channels [0, depth)) plus the tokens left for the remaining channels.
-struct Shard {
-  std::vector<i64> prefix;
-  i64 remaining = 0;
-};
-
-// Splits the size-`size` slice of the box into lexicographically ordered
-// shards by fixing capacity prefixes, expanding one channel at a time
-// until there are enough shards to feed the pool (or prefixes run out of
-// channels to fix). Expanding in capacity order keeps the concatenation
-// of the shards' enumeration ranges equal to the sequential visit order.
-std::vector<Shard> make_shards(const Sweep& sweep, i64 size,
-                               std::size_t want) {
-  const std::size_t m = sweep.lb.size();
-  std::vector<Shard> shards{{{}, size}};
-  std::size_t depth = 0;
-  while (depth + 1 < m && shards.size() < want) {
-    std::vector<Shard> next;
-    next.reserve(shards.size() * 2);
-    for (const Shard& s : shards) {
-      const i64 rest_lb = sweep.lb_suffix[depth + 1];
-      const i64 rest_ub = sweep.ub_suffix[depth + 1];
-      const i64 lo = std::max(sweep.lb[depth], s.remaining - rest_ub);
-      const i64 hi = std::min(sweep.ub[depth], s.remaining - rest_lb);
-      for (i64 cap = lo; cap <= hi; ++cap) {
-        Shard child{s.prefix, s.remaining - cap};
-        child.prefix.push_back(cap);
-        next.push_back(std::move(child));
-      }
-    }
-    shards = std::move(next);
-    ++depth;
-  }
-  return shards;
-}
-
-// The work-sharded equivalent of max_throughput_sequential: each shard
-// finds its lexicographically-first best (stopping at the slice goal),
-// and the shard outcomes are folded left-to-right exactly as the
-// sequential scan would encounter them. Shards cut subtrees against
-// max(local best, seed floor) — a weaker incumbent than the sequential
-// scan's running best, so a shard may visit candidates the sequential
-// scan skipped, but every skipped subtree on either path is non-improving
-// and the folded (throughput, witness) pair comes out identical.
-// `want` arrives from the adaptive granularity: roughly one shard per
-// kTargetShardSeconds of estimated work, clamped to [workers, workers*8].
-SizeOutcome max_throughput_sharded(Sweep& sweep, i64 size, SizeOutcome seed,
-                                   const Rational& slice_goal,
-                                   std::size_t want) {
-  exec::ThreadPool& pool = sweep.lazy->pool();
-  const std::vector<Shard> shards = make_shards(sweep, size, want);
-  const bool seeded = seed.witness.num_channels() != 0;
-
-  struct ShardOutcome {
-    bool any = false;      // the shard contains at least one distribution
-    bool hit_goal = false;  // stopped at the goal (lex-first hit)
-    Rational best;
-    StorageDistribution witness;
-  };
-  const auto outcomes = exec::parallel_transform<ShardOutcome>(
-      pool, shards.size(),
-      [&](std::size_t s) {
-        const Shard& shard = shards[s];
-        ShardOutcome out;
-        const std::size_t slot = pool.current_slot();
-        std::vector<i64> caps(sweep.lb.size(), 0);
-        std::copy(shard.prefix.begin(), shard.prefix.end(), caps.begin());
-        // The shard's cut incumbent: max(local best, seed floor), or
-        // nothing before the first candidate of an unseeded shard.
-        const auto shard_floor = [&](Rational& floor) {
-          bool have = false;
-          if (out.any) {
-            floor = out.best;
-            have = true;
-          }
-          if (seeded && (!have || seed.throughput > floor)) {
-            floor = seed.throughput;
-            have = true;
-          }
-          return have;
-        };
-        scan_leaves(
-            sweep, slot,
-            [&](const std::vector<i64>& found, const Rational& tput) {
-              if (!out.any || tput > out.best) {
-                out.any = true;
-                out.best = tput;
-                out.witness = StorageDistribution(found);
-              }
-              out.hit_goal = out.best >= slice_goal;
-              return !out.hit_goal;
-            },
-            [&](auto&& leaf) {
-              enumerate(
-                  sweep, slot, caps, shard.prefix.size(), shard.remaining,
-                  leaf,
-                  [&](const std::vector<i64>& prefix, std::size_t channel,
-                      i64 remaining, std::size_t probe_slot) {
-                    Rational floor;
-                    return shard_floor(floor) &&
-                           subtree_pruned(sweep, probe_slot, prefix, channel,
-                                          remaining, floor, /*strict=*/false);
-                  },
-                  [&](const std::vector<i64>& candidate) {
-                    Rational floor;
-                    return shard_floor(floor) &&
-                           sweep.lp_rules_out(candidate, floor,
-                                              /*strict=*/false, size);
-                  });
-            });
-        return out;
-      },
-      /*chunk_size=*/1);
-
-  SizeOutcome best = std::move(seed);
-  for (const ShardOutcome& out : outcomes) {
-    if (!out.any) continue;
-    if (best.witness.num_channels() == 0 || out.best > best.throughput) {
-      best.throughput = out.best;
-      best.witness = out.witness;
-    }
-    // The sequential scan would have stopped inside this shard; later
-    // shards were never reached, so their outcomes must not be folded.
-    if (best.throughput >= slice_goal) break;
-  }
-  return best;
-}
-
+// The maximal throughput of one size: scan in lexicographic order, keep
+// the first distribution that strictly improves, stop at the slice goal.
 // `seed` (optional) must be a distribution of exactly `size` inside the
 // box; its throughput floors the slice (theta* is monotone in the size)
-// and arms the branch-and-bound from the first candidate. `slice_goal`
-// is a known unreachable-to-exceed ceiling for this slice — the global
-// goal, tightened to theta*(hi) of the enclosing divide-and-conquer
-// interval — so reaching it ends the scan with the exact slice maximum.
+// and arms the branch-and-bound cut from the first node: subtrees whose
+// envelope cannot strictly beat the incumbent are skipped wholesale —
+// sound by monotonicity, and outcome-identical to the plain scan because
+// skipped subtrees contain no improving candidate. `slice_goal` is a
+// known unreachable-to-exceed ceiling for this slice — the global goal,
+// tightened to theta*(hi) of the enclosing divide-and-conquer interval —
+// so reaching it ends the scan with the exact slice maximum.
 SizeOutcome max_throughput_for_size(Sweep& sweep, i64 size,
                                     const std::vector<i64>* seed,
                                     const Rational& slice_goal) {
   const trace::Span size_span(trace::EventKind::SizeEval, size);
   sweep.begin_slice();
-  const u64 explored_before =
-      sweep.explored.load(std::memory_order_relaxed);
-  const bool adaptive =
-      sweep.lazy != nullptr && sweep.lazy->configured_workers() > 0;
-  const double count = adaptive ? count_candidates(sweep, size) : 0.0;
-  // Every finished slice feeds the pruning-efficiency ratio, including
-  // the ones a seed resolves instantly — that is exactly the signal that
-  // slices of this exploration are cheap.
-  const auto finish = [&](SizeOutcome outcome) {
-    if (adaptive) {
-      sweep.predicted_candidates += count;
-      sweep.explored_in_slices +=
-          sweep.explored.load(std::memory_order_relaxed) - explored_before;
-    }
-    sweep.end_slice();
-    BUFFY_ASSERT(outcome.witness.num_channels() != 0,
-                 "no distribution of the requested size inside the box");
-    return outcome;
-  };
-  SizeOutcome incumbent{Rational(0), StorageDistribution()};
+  SizeOutcome best{Rational(0), StorageDistribution()};
   if (seed != nullptr) {
-    incumbent.throughput =
-        quantize_down(sweep.throughput_of(*seed, sweep.caller_slot),
-                      sweep.options.quantization);
-    incumbent.witness = StorageDistribution(*seed);
-    if (incumbent.throughput >= slice_goal) return finish(incumbent);
+    best.throughput = quantize_down(sweep.throughput_of(*seed),
+                                    sweep.options.quantization);
+    best.witness = StorageDistribution(*seed);
   }
-  // Adaptive granularity: estimate the slice's simulation work — box
-  // count x pruning-efficiency ratio x average simulation cost — and only
-  // shard when it clears the (spawn-aware) threshold. The decision moves
-  // work between two outcome-identical paths, so the front is unaffected.
-  bool parallel = false;
-  std::size_t want = 0;
-  if (adaptive && sweep.total_sims > 0) {
-    const std::size_t workers = sweep.lazy->configured_workers();
-    const double ratio =
-        sweep.predicted_candidates > 0.0
-            ? static_cast<double>(sweep.explored_in_slices) /
-                  sweep.predicted_candidates
-            : 1.0;
-    if (count * ratio >= 2.0 * static_cast<double>(workers)) {
-      const double est =
-          count * ratio *
-          (sweep.total_sim_seconds / static_cast<double>(sweep.total_sims));
-      if (est >= (sweep.lazy->started() ? kParallelSliceSeconds
-                                        : kSpawnSliceSeconds)) {
-        parallel = true;
-        const double shards_for_work = est / kTargetShardSeconds;
-        want = static_cast<std::size_t>(std::min<double>(
-            static_cast<double>(workers * 8),
-            std::max<double>(static_cast<double>(workers), shards_for_work)));
-      }
-    }
+  if (best.witness.num_channels() == 0 || best.throughput < slice_goal) {
+    std::vector<i64> caps(sweep.lb.size(), 0);
+    scan_leaves(
+        sweep,
+        [&](const std::vector<i64>& found, const Rational& tput) {
+          if (best.witness.num_channels() == 0 || tput > best.throughput) {
+            best.throughput = tput;
+            best.witness = StorageDistribution(found);
+          }
+          return best.throughput < slice_goal;  // stop at the slice goal
+        },
+        [&](auto&& leaf) {
+          enumerate(
+              sweep, caps, 0, size, leaf,
+              [&](const std::vector<i64>& prefix, std::size_t channel,
+                  i64 remaining) {
+                return best.witness.num_channels() != 0 &&
+                       subtree_pruned(sweep, prefix, channel, remaining,
+                                      best.throughput, /*strict=*/false);
+              },
+              // LP leaf cut: a candidate whose cut bound cannot strictly
+              // beat the incumbent would never have updated `best` — skip
+              // its simulation.
+              [&](const std::vector<i64>& candidate) {
+                return best.witness.num_channels() != 0 &&
+                       sweep.lp_rules_out(candidate, best.throughput,
+                                          /*strict=*/false, size);
+              });
+        });
   }
-  return finish(parallel ? max_throughput_sharded(sweep, size,
-                                                  std::move(incumbent),
-                                                  slice_goal, want)
-                         : max_throughput_sequential(sweep, size,
-                                                     std::move(incumbent),
-                                                     slice_goal));
+  sweep.end_slice();
+  BUFFY_ASSERT(best.witness.num_channels() != 0,
+               "no distribution of the requested size inside the box");
+  return best;
 }
 
 // Builds the enumeration box shared by explore_exhaustive and
@@ -784,19 +483,6 @@ void init_box(Sweep& sweep) {
   for (std::size_t c = m; c-- > 0;) {
     sweep.lb_suffix[c] = checked_add(sweep.lb_suffix[c + 1], sweep.lb[c]);
     sweep.ub_suffix[c] = checked_add(sweep.ub_suffix[c + 1], sweep.ub[c]);
-  }
-  sweep.est_lb = sweep.lb;
-}
-
-// Lifts the estimation floors (work estimates only — the enumeration box
-// is untouched) by the LP necessary floors: candidates below them are
-// answered by the LP leaf cut without simulating.
-void lift_estimation_floors(Sweep& sweep) {
-  if (sweep.cuts == nullptr) return;
-  const std::vector<i64>& lp_floors = sweep.cuts->necessary_floors();
-  for (std::size_t c = 0; c < sweep.est_lb.size(); ++c) {
-    sweep.est_lb[c] = std::min(sweep.ub[c],
-                               std::max(sweep.est_lb[c], lp_floors[c]));
   }
 }
 
@@ -872,14 +558,14 @@ std::vector<i64> pad_caps(const std::vector<i64>& ub,
   return caps;
 }
 
-// Owning storage for the engines a sweep borrows (LP cuts, cache, per-slot
-// solvers, lane bank + magnitude certificate).
+// Owning storage for the engines a sweep borrows (LP cuts, cache, scalar
+// solver, lane solver + magnitude certificate).
 struct SweepEngines {
   std::optional<lp::ThroughputCuts> cuts;
   std::optional<ThroughputCache> cache;
-  std::optional<state::WorkerSolvers> solvers;
+  std::optional<state::ThroughputSolver> solver;
   std::optional<analysis::BoundsCertificate> cert;
-  std::optional<state::LaneSolverBank> lane_bank;
+  std::optional<state::LaneThroughputSolver> lanes;
   bool static_narrow = false;
 };
 
@@ -888,7 +574,7 @@ struct SweepEngines {
 // is sweep.ub itself, so lane batches carry the within-certificate
 // assertion and the narrow kernel is selected once per graph instead of
 // per batch (DESIGN.md §16).
-void attach_engines(Sweep& sweep, SweepEngines& eng, std::size_t slots) {
+void attach_engines(Sweep& sweep, SweepEngines& eng) {
   const DseOptions& options = sweep.options;
   if (options.use_lp_bounds) {
     eng.cuts.emplace(lp::ThroughputCuts::derive(
@@ -896,7 +582,6 @@ void attach_engines(Sweep& sweep, SweepEngines& eng, std::size_t slots) {
         options.target));
     if (!eng.cuts->empty()) sweep.cuts = &*eng.cuts;
   }
-  lift_estimation_floors(sweep);
   // The exhaustive engine never applies a processor binding, so Sec. 8
   // monotonicity holds and both dominance rules are sound.
   if (options.use_throughput_cache) {
@@ -918,8 +603,7 @@ void attach_engines(Sweep& sweep, SweepEngines& eng, std::size_t slots) {
     sweep.cache->add_max_witness(
         sweep.bounds.max_throughput_distribution.capacities());
   }
-  eng.solvers.emplace(sweep.graph, slots);
-  sweep.solvers = &*eng.solvers;
+  sweep.solver = &eng.solver.emplace(sweep.graph);
   const state::SimdBackend lane_backend = state::resolve_backend(options.simd);
   if (lane_backend != state::SimdBackend::Scalar) {
     analysis::BoundsOptions cert_opts;
@@ -928,13 +612,11 @@ void attach_engines(Sweep& sweep, SweepEngines& eng, std::size_t slots) {
     eng.cert = analysis::derive_bounds(sweep.graph, cert_opts);
     eng.static_narrow = eng.cert->fits_i64 &&
                         eng.cert->magnitude_bound <= state::kNarrowLimit;
-    eng.lane_bank.emplace(
-        sweep.graph, slots,
-        state::resolve_lanes(options.simd_lanes, lane_backend), lane_backend,
-        &*eng.cert);
-    sweep.lane_bank = &*eng.lane_bank;
+    sweep.lanes = &eng.lanes.emplace(
+        sweep.graph, state::resolve_lanes(options.simd_lanes, lane_backend),
+        lane_backend, &*eng.cert);
   }
-  sweep.init_slots(slots);
+  if (sweep.cache != nullptr) sweep.delta.emplace(sweep.cache->make_delta());
 }
 
 }  // namespace
@@ -947,11 +629,7 @@ DseResult explore_exhaustive(const sdf::Graph& graph, const DseOptions& options,
   DseResult result;
   result.bounds = bounds;
 
-  // Lazily spawned: a slice only fans out (and the workers only come into
-  // existence) once the adaptive estimate says the work repays it.
-  exec::LazyThreadPool lazy(options.threads);
   Sweep sweep{.graph = graph, .options = options, .bounds = bounds};
-  sweep.lazy = &lazy;
   init_box(sweep);
   sweep.goal = global_goal(options, bounds);
   const SizeInterval sizes = size_interval(sweep);
@@ -959,7 +637,7 @@ DseResult explore_exhaustive(const sdf::Graph& graph, const DseOptions& options,
   const i64 hi_size = sizes.hi;
   widen_box_to(sweep, hi_size);
   SweepEngines eng;
-  attach_engines(sweep, eng, lazy.num_slots());
+  attach_engines(sweep, eng);
   result.static_narrow = eng.static_narrow;
   result.backend = state::resolve_backend(options.simd);
 
@@ -1039,14 +717,12 @@ DseResult explore_exhaustive(const sdf::Graph& graph, const DseOptions& options,
     }
   }
 
-  result.distributions_explored =
-      sweep.explored.load(std::memory_order_relaxed);
-  result.max_states_stored = sweep.max_states.load(std::memory_order_relaxed);
-  result.simulations_run = sweep.simulations.load(std::memory_order_relaxed);
-  result.cache_hits = sweep.cache_hits.load(std::memory_order_relaxed);
-  result.dominance_skips =
-      sweep.dominance_skips.load(std::memory_order_relaxed);
-  result.lp_prunes = sweep.lp_prunes.load(std::memory_order_relaxed);
+  result.distributions_explored = sweep.explored;
+  result.max_states_stored = sweep.max_states;
+  result.simulations_run = sweep.simulations;
+  result.cache_hits = sweep.cache_hits;
+  result.dominance_skips = sweep.dominance_skips;
+  result.lp_prunes = sweep.lp_prunes;
   result.lp_cuts = eng.cuts.has_value() ? eng.cuts->size() : 0;
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -1087,10 +763,11 @@ SliceOutcome explore_size_slice(const sdf::Graph& graph,
                                 const DseOptions& options,
                                 const DesignSpaceBounds& bounds,
                                 const SliceRequest& request) {
-  exec::LazyThreadPool lazy(options.threads);
+  BUFFY_REQUIRE(options.threads == 1,
+                "DseOptions::threads must be 1: an exploration runs on one "
+                "thread");
   Sweep sweep{.graph = graph, .options = options, .bounds = bounds};
   sweep.op_name = "slice evaluation";
-  sweep.lazy = &lazy;
   init_box(sweep);
   sweep.goal = global_goal(options, bounds);
   const SizeInterval sizes = size_interval(sweep);
@@ -1123,7 +800,7 @@ SliceOutcome explore_size_slice(const sdf::Graph& graph,
     }
   }
   SweepEngines eng;
-  attach_engines(sweep, eng, lazy.num_slots());
+  attach_engines(sweep, eng);
   // The router hands the d&c's slice goal; min with the global goal keeps
   // a malformed request from pushing the scan past it.
   const Rational slice_goal = std::min(sweep.goal, request.slice_goal);
@@ -1133,13 +810,12 @@ SliceOutcome explore_size_slice(const sdf::Graph& graph,
   SliceOutcome out;
   out.throughput = best.throughput;
   out.witness = std::move(best.witness);
-  out.distributions_explored =
-      sweep.explored.load(std::memory_order_relaxed);
-  out.max_states_stored = sweep.max_states.load(std::memory_order_relaxed);
-  out.simulations_run = sweep.simulations.load(std::memory_order_relaxed);
-  out.cache_hits = sweep.cache_hits.load(std::memory_order_relaxed);
-  out.dominance_skips = sweep.dominance_skips.load(std::memory_order_relaxed);
-  out.lp_prunes = sweep.lp_prunes.load(std::memory_order_relaxed);
+  out.distributions_explored = sweep.explored;
+  out.max_states_stored = sweep.max_states;
+  out.simulations_run = sweep.simulations;
+  out.cache_hits = sweep.cache_hits;
+  out.dominance_skips = sweep.dominance_skips;
+  out.lp_prunes = sweep.lp_prunes;
   out.lp_cuts = eng.cuts.has_value() ? eng.cuts->size() : 0;
   out.static_narrow = eng.static_narrow;
   return out;
@@ -1164,13 +840,12 @@ std::vector<StorageDistribution> equivalent_minimal_distributions(
   widen_box_to(sweep, size);
   if (size < sweep.lb_suffix[0] || size > sweep.ub_suffix[0]) return found;
 
-  // Tie enumeration is sequential: one caller slot, one solver.
   SweepEngines eng;
-  attach_engines(sweep, eng, 1);
+  attach_engines(sweep, eng);
   sweep.begin_slice();
   std::vector<i64> caps(sweep.lb.size(), 0);
   scan_leaves(
-      sweep, sweep.caller_slot,
+      sweep,
       [&](const std::vector<i64>& candidate, const Rational& tput) {
         if (tput >= min_throughput) {
           found.emplace_back(candidate);
@@ -1179,15 +854,14 @@ std::vector<StorageDistribution> equivalent_minimal_distributions(
       },
       [&](auto&& leaf) {
         enumerate(
-            sweep, sweep.caller_slot, caps, 0, size, leaf,
+            sweep, caps, 0, size, leaf,
             // A subtree whose envelope falls short of the tie threshold
             // holds no qualifying distribution (monotonicity) — cut it
             // wholesale.
             [&](const std::vector<i64>& prefix, std::size_t channel,
-                i64 remaining, std::size_t probe_slot) {
-              return subtree_pruned(sweep, probe_slot, prefix, channel,
-                                    remaining, min_throughput,
-                                    /*strict=*/true);
+                i64 remaining) {
+              return subtree_pruned(sweep, prefix, channel, remaining,
+                                    min_throughput, /*strict=*/true);
             },
             // A candidate provably below the tie threshold never qualifies.
             [&](const std::vector<i64>& candidate) {

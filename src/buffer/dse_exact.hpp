@@ -69,13 +69,13 @@ struct SliceOutcome {
 };
 
 /// Evaluates one size slice with the exhaustive engine's full machinery
-/// (cache, LP cuts, lane kernel, adaptive sharding). The outcome is a
-/// pure function of (graph, engine-effective options, size, seed,
-/// slice_goal) — independent of cache state and thread count — which is
+/// (cache, LP cuts, lane kernel). The outcome is a pure function of
+/// (graph, engine-effective options, size, seed, slice_goal) —
+/// independent of cache state — which is
 /// what makes the router's scattered fronts byte-identical to the
 /// single-process exploration. Throws Error when `size` lies outside the
-/// plan's enumeration box or the seed is not a distribution of `size`
-/// inside it.
+/// plan's enumeration box, the seed is not a distribution of `size`
+/// inside it, or `options.threads` is not 1.
 [[nodiscard]] SliceOutcome explore_size_slice(const sdf::Graph& graph,
                                               const DseOptions& options,
                                               const DesignSpaceBounds& bounds,

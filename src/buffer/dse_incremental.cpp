@@ -1,7 +1,6 @@
 #include "buffer/dse_incremental.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <set>
 #include <unordered_set>
@@ -13,8 +12,6 @@
 #include "buffer/audit_checks.hpp"
 #include "lp/sdf_model.hpp"
 #include "buffer/throughput_cache.hpp"
-#include "exec/parallel.hpp"
-#include "exec/thread_pool.hpp"
 #include "state/engine.hpp"
 #include "state/lane_throughput.hpp"
 #include "state/simd_kernel.hpp"
@@ -71,25 +68,6 @@ namespace {
 // lexicographically so runs are reproducible across platforms.
 using Frontier = std::set<std::pair<i64, std::vector<i64>>>;
 
-// Adaptive wave granularity (DESIGN.md §14): a wave only fans out over
-// the pool when its estimated simulation work repays the barrier cost,
-// and the pool itself is only ever spawned for a wave expensive enough
-// to also repay thread creation. Estimates use the running average
-// per-simulation wall time of this exploration; before the first
-// simulation completes the wave runs sequentially (the first wave is the
-// single warm-start candidate anyway).
-constexpr double kParallelWaveSeconds = 200e-6;
-constexpr double kSpawnWaveSeconds = 1e-3;
-
-// Per-slot scratch for one wave: the worker's cache delta plus its local
-// simulation-cost sample, padded so neighbouring workers never share a
-// cache line.
-struct alignas(64) WaveSlot {
-  std::optional<ThroughputCache::Delta> delta;
-  double sim_seconds = 0.0;
-  u64 sims = 0;
-};
-
 }  // namespace
 
 DseResult explore_incremental(const sdf::Graph& graph,
@@ -110,18 +88,11 @@ DseResult explore_incremental(const sdf::Graph& graph,
   // maximum: exploring further cannot produce a new quantised Pareto point.
   const Rational quantized_goal = quantize_down(goal, options.quantization);
 
-  // One (lazily spawned) pool for the whole exploration; a wave fans out
-  // over it only when its estimated cost clears the adaptive threshold
-  // above, so microsecond explorations never pay for thread creation or
-  // barriers no matter what --threads says.
-  exec::LazyThreadPool lazy(options.threads);
-  const std::size_t slots = lazy.num_slots();
-
-  // Shared throughput cache and per-worker solver pool. The `visited` set
-  // already makes exact repeats rare within one exploration; the cache's
-  // main contributions here are the seeded max-throughput witness (Sec. 8
-  // dominance — sound only without a binding) and making every simulated
-  // outcome reusable by later calls that share the cache.
+  // Throughput cache. The `visited` set already makes exact repeats rare
+  // within one exploration; the cache's main contributions here are the
+  // seeded max-throughput witness (Sec. 8 dominance — sound only without a
+  // binding) and making every simulated outcome reusable by later calls
+  // that share the cache.
   std::optional<ThroughputCache> own_cache;
   ThroughputCache* cache = nullptr;
   if (options.use_throughput_cache) {
@@ -140,10 +111,8 @@ DseResult explore_incremental(const sdf::Graph& graph,
     }
     cache->add_max_witness(bounds.max_throughput_distribution.capacities());
   }
-  // Thread-affine execution state: one solver (engine + warmed visited
-  // arena) per pool slot for the whole exploration, indexed lock-free by
-  // the worker's slot — no per-candidate acquire/release.
-  state::WorkerSolvers solvers(graph, slots);
+  // One solver (engine + warmed visited arena) for the whole exploration.
+  state::ThroughputSolver solver(graph);
   // Lane-parallel candidate evaluation (DESIGN.md §15): the wave's
   // cache-missing candidates are packed into lane batches and stepped in
   // lockstep by the SIMD kernel. Per-candidate results are field-for-field
@@ -157,16 +126,14 @@ DseResult explore_incremental(const sdf::Graph& graph,
   result.backend = lane_eval ? lane_backend : state::SimdBackend::Scalar;
   const std::size_t lane_width =
       state::resolve_lanes(options.simd_lanes, lane_backend);
-  std::optional<state::LaneSolverBank> lane_bank;
-  std::vector<WaveSlot> wave_slots(slots);
-  if (cache != nullptr) {
-    for (WaveSlot& ws : wave_slots) ws.delta.emplace(cache->make_delta());
-  }
-  double total_sim_seconds = 0.0;
-  u64 total_sims = 0;
-  std::atomic<u64> simulations{0};
-  std::atomic<u64> cache_hits{0};
-  std::atomic<u64> dominance_skips{0};
+  std::optional<state::LaneThroughputSolver> lanes;
+  // What this exploration learned inside the current wave; merged into
+  // the cache at the wave boundary.
+  std::optional<ThroughputCache::Delta> delta;
+  if (cache != nullptr) delta.emplace(cache->make_delta());
+  u64 simulations = 0;
+  u64 cache_hits = 0;
+  u64 dominance_skips = 0;
 
   Frontier frontier;
   std::unordered_set<StorageDistribution, StorageDistributionHash> visited;
@@ -235,7 +202,7 @@ DseResult explore_incremental(const sdf::Graph& graph,
     cert = analysis::derive_bounds(graph, cert_opts);
     result.static_narrow =
         cert->fits_i64 && cert->magnitude_bound <= state::kNarrowLimit;
-    lane_bank.emplace(graph, slots, lane_width, lane_backend, &*cert);
+    lanes.emplace(graph, lane_width, lane_backend, &*cert);
   }
 
   Rational best_seen(0);
@@ -257,8 +224,7 @@ DseResult explore_incremental(const sdf::Graph& graph,
     }
 
     // Evaluate the batch (throughput + storage dependencies per
-    // distribution); each evaluation is independent, so the wave fans out
-    // over the pool. A cancellation (deadline or external token) leaves
+    // distribution). A cancellation (deadline or external token) leaves
     // the remaining items unevaluated — the wave stops "from within".
     struct Evaluation {
       state::ThroughputResult run;
@@ -271,15 +237,15 @@ DseResult explore_incremental(const sdf::Graph& graph,
     std::vector<CapsKey> keys;
     keys.reserve(batch.size());
     for (const std::vector<i64>& caps : batch) keys.emplace_back(caps);
-    // Workers read the cache through a frozen point-in-time snapshot and
-    // record fresh outcomes into their slot's delta — no shared-map or
-    // witness-lock traffic inside the wave; the deltas are folded back
-    // once at the wave boundary below.
+    // The wave reads the cache through a frozen point-in-time snapshot and
+    // records fresh outcomes into the delta — no shared-map or witness-lock
+    // traffic inside the wave; the delta is merged back once at the wave
+    // boundary below.
     std::optional<ThroughputCache::Snapshot> snap;
     if (cache != nullptr) snap.emplace(cache->snapshot());
     // Cache/dominance lookup for one candidate; true when answered (the
     // evaluation is then already recorded in evals[i]).
-    const auto try_cache = [&](std::size_t i, std::size_t slot) {
+    const auto try_cache = [&](std::size_t i) {
       if (cache == nullptr) return false;
       // An exact hit must carry recorded dependencies — children are
       // expanded from them. A max-dominance hit needs none: the maximal
@@ -288,15 +254,14 @@ DseResult explore_incremental(const sdf::Graph& graph,
       // only without a binding (scheduling anomalies break the Sec. 8
       // monotonicity it relies on); exact repeats stay valid either way.
       // The snapshot covers everything merged before this wave; the
-      // slot's delta covers what this worker learned inside it.
-      ThroughputCache::Delta& delta = *wave_slots[slot].delta;
+      // delta covers what this exploration learned inside it.
       std::optional<CachedThroughput> hit =
           snap->find(keys[i], /*require_deps=*/true);
-      if (!hit.has_value()) hit = delta.find(keys[i], /*require_deps=*/true);
+      if (!hit.has_value()) hit = delta->find(keys[i], /*require_deps=*/true);
       const bool exact = hit.has_value();
       if (!hit.has_value() && options.binding.empty()) {
         hit = snap->find_max_dominated(keys[i]);
-        if (!hit.has_value()) hit = delta.find_max_dominated(keys[i]);
+        if (!hit.has_value()) hit = delta->find_max_dominated(keys[i]);
       }
       if (!hit.has_value()) return false;
       trace::emit_instant(exact ? trace::EventKind::CacheHit
@@ -309,8 +274,7 @@ DseResult explore_incremental(const sdf::Graph& graph,
       evals[i].run.period = hit->period;
       evals[i].deps = hit->storage_deps;
       evals[i].valid = true;
-      (exact ? cache_hits : dominance_skips)
-          .fetch_add(1, std::memory_order_relaxed);
+      ++(exact ? cache_hits : dominance_skips);
       if (options.progress != nullptr) {
         options.progress->add_points(1);
         options.progress->add_sims_avoided(1);
@@ -332,7 +296,7 @@ DseResult explore_incremental(const sdf::Graph& graph,
     };
     // Books one freshly simulated outcome: cache delta, LP-bound audit
     // sample, progress. Shared by the scalar and lane paths.
-    const auto absorb_simulated = [&](std::size_t i, std::size_t slot) {
+    const auto absorb_simulated = [&](std::size_t i) {
       if (cache != nullptr) {
         CachedThroughput value;
         value.throughput = evals[i].run.throughput;
@@ -342,7 +306,7 @@ DseResult explore_incremental(const sdf::Graph& graph,
         value.period = evals[i].run.period;
         value.has_deps = true;
         value.storage_deps = evals[i].deps;
-        wave_slots[slot].delta->record(keys[i], value);
+        delta->record(keys[i], value);
       }
       // Same deterministic sample as the cache check: the LP cycle-cut
       // bound must sit at or above the fresh simulation (DESIGN.md §13).
@@ -354,9 +318,9 @@ DseResult explore_incremental(const sdf::Graph& graph,
       evals[i].valid = true;
       if (options.progress != nullptr) options.progress->add_points(1);
     };
-    const auto evaluate = [&](std::size_t i, std::size_t slot) {
+    const auto evaluate = [&](std::size_t i) {
       if (options.cancel.cancelled()) return;  // skip: wave is being cut
-      if (try_cache(i, slot)) return;
+      if (try_cache(i)) return;
       const state::Capacities capacities =
           state::Capacities::bounded(batch[i]);
       state::ThroughputOptions run_opts{
@@ -367,38 +331,32 @@ DseResult explore_incremental(const sdf::Graph& graph,
       // The throughput run itself collects the storage dependencies: one
       // simulation per candidate, no dedicated dependency re-run.
       run_opts.collect_storage_deps = true;
-      const auto sim_t0 = std::chrono::steady_clock::now();
       try {
-        evals[i].run = solvers.at(slot).compute(capacities, run_opts);
+        evals[i].run = solver.compute(capacities, run_opts);
         evals[i].deps = std::move(evals[i].run.storage_deps);
-        simulations.fetch_add(1, std::memory_order_relaxed);
+        ++simulations;
         if (options.progress != nullptr) {
           options.progress->add_sims_avoided(1);  // the fused dep re-run
         }
       } catch (const exec::Cancelled&) {
         return;  // mid-run cut: a partial state space proves nothing
       }
-      wave_slots[slot].sim_seconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        sim_t0)
-              .count();
-      wave_slots[slot].sims += 1;
-      absorb_simulated(i, slot);
+      absorb_simulated(i);
     };
-    // Lane path: one work item covers `lane_width` consecutive batch
-    // entries. Cache answers stay per-candidate; the group's misses go
-    // through the slot's lane solver as one lockstep batch, retiring and
-    // refilling lanes as individual candidates finish. A mid-batch
+    // Lane path: one group covers `lane_width` consecutive batch entries.
+    // Cache answers stay per-candidate; the group's misses go through the
+    // lane solver as one lockstep batch, retiring and refilling lanes as
+    // individual candidates finish. A mid-batch
     // cancellation voids the whole group (evals stay invalid), which only
     // shortens the valid prefix the fold below accepts.
-    const auto evaluate_group = [&](std::size_t g, std::size_t slot) {
+    const auto evaluate_group = [&](std::size_t g) {
       if (options.cancel.cancelled()) return;  // skip: wave is being cut
       const std::size_t begin = g * lane_width;
       const std::size_t end = std::min(batch.size(), begin + lane_width);
       std::vector<std::size_t> miss;
       std::vector<std::vector<i64>> miss_caps;
       for (std::size_t i = begin; i < end; ++i) {
-        if (!try_cache(i, slot)) {
+        if (!try_cache(i)) {
           miss.push_back(i);
           miss_caps.push_back(batch[i]);
         }
@@ -412,88 +370,43 @@ DseResult explore_incremental(const sdf::Graph& graph,
       // Same-size wave: every candidate totals batch_size tokens, so the
       // wave is inside the certified budget iff its size is.
       run_opts.within_certificate = batch_size <= cert_budget_size;
-      const auto sim_t0 = std::chrono::steady_clock::now();
       std::vector<state::ThroughputResult> runs;
       try {
-        runs = lane_bank->at(slot).compute_batch(miss_caps, run_opts);
+        runs = lanes->compute_batch(miss_caps, run_opts);
       } catch (const exec::Cancelled&) {
         return;  // mid-batch cut: partial state spaces prove nothing
       }
-      wave_slots[slot].sim_seconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        sim_t0)
-              .count();
-      wave_slots[slot].sims += miss.size();
       for (std::size_t k = 0; k < miss.size(); ++k) {
         const std::size_t i = miss[k];
         evals[i].run = std::move(runs[k]);
         evals[i].deps = std::move(evals[i].run.storage_deps);
-        simulations.fetch_add(1, std::memory_order_relaxed);
+        ++simulations;
         if (options.progress != nullptr) {
           options.progress->add_sims_avoided(1);  // the fused dep re-run
         }
-        absorb_simulated(i, slot);
+        absorb_simulated(i);
       }
     };
-    // Adaptive granularity: fan out only when the estimated wave cost
-    // (batch size x running average per-simulation seconds) clears the
-    // barrier threshold — and the higher spawn threshold while the pool
-    // has not been started yet. The decision only moves work between the
-    // sequential and parallel paths of the same evaluate(); cache answers
-    // are exact either way, so the fold below is byte-identical.
-    // On the lane path the schedulable unit is a whole candidate group.
-    const std::size_t wave_items =
-        lane_eval ? (batch.size() + lane_width - 1) / lane_width
-                  : batch.size();
-    const bool parallel_wave =
-        lazy.configured_workers() > 0 && wave_items >= 2 &&
-        total_sims > 0 &&
-        static_cast<double>(batch.size()) *
-                (total_sim_seconds / static_cast<double>(total_sims)) >=
-            (lazy.started() ? kParallelWaveSeconds : kSpawnWaveSeconds);
     {
-      // One span per wave barrier: fan-out over the pool until the join.
       const trace::Span wave_span(trace::EventKind::Wave,
                                   static_cast<i64>(batch.size()), batch_size);
-      if (parallel_wave) {
-        exec::ThreadPool& pool = lazy.pool();
-        exec::parallel_for_each(
-            pool, wave_items,
-            [&](std::size_t i) {
-              if (lane_eval) {
-                evaluate_group(i, pool.current_slot());
-              } else {
-                evaluate(i, pool.current_slot());
-              }
-            },
-            /*chunk_size=*/1);
+      if (lane_eval) {
+        const std::size_t groups =
+            (batch.size() + lane_width - 1) / lane_width;
+        for (std::size_t g = 0; g < groups; ++g) evaluate_group(g);
       } else {
-        for (std::size_t i = 0; i < wave_items; ++i) {
-          if (lane_eval) {
-            evaluate_group(i, lazy.caller_slot());
-          } else {
-            evaluate(i, lazy.caller_slot());
-          }
-        }
+        for (std::size_t i = 0; i < batch.size(); ++i) evaluate(i);
       }
     }
     if (options.progress != nullptr) options.progress->add_wave();
-    // Wave boundary: fold the per-worker deltas back into the shared
-    // cache (slot order, insertion order — deterministic), and absorb the
-    // per-slot cost samples into the running average.
+    // Wave boundary: merge what the wave learned into the shared cache
+    // (insertion order — deterministic).
     if (cache != nullptr) {
-      std::vector<ThroughputCache::Delta*> deltas;
-      for (WaveSlot& ws : wave_slots) {
-        if (!ws.delta->empty()) deltas.push_back(&*ws.delta);
+      if (!delta->empty()) {
+        ThroughputCache::Delta* const deltas[] = {&*delta};
+        cache->merge(deltas);
       }
-      if (!deltas.empty()) cache->merge(deltas);
-      for (WaveSlot& ws : wave_slots) ws.delta->clear();
-    }
-    for (WaveSlot& ws : wave_slots) {
-      total_sim_seconds += ws.sim_seconds;
-      total_sims += ws.sims;
-      ws.sim_seconds = 0.0;
-      ws.sims = 0;
+      delta->clear();
     }
 
     // Fold sequentially in the deterministic pop order. Only the valid
@@ -556,9 +469,9 @@ DseResult explore_incremental(const sdf::Graph& graph,
     if (result.cancelled) break;
   }
 
-  result.simulations_run = simulations.load(std::memory_order_relaxed);
-  result.cache_hits = cache_hits.load(std::memory_order_relaxed);
-  result.dominance_skips = dominance_skips.load(std::memory_order_relaxed);
+  result.simulations_run = simulations;
+  result.cache_hits = cache_hits;
+  result.dominance_skips = dominance_skips;
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

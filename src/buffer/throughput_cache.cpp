@@ -339,7 +339,7 @@ void ThroughputCache::merge(std::span<Delta* const> deltas) {
         if (it != earlier.end() &&
             !values_agree(it->second.value, entry->second.value)) {
           throw Error(
-              "throughput cache merge: two worker deltas disagree on the "
+              "throughput cache merge: two deltas disagree on the "
               "same capacity vector — the deterministic simulation "
               "invariant is broken (delta merge rejected)");
         }
@@ -495,7 +495,7 @@ void ThroughputCache::Delta::record(const CapsKey& key,
     return;
   }
   entries_.push_back(&*it);
-  // Local witnesses: later candidates of THIS worker's wave see this
+  // Local witnesses: later candidates of THIS exploration's wave see this
   // outcome through the dominance rules immediately, which is what keeps
   // a sequential wave's hit/miss pattern identical to the per-candidate
   // store() path it replaced.

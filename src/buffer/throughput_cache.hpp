@@ -16,8 +16,8 @@
 //
 // Dominance answers are exact, not approximate: monotonicity pins the
 // simulated value, so substituting them can never change a fold result —
-// which is why the engines stay byte-identical to the uncached serial scan
-// at any thread count (see DESIGN.md). Monotonicity does NOT hold under a
+// which is why the engines stay byte-identical to the uncached scan (see
+// DESIGN.md). Monotonicity does NOT hold under a
 // processor binding (fixed-priority scheduling anomalies), so the engines
 // only consult the dominance rules for unbound explorations.
 //
@@ -33,16 +33,15 @@
 // max-throughput witnesses, maximal deadlock witnesses) stored as
 // contiguous rows and kept SORTED by total size so a dominance scan ends
 // at the first witness whose total already rules the rest out; they live
-// under their own lock. Neither lock
-// is on the parallel hot path any more: workers of a parallel wave read
+// under their own lock. Neither lock is on the per-candidate path:
+// concurrent explorations sharing the cache (buffyd's requests) each read
 // through a point-in-time Snapshot (lock-free for unbounded caches) and
-// record fresh outcomes into a thread-local Delta; the coordinator folds
-// the deltas back with merge() once per wave. A stale Snapshot read is
-// always safe — a missed entry merely costs a re-simulation whose outcome
-// is identical to the cached one — and merge() verifies exactly that:
-// duplicate keys across deltas (or against resident entries) must carry
-// the same simulated value, otherwise determinism is broken somewhere and
-// merge() throws.
+// record fresh outcomes into their own Delta, merged back with merge()
+// once per wave. A stale Snapshot read is always safe — a missed entry
+// merely costs a re-simulation whose outcome is identical to the cached
+// one — and merge() verifies exactly that: duplicate keys across deltas
+// (or against resident entries) must carry the same simulated value,
+// otherwise determinism is broken somewhere and merge() throws.
 //
 // A cache may be bounded (a resident daemon must not grow without limit):
 // with a non-zero entry capacity, every stripe keeps an LRU list of its
@@ -161,7 +160,7 @@ class ThroughputCache {
   /// exploration starts).
   void add_max_witness(const CapsKey& key);
 
-  /// Point-in-time read view for the workers of one wave. Witness scans
+  /// Point-in-time read view for one exploration's wave. Witness scans
   /// are always lock-free (the antichains are copied out). Exact lookups
   /// are lock-free against the frozen two-level index when the cache is
   /// unbounded; a bounded cache's Snapshot delegates exact lookups to the
@@ -170,12 +169,12 @@ class ThroughputCache {
   /// re-simulated to the identical value, never answered wrongly.
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// A fresh thread-local write buffer for one worker of one wave.
+  /// A fresh write buffer for one exploration's waves.
   [[nodiscard]] Delta make_delta() const;
 
-  /// Folds per-worker deltas back into the cache: applied in the given
-  /// (slot) order, each delta in its insertion order, so a sequential wave
-  /// merges in exactly the order it simulated. Feeds the witness
+  /// Folds deltas back into the cache: applied in the given order, each
+  /// delta in its insertion order, so a wave merges in exactly the order
+  /// it simulated. Feeds the witness
   /// antichains, maintains the bounded-cache LRU, and republishes the
   /// frozen index (unbounded caches) in one copy-on-write batch. The
   /// deltas' entries move into the cache (no key is copied), so each delta
@@ -184,8 +183,8 @@ class ThroughputCache {
   /// Determinism check: a capacity vector recorded by two deltas — or
   /// recorded by a delta and already resident — must carry the same
   /// simulated outcome (simulation is deterministic; dominance answers are
-  /// exact). A mismatch means a worker produced a divergent value, and
-  /// merge() throws Error instead of silently picking one.
+  /// exact). A mismatch means an exploration produced a divergent value,
+  /// and merge() throws Error instead of silently picking one.
   void merge(std::span<Delta* const> deltas);
 
   [[nodiscard]] const Rational& max_throughput() const {
@@ -431,8 +430,7 @@ class ThroughputCache {
   std::atomic<u64> merges_{0};
 };
 
-/// See ThroughputCache::snapshot(). Copyable; typically one per wave,
-/// shared read-only by every worker of that wave.
+/// See ThroughputCache::snapshot(). Copyable; typically one per wave.
 class ThroughputCache::Snapshot {
  public:
   /// Exact lookup (same contract as ThroughputCache::find). Lock-free
@@ -459,12 +457,12 @@ class ThroughputCache::Snapshot {
   Antichain deadlock_witnesses_;
 };
 
-/// See ThroughputCache::make_delta(). One per worker slot per wave; never
-/// shared between threads. Records fresh simulation outcomes (insertion
-/// order is preserved for the deterministic merge) and answers lookups
-/// for what THIS worker has already learned during the wave — including
-/// its own witness candidates, so a sequential wave sees exactly the
-/// hit/miss sequence the pre-delta per-candidate store() path produced.
+/// See ThroughputCache::make_delta(). One per exploration, cleared after
+/// each merge; never shared between threads. Records fresh simulation
+/// outcomes (insertion order is preserved for the deterministic merge) and
+/// answers lookups for what THIS exploration has already learned during
+/// the wave — including its own witness candidates, so a wave sees exactly
+/// the hit/miss sequence a per-candidate store() would produce.
 class ThroughputCache::Delta {
  public:
   /// Records one simulated outcome. Re-recording a key keeps the first

@@ -7,7 +7,7 @@
 // collapses), Pareto points emitted and evaluation waves completed. A
 // consistent point-in-time copy is taken with snapshot(); the snapshot
 // renders itself as a single JSON object for machine consumption
-// (explore_cli --stats, bench_parallel_dse).
+// (explore_cli --stats).
 //
 // Counters use relaxed atomics: they steer no control flow, so the only
 // requirement is that concurrent bumps are not lost.

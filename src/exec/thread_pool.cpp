@@ -2,21 +2,6 @@
 
 namespace buffy::exec {
 
-namespace {
-
-// Which pool (if any) the current thread is a worker of, and its slot
-// there. Written once at worker_loop entry, read by current_slot(); a
-// thread can only ever be a worker of one pool, so a single pair is
-// enough, and threads that are workers of a DIFFERENT pool fall through
-// to the shared non-worker slot of the queried pool.
-struct WorkerIdentity {
-  const void* pool = nullptr;
-  unsigned slot = 0;
-};
-thread_local WorkerIdentity tls_worker;
-
-}  // namespace
-
 ThreadPool::ThreadPool(unsigned threads) {
   queues_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i) {
@@ -52,8 +37,8 @@ void ThreadPool::submit(std::function<void()> task) {
     if (stopping_) {
       // Shutdown has begun: a worker that already observed
       // `pending_ == 0 && stopping_` will never re-check its queue, so a
-      // task enqueued now could be dropped without running and a WaitGroup
-      // counting on it would hang. Running it inline (outside the lock,
+      // task enqueued now could be dropped without running, and a drain
+      // waiting for it would hang. Running it inline (outside the lock,
       // below) keeps submit() lossless through the whole shutdown window
       // and preserves the invariant that pending_ never grows once
       // stopping_ is set.
@@ -73,11 +58,6 @@ void ThreadPool::submit(std::function<void()> task) {
     queues_[target]->tasks.push_back(std::move(task));
   }
   sleep_cv_.notify_one();
-}
-
-unsigned ThreadPool::current_slot() const {
-  if (tls_worker.pool == this) return tls_worker.slot;
-  return num_workers();
 }
 
 unsigned ThreadPool::default_concurrency() {
@@ -114,11 +94,10 @@ bool ThreadPool::try_pop(std::size_t self, std::function<void()>& task) {
 }
 
 void ThreadPool::worker_loop(std::size_t self) {
-  tls_worker = WorkerIdentity{this, static_cast<unsigned>(self)};
   for (;;) {
     std::function<void()> task;
     if (try_pop(self, task)) {
-      task();  // exceptions are captured by the wait-group, never escape
+      task();
       continue;
     }
     std::unique_lock lock(sleep_mutex_);

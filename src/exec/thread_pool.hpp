@@ -7,14 +7,9 @@
 // submissions round-robin across the worker queues. The pool never spins:
 // idle workers sleep on a condition variable and are woken per submission.
 //
-// Tasks are plain `void()` callables; composition (waiting, results,
-// exceptions) lives in parallel.hpp, which is the interface the engines
-// use. Task exceptions never escape a worker thread — they are captured
-// into the submitting wait-group (see parallel.hpp) — so a throwing task
-// cannot terminate the process.
-//
-// A ThreadPool with zero workers is valid and means "caller runs inline";
-// parallel.hpp uses it to keep one code path for the sequential case.
+// Tasks are plain `void()` callables that must not throw: buffyd's request
+// jobs catch their own errors and answer them on the wire. A ThreadPool
+// with zero workers is valid and means "caller runs inline".
 #pragma once
 
 #include <condition_variable>
@@ -22,7 +17,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -49,27 +43,14 @@ class ThreadPool {
   void stop();
 
   /// Enqueues a task. The task must not block waiting for another pool
-  /// task (the pool does not grow); fan-out/fan-in belongs in
-  /// parallel.hpp. With zero workers — or once shutdown has begun — the
-  /// task runs inline, here: enqueueing after the workers decided to exit
-  /// would drop the task and hang any WaitGroup counting on it.
+  /// task (the pool does not grow). With zero workers — or once shutdown
+  /// has begun — the task runs inline, here: enqueueing after the workers
+  /// decided to exit would drop the task.
   void submit(std::function<void()> task);
 
   [[nodiscard]] unsigned num_workers() const {
     return static_cast<unsigned>(workers_.size());
   }
-
-  /// Slot index of the calling thread with respect to THIS pool: worker
-  /// threads occupy [0, num_workers()), every other thread — including the
-  /// submitter when a task runs inline — maps to num_workers(). Stable for
-  /// the lifetime of a worker, so callers can key per-thread scratch state
-  /// (solver leases, cache deltas) by slot without any locking: a slot is
-  /// only ever touched by one thread at a time.
-  [[nodiscard]] unsigned current_slot() const;
-
-  /// Number of distinct values current_slot() can return: the workers plus
-  /// one shared slot for all non-worker threads.
-  [[nodiscard]] unsigned num_slots() const { return num_workers() + 1; }
 
   /// A sensible worker count for this machine: hardware concurrency,
   /// falling back to 1 when unknown.
@@ -91,49 +72,6 @@ class ThreadPool {
   std::size_t next_queue_ = 0;  // round-robin cursor for submissions
   std::size_t pending_ = 0;     // queued, not-yet-popped tasks
   bool stopping_ = false;       // all three guarded by sleep_mutex_
-};
-
-/// A ThreadPool whose workers are spawned on first use instead of at
-/// construction. Spawning N threads costs hundreds of microseconds — more
-/// than an entire small exploration — so an engine that MIGHT go parallel
-/// must not pay for workers it never dispatches to. The engines construct
-/// a LazyThreadPool up front, size their per-slot state from num_slots(),
-/// and only call pool() once a wave is estimated expensive enough to fan
-/// out (DESIGN.md §14).
-///
-/// Not thread-safe: pool() must be called from the owning (coordinator)
-/// thread before the reference is shared with workers. With a configured
-/// count of 0 or 1 the pool never spawns anything and pool() returns an
-/// inline-executing zero-worker pool.
-class LazyThreadPool {
- public:
-  /// `threads` as the engines receive it: <= 1 means sequential.
-  explicit LazyThreadPool(unsigned threads)
-      : workers_(threads > 1 ? threads : 0) {}
-
-  /// The real pool; first call spawns the workers (when configured > 1).
-  [[nodiscard]] ThreadPool& pool() {
-    if (!pool_.has_value()) pool_.emplace(workers_);
-    return *pool_;
-  }
-
-  /// True once pool() has spawned the workers.
-  [[nodiscard]] bool started() const { return pool_.has_value(); }
-
-  /// Workers the pool will have once started (0 = inline-only).
-  [[nodiscard]] unsigned configured_workers() const { return workers_; }
-
-  /// Slot count matching ThreadPool::num_slots() of the eventual pool:
-  /// callers may size slot-indexed state before any worker exists.
-  [[nodiscard]] unsigned num_slots() const { return workers_ + 1; }
-
-  /// The slot a non-worker thread (the coordinator running a sequential
-  /// wave inline) occupies; equals ThreadPool::current_slot() off-pool.
-  [[nodiscard]] unsigned caller_slot() const { return workers_; }
-
- private:
-  unsigned workers_;
-  std::optional<ThreadPool> pool_;
 };
 
 }  // namespace buffy::exec

@@ -828,9 +828,6 @@ void Router::scatter_explore(Connection* conn,
         if (req.goal.has_value()) {
           r.set("goal", JsonValue::string(req.goal->str()));
         }
-        if (req.threads.has_value()) {
-          r.set("threads", JsonValue::integer(*req.threads));
-        }
         r.set("cache", JsonValue::boolean(req.use_cache));
         r.set("size", JsonValue::integer(item.size));
         r.set("slice_goal", JsonValue::string(item.goal.str()));

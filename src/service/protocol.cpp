@@ -155,10 +155,6 @@ Request parse_request(const std::string& line) {
     req.max_size = opt_int(doc, "max_size");
     req.goal = opt_rational(doc, "goal");
     req.min_throughput = opt_rational(doc, "min_throughput");
-    req.threads = opt_int(doc, "threads");
-    if (req.threads.has_value() && *req.threads < 1) {
-      bad("member 'threads' must be >= 1");
-    }
     req.use_cache = opt_bool(doc, "cache").value_or(true);
   }
 

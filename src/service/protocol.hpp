@@ -122,7 +122,6 @@ struct Request {
   std::optional<i64> max_size;
   std::optional<Rational> goal;
   std::optional<Rational> min_throughput;
-  std::optional<i64> threads;
   bool use_cache = true;
   /// Router-only hint on explore_pareto: scatter the exhaustive d&c
   /// across the worker fleet instead of routing the whole request to the

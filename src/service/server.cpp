@@ -95,20 +95,6 @@ void Server::run_job(Connection* conn, const Request& req,
   front_.finish_job(*conn);
 }
 
-unsigned Server::thread_grant(const Request& req) const {
-  const unsigned cap = options_.max_threads_per_request == 0
-                           ? 1
-                           : options_.max_threads_per_request;
-  // Requests that don't ask for threads get the full per-request grant:
-  // the engines spawn workers lazily and keep cheap slices sequential
-  // (adaptive granularity), so the grant costs nothing on small
-  // explorations, and the front is byte-identical at any thread count.
-  return req.threads.has_value()
-             ? static_cast<unsigned>(
-                   std::min<i64>(*req.threads, static_cast<i64>(cap)))
-             : cap;
-}
-
 JsonValue Server::handle_analyze(const Request& req,
                                  const exec::CancellationToken& token) {
   token.checkpoint();
@@ -229,7 +215,6 @@ JsonValue Server::handle_explore(const Request& req,
   opts.max_distribution_size = req.max_size;
   opts.throughput_goal = req.goal;
   opts.min_throughput = req.min_throughput;
-  opts.threads = thread_grant(req);
   opts.use_throughput_cache = req.use_cache;
   opts.cancel = token;
   opts.progress = &progress_;
@@ -295,7 +280,6 @@ JsonValue Server::handle_explore_slice(const Request& req,
   opts.quantization_levels = req.levels;
   opts.max_distribution_size = req.max_size;
   opts.throughput_goal = req.goal;
-  opts.threads = thread_grant(req);
   opts.use_throughput_cache = req.use_cache;
   opts.cancel = token;
   opts.progress = &progress_;

@@ -45,13 +45,6 @@ struct ServerOptions : ListenerOptions {
   std::size_t cache_graphs = 64;
   /// Exact-entry bound per graph cache (0 = unbounded).
   u64 cache_entries_per_graph = 1u << 18;
-  /// Worker threads granted to a single exploration: requests asking for
-  /// "threads" are clamped to this, and requests that don't ask get it as
-  /// their default grant (the engines spawn workers lazily and keep cheap
-  /// slices sequential, so an unused grant costs nothing). 1 = explorations
-  /// are sequential and concurrency comes from serving many requests at
-  /// once.
-  unsigned max_threads_per_request = 1;
 };
 
 /// The daemon; see file comment.
@@ -99,8 +92,6 @@ class Server : private FrontEnd::Handler {
                                          const exec::CancellationToken& tok);
   [[nodiscard]] JsonValue handle_explore_slice(
       const Request& req, const exec::CancellationToken& tok);
-  /// The engine thread grant of one exploration request.
-  [[nodiscard]] unsigned thread_grant(const Request& req) const;
 
   ServerOptions options_;
   std::unique_ptr<exec::ThreadPool> pool_;

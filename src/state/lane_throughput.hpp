@@ -13,8 +13,6 @@
 // the 200-seed property sweep.
 #pragma once
 
-#include <algorithm>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -58,8 +56,8 @@ struct LaneBatchOptions {
 /// Reusable lane-batch kernel over one graph: SoA state rows for `lanes`
 /// simultaneous executions plus one visited-state table per lane, all
 /// recycled across batches (the lane twin of ThroughputSolver's reuse
-/// contract). Not thread-safe; use one solver per worker slot
-/// (LaneSolverBank).
+/// contract). Not thread-safe; concurrent explorations each own their
+/// solver.
 class LaneThroughputSolver {
  public:
   /// `lanes` in [kMinLanes, kMaxLanes]; `backend` must be Swar or Avx2
@@ -165,59 +163,6 @@ class LaneThroughputSolver {
   std::vector<std::size_t> candidate_;
   std::vector<VisitedTable> tables_;
   std::size_t max_table_bytes_ = 0;
-};
-
-/// Slot-indexed bank of lane solvers for a parallel exploration — the
-/// lane twin of WorkerSolvers: one lazily built LaneThroughputSolver per
-/// thread-pool slot, each thread-affine to the worker occupying the slot,
-/// cache-line padded against false sharing.
-class LaneSolverBank {
- public:
-  /// The graph must outlive the bank; `lanes`/`backend`/`certificate` as
-  /// for LaneThroughputSolver (the certificate, when given, must outlive
-  /// the bank too).
-  LaneSolverBank(const sdf::Graph& graph, std::size_t slots,
-                 std::size_t lanes, SimdBackend backend,
-                 const analysis::BoundsCertificate* certificate = nullptr)
-      : graph_(graph), lanes_(lanes), backend_(backend),
-        certificate_(certificate), slots_(slots) {}
-
-  /// The solver owned by `slot`, built on first use; call only from the
-  /// thread currently occupying that slot.
-  [[nodiscard]] LaneThroughputSolver& at(std::size_t slot) {
-    Slot& s = slots_[slot];
-    if (s.solver == nullptr) {
-      s.solver = std::make_unique<LaneThroughputSolver>(
-          graph_, lanes_, backend_, certificate_);
-    }
-    return *s.solver;
-  }
-
-  [[nodiscard]] std::size_t num_slots() const { return slots_.size(); }
-  [[nodiscard]] std::size_t lanes() const { return lanes_; }
-
-  /// Peak visited-table footprint across every solver built so far; call
-  /// only while no worker is simulating.
-  [[nodiscard]] std::size_t max_table_bytes() const {
-    std::size_t result = 0;
-    for (const Slot& s : slots_) {
-      if (s.solver != nullptr) {
-        result = std::max(result, s.solver->table_bytes());
-      }
-    }
-    return result;
-  }
-
- private:
-  struct alignas(64) Slot {
-    std::unique_ptr<LaneThroughputSolver> solver;
-  };
-
-  const sdf::Graph& graph_;
-  std::size_t lanes_;
-  SimdBackend backend_;
-  const analysis::BoundsCertificate* certificate_ = nullptr;
-  std::vector<Slot> slots_;
 };
 
 }  // namespace buffy::state

@@ -8,9 +8,6 @@
 // its firings on the cycle divided by the cycle's duration (Property 2).
 #pragma once
 
-#include <algorithm>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "base/rational.hpp"
@@ -98,7 +95,7 @@ struct ThroughputResult {
 /// solver across the runs of a design-space exploration keeps the hot path
 /// allocation-free in steady state — the engine is reconfigure()d instead
 /// of rebuilt and the visited arena is recycled instead of reallocated.
-/// Not thread-safe; use one solver per worker (ThroughputSolverPool).
+/// Not thread-safe; concurrent explorations each own their solver.
 class ThroughputSolver {
  public:
   /// The graph must outlive the solver.
@@ -127,58 +124,6 @@ class ThroughputSolver {
  private:
   Engine engine_;
   VisitedTable table_;
-};
-
-/// Slot-indexed solver bank for a parallel exploration: one lazily built
-/// ThroughputSolver per exec::ThreadPool slot (workers plus the caller),
-/// each used exclusively by the thread occupying that slot. There is no
-/// lock on the per-candidate path — a worker keeps the same solver
-/// (engine + warmed visited arena) for the whole exploration, which is
-/// what makes engine state thread-affine.
-/// Slots are padded to cache lines so neighbouring workers' slots never
-/// false-share. Construction is cheap; a solver is built the first time
-/// its slot is touched, so sequential runs only ever build one.
-class WorkerSolvers {
- public:
-  /// The graph must outlive the bank. `slots` is the pool's slot count
-  /// (ThreadPool::num_slots() or exec::LazyThreadPool::num_slots()).
-  WorkerSolvers(const sdf::Graph& graph, std::size_t slots)
-      : graph_(graph), slots_(slots) {}
-
-  /// The solver owned by `slot`, built on first use. Must only be called
-  /// by the thread currently occupying that slot (see
-  /// ThreadPool::current_slot); distinct slots race-freely share the bank.
-  [[nodiscard]] ThroughputSolver& at(std::size_t slot) {
-    Slot& s = slots_[slot];
-    if (s.solver == nullptr) {
-      s.solver = std::make_unique<ThroughputSolver>(graph_);
-    }
-    return *s.solver;
-  }
-
-  [[nodiscard]] std::size_t num_slots() const { return slots_.size(); }
-
-  /// Peak visited-table footprint across every solver built so far. Call
-  /// only while no worker is simulating (e.g. after a wave barrier).
-  [[nodiscard]] std::size_t max_table_bytes() const {
-    std::size_t result = 0;
-    for (const Slot& s : slots_) {
-      if (s.solver != nullptr) {
-        result = std::max(result, s.solver->table_bytes());
-      }
-    }
-    return result;
-  }
-
- private:
-  /// Cache-line isolation between adjacent slots: each worker mutates its
-  /// own unique_ptr and the solver behind it every candidate.
-  struct alignas(64) Slot {
-    std::unique_ptr<ThroughputSolver> solver;
-  };
-
-  const sdf::Graph& graph_;
-  std::vector<Slot> slots_;
 };
 
 /// One-shot form: builds a fresh solver per call — the right tool outside

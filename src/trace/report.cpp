@@ -87,8 +87,6 @@ const std::vector<ManifestEntry>& experiments_manifest() {
       {"csdf_extension", "bench_csdf_extension"},
       {"mapping", "bench_mapping"},
       {"extended_models", "bench_extended_models"},
-      {"parallel_dse", "bench_parallel_dse"},
-      {"parallel_scaling", "bench_parallel_scaling"},
       {"throughput_hotpath", "bench_throughput_hotpath"},
       {"simd_lanes", "bench_simd_lanes"},
   };

@@ -59,7 +59,6 @@ TEST(Audit, AuditedExplorationReportsNoViolations) {
   const u64 before = audit::checks_performed();
   const sdf::Graph g = models::samplerate_converter();
   buffer::DseOptions opts{.target = models::reported_actor(g)};
-  opts.threads = 4;
   const auto r = buffer::explore(g, opts);
   EXPECT_FALSE(r.pareto.empty());
   // The run actually audited something (engine invariants, table hashes,

@@ -1,7 +1,7 @@
 // End-to-end checks of the explore_cli binary: flag handling must be
 // strict (unknown or malformed options exit non-zero, in SDF and CSDF
-// mode alike), and the runtime flags (--threads, --deadline-ms, --stats,
-// --trace) must work through the real tool — including the stats/trace
+// mode alike), and the runtime flags (--deadline-ms, --stats, --trace)
+// must work through the real tool — including the stats/trace
 // flush on every exit path (success, deadlock, expired deadline). The
 // binary and graph paths are injected by CMake (EXPLORE_CLI_PATH /
 // EXAMPLE_GRAPHS_DIR).
@@ -77,7 +77,7 @@ TEST(ExploreCli, UnsupportedCsdfCombinationIsRejected) {
 }
 
 TEST(ExploreCli, MissingValueIsRejected) {
-  const RunResult r = run_cli(graph("example.xml") + " --threads");
+  const RunResult r = run_cli(graph("example.xml") + " --levels");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("missing value"), std::string::npos) << r.output;
 }
@@ -90,6 +90,19 @@ TEST(ExploreCli, BadEngineIsRejected) {
 TEST(ExploreCli, ZeroThreadsIsRejected) {
   const RunResult r = run_cli(graph("example.xml") + " --threads 0");
   EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown option '--threads'"), std::string::npos)
+      << r.output;
+}
+
+TEST(ExploreCli, ThreadsIsAnUnknownFlag) {
+  // Explorations are single-threaded: --threads is no option at all, with
+  // or without a value.
+  for (const char* args : {" --threads 2", " --threads"}) {
+    const RunResult r = run_cli(graph("example.xml") + args);
+    EXPECT_EQ(r.exit_code, 2) << args;
+    EXPECT_NE(r.output.find("unknown option '--threads'"), std::string::npos)
+        << r.output;
+  }
 }
 
 TEST(ExploreCli, ValidRunSucceeds) {
@@ -129,20 +142,6 @@ TEST(ExploreCli, AuditIsRejectedInCsdfMode) {
   EXPECT_NE(r.output.find("not supported in --csdf mode"),
             std::string::npos)
       << r.output;
-}
-
-TEST(ExploreCli, ParallelRunMatchesSerialOutput) {
-  const RunResult serial = run_cli(graph("example.xml") + " --engine exh");
-  const RunResult parallel =
-      run_cli(graph("example.xml") + " --engine exh --threads 4");
-  EXPECT_EQ(serial.exit_code, 0);
-  EXPECT_EQ(parallel.exit_code, 0);
-  // Identical Pareto output; only the timing line may differ.
-  const auto pareto_of = [](const std::string& out) {
-    const std::size_t at = out.find("Pareto points:");
-    return at == std::string::npos ? std::string() : out.substr(at);
-  };
-  EXPECT_EQ(pareto_of(serial.output), pareto_of(parallel.output));
 }
 
 TEST(ExploreCli, StatsEmitsJsonCounters) {

@@ -4,6 +4,7 @@
 
 #include "analysis/repetition_vector.hpp"
 #include "base/diagnostics.hpp"
+#include "buffer/dse_exact.hpp"
 #include "gen/random_graph.hpp"
 #include "models/models.hpp"
 #include "sdf/builder.hpp"
@@ -241,52 +242,34 @@ TEST(Dse, MaxDistributionsBudgetEnforced) {
 }
 
 
-TEST(Dse, ParallelEvaluationMatchesSequential) {
-  // Batch-parallel evaluation must produce the identical Pareto set.
-  for (const auto& model : {models::samplerate_converter(),
-                            models::satellite_receiver()}) {
-    DseOptions serial{.target = models::reported_actor(model),
-                      .engine = DseEngine::Incremental};
-    auto parallel = serial;
-    parallel.threads = 4;
-    const auto a = explore(model, serial);
-    const auto b = explore(model, parallel);
-    ASSERT_EQ(a.pareto.size(), b.pareto.size()) << model.name();
-    for (std::size_t i = 0; i < a.pareto.size(); ++i) {
-      EXPECT_EQ(a.pareto.points()[i].distribution,
-                b.pareto.points()[i].distribution);
-      EXPECT_EQ(a.pareto.points()[i].throughput,
-                b.pareto.points()[i].throughput);
+TEST(Dse, ThreadsOtherThanOneAreRejected) {
+  // Explorations are single-threaded; a thread request is an error that
+  // names the field, never a silently ignored knob.
+  const sdf::Graph g = models::samplerate_converter();
+  for (const auto engine : {DseEngine::Exhaustive, DseEngine::Incremental}) {
+    auto opts = options_for(g, engine);
+    for (const unsigned threads : {0u, 2u}) {
+      opts.threads = threads;
+      try {
+        (void)explore(g, opts);
+        FAIL() << "threads = " << threads << " was accepted";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("DseOptions::threads"),
+                  std::string::npos)
+            << e.what();
+      }
     }
   }
+  // The fleet's per-slice entry point holds the same contract: a slice
+  // request that is valid at one thread is rejected at two.
+  auto opts = options_for(g, DseEngine::Exhaustive);
+  const DesignSpaceBounds bounds = design_space_bounds(g, opts.target);
+  const SlicePlan plan = exhaustive_slice_plan(g, opts, bounds);
+  const SliceRequest request{.size = plan.lo_size, .slice_goal = plan.goal};
+  EXPECT_NO_THROW((void)explore_size_slice(g, opts, bounds, request));
+  opts.threads = 2;
+  EXPECT_THROW((void)explore_size_slice(g, opts, bounds, request), Error);
 }
-
-class ParallelDseProperty : public ::testing::TestWithParam<u64> {};
-
-TEST_P(ParallelDseProperty, IdenticalFrontsOnRandomGraphs) {
-  const sdf::Graph g = gen::random_graph(gen::RandomGraphOptions{
-      .num_actors = 5,
-      .max_repetition = 3,
-      .extra_edge_fraction = 0.6,
-      .seed = GetParam()});
-  DseOptions serial{.target = sdf::ActorId(g.num_actors() - 1),
-                    .engine = DseEngine::Incremental};
-  auto parallel = serial;
-  parallel.threads = 3;
-  const auto a = explore(g, serial);
-  const auto b = explore(g, parallel);
-  ASSERT_EQ(a.pareto.size(), b.pareto.size()) << "seed " << GetParam();
-  for (std::size_t i = 0; i < a.pareto.size(); ++i) {
-    EXPECT_EQ(a.pareto.points()[i].distribution,
-              b.pareto.points()[i].distribution)
-        << "seed " << GetParam();
-    EXPECT_EQ(a.pareto.points()[i].throughput, b.pareto.points()[i].throughput)
-        << "seed " << GetParam();
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDseProperty,
-                         ::testing::Range<u64>(1, 17));
 
 // Property: the incremental engine finds exactly the exhaustive engine's
 // Pareto staircase on random graphs small enough to enumerate.

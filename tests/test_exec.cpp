@@ -1,18 +1,13 @@
-// The exec/ runtime: pool sanity, structured parallelism, exception
-// propagation, cancellation (explicit + deadline) and progress counters —
-// plus the DSE-level guarantees built on them (a cancelled exploration
-// stops within the current wave and returns only verified points).
+// The exec/ runtime: pool sanity, cancellation (explicit + deadline) and
+// progress counters — plus the DSE-level guarantees built on them (a
+// cancelled exploration stops within the current wave and returns only
+// verified points).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <mutex>
-#include <set>
-#include <thread>
 
 #include "buffer/dse.hpp"
 #include "exec/cancellation.hpp"
-#include "exec/parallel.hpp"
 #include "exec/progress.hpp"
 #include "exec/thread_pool.hpp"
 #include "models/models.hpp"
@@ -40,54 +35,6 @@ TEST(ThreadPool, ZeroWorkersRunsInline) {
   EXPECT_TRUE(ran);  // no thread to wait for: submit itself ran it
 }
 
-TEST(ParallelForEach, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(997);
-  parallel_for_each(pool, hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelTransform, PreservesIndexOrder) {
-  ThreadPool pool(3);
-  const auto out = parallel_transform<std::size_t>(
-      pool, 500, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 500u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-}
-
-TEST(ParallelForEach, WorkerExceptionReachesTheCaller) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      parallel_for_each(pool, 100,
-                        [](std::size_t i) {
-                          if (i % 7 == 3) throw Error("boom " +
-                                                      std::to_string(i));
-                        },
-                        /*chunk_size=*/1),
-      Error);
-}
-
-TEST(ParallelForEach, LowestThrowingIndexWins) {
-  // Deterministic failure: of all throwing indices the lowest one is
-  // rethrown, matching what a sequential loop would report.
-  ThreadPool pool(4);
-  for (int round = 0; round < 10; ++round) {
-    try {
-      parallel_for_each(pool, 64,
-                        [](std::size_t i) {
-                          if (i >= 10) throw Error(std::to_string(i));
-                        },
-                        /*chunk_size=*/1);
-      FAIL() << "expected a throw";
-    } catch (const Error& e) {
-      EXPECT_STREQ(e.what(), "10");
-    }
-  }
-}
-
 TEST(ThreadPool, StopIsIdempotentAndSubmitAfterStopRunsInline) {
   ThreadPool pool(2);
   std::atomic<int> pooled{0};
@@ -99,68 +46,10 @@ TEST(ThreadPool, StopIsIdempotentAndSubmitAfterStopRunsInline) {
   pool.stop();                    // second stop is a no-op
 
   // The shutdown window is lossless: a submit that lands after the
-  // workers exited runs inline on the caller instead of being dropped
-  // (a dropped task would hang any WaitGroup counting on it).
+  // workers exited runs inline on the caller instead of being dropped.
   bool ran_inline = false;
   pool.submit([&ran_inline]() { ran_inline = true; });
   EXPECT_TRUE(ran_inline);
-}
-
-TEST(ThreadPool, CurrentSlotIdentifiesWorkersAndOutsiders) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.num_slots(), 4u);
-  // The calling thread is not a worker: it owns the extra slot.
-  EXPECT_EQ(pool.current_slot(), pool.num_workers());
-
-  // Every worker reports a slot in [0, workers), and concurrent workers
-  // report DISTINCT slots — that is what makes slot-indexed state
-  // (WorkerSolvers, per-slot deltas) race-free without locks.
-  std::mutex mu;
-  std::set<unsigned> seen;
-  parallel_for_each(
-      pool, 64,
-      [&](std::size_t) {
-        const unsigned slot = pool.current_slot();
-        EXPECT_LT(slot, pool.num_workers());
-        const std::lock_guard<std::mutex> lock(mu);
-        seen.insert(slot);
-      },
-      /*chunk_size=*/1);
-  EXPECT_GE(seen.size(), 1u);
-  for (const unsigned slot : seen) EXPECT_LT(slot, 3u);
-}
-
-TEST(ThreadPool, CurrentSlotOfAForeignPoolIsTheCallerSlot) {
-  // A worker of pool A asking pool B must get B's caller slot, not its
-  // own slot in A — slot identity is per-pool.
-  ThreadPool a(2);
-  ThreadPool b(2);
-  parallel_for_each(
-      a, 4,
-      [&](std::size_t) { EXPECT_EQ(b.current_slot(), b.num_workers()); },
-      /*chunk_size=*/1);
-}
-
-TEST(LazyThreadPool, SpawnsNothingUntilAsked) {
-  LazyThreadPool lazy(4);
-  EXPECT_FALSE(lazy.started());
-  EXPECT_EQ(lazy.configured_workers(), 4u);
-  EXPECT_EQ(lazy.num_slots(), 5u);
-  EXPECT_EQ(lazy.caller_slot(), 4u);
-
-  ThreadPool& pool = lazy.pool();
-  EXPECT_TRUE(lazy.started());
-  EXPECT_EQ(pool.num_workers(), 4u);
-  EXPECT_EQ(&lazy.pool(), &pool);  // same pool on every later call
-}
-
-TEST(LazyThreadPool, SingleThreadConfiguresZeroWorkers) {
-  // threads <= 1 means a sequential exploration: the caller is the only
-  // slot and pool() (if ever called) runs inline.
-  LazyThreadPool lazy(1);
-  EXPECT_EQ(lazy.configured_workers(), 0u);
-  EXPECT_EQ(lazy.num_slots(), 1u);
-  EXPECT_EQ(lazy.caller_slot(), 0u);
 }
 
 TEST(Cancellation, TokenOutlivesThePoolThatRanIt) {
@@ -172,11 +61,12 @@ TEST(Cancellation, TokenOutlivesThePoolThatRanIt) {
   CancellationToken worker_copy;
   {
     ThreadPool pool(2);
-    parallel_for_each(pool, 8, [&](std::size_t i) {
-      if (i == 0) worker_copy = token.with_deadline(60'000);
-      (void)token.cancelled();
-    });
-  }  // pool destroyed; token and the worker-made child must still work
+    pool.submit([&] { worker_copy = token.with_deadline(60'000); });
+    for (int i = 1; i < 8; ++i) {
+      pool.submit([&] { (void)token.cancelled(); });
+    }
+  }  // pool drained and destroyed; token and the worker-made child must
+     // still work
   EXPECT_FALSE(token.cancelled());
   token.cancel();
   EXPECT_TRUE(token.cancelled());
@@ -218,12 +108,16 @@ TEST(Cancellation, ChildSeesParentCancellation) {
 
 TEST(Progress, CountersAccumulateAcrossThreads) {
   Progress progress;
-  ThreadPool pool(4);
-  parallel_for_each(pool, 1000, [&](std::size_t) {
-    progress.add_points(1);
-    progress.add_states(2);
-    progress.add_pruned(3);
-  });
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 1000; ++i) {
+      pool.submit([&] {
+        progress.add_points(1);
+        progress.add_states(2);
+        progress.add_pruned(3);
+      });
+    }
+  }  // destructor drains the queues
   const ProgressSnapshot snap = progress.snapshot();
   EXPECT_EQ(snap.points_explored, 1000u);
   EXPECT_EQ(snap.states_visited, 2000u);

@@ -1,6 +1,6 @@
 // Determinism of the optimised throughput hot path: for every engine, the
 // Pareto front must be byte-identical to the oracle's (tests/oracle.hpp)
-// across thread counts with the throughput cache on or off — the Sec. 8
+// with the throughput cache on or off — the Sec. 8
 // dominance answers are exact, so no configuration may change a fold
 // result. Also the regression suite for the fused storage-dependency
 // collection (it must reproduce buffer::storage_dependencies).
@@ -31,8 +31,8 @@ std::string front_signature(const DseResult& result) {
   return out.str();
 }
 
-// Runs the default evaluation path (lane backend, LP bounds) under every
-// (threads, cache) combination and expects the oracle's front everywhere.
+// Runs the default evaluation path (lane backend, LP bounds) with the
+// cache off and on and expects the oracle's front both times.
 // `oracle` carries the engine, target and any extra inputs (quantisation,
 // binding, ...).
 void expect_identical_fronts(const sdf::Graph& graph,
@@ -41,17 +41,14 @@ void expect_identical_fronts(const sdf::Graph& graph,
   const std::string want = front_signature(baseline);
   EXPECT_FALSE(baseline.pareto.empty());
 
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    for (const bool cache : {false, true}) {
-      DseOptions opts = oracle;
-      opts.simd = DseOptions{}.simd;
-      opts.use_lp_bounds = DseOptions{}.use_lp_bounds;
-      opts.threads = threads;
-      opts.use_throughput_cache = cache;
-      const DseResult run = explore(graph, opts);
-      EXPECT_EQ(front_signature(run), want)
-          << "divergent front: threads=" << threads << " cache=" << cache;
-    }
+  for (const bool cache : {false, true}) {
+    DseOptions opts = oracle;
+    opts.simd = DseOptions{}.simd;
+    opts.use_lp_bounds = DseOptions{}.use_lp_bounds;
+    opts.use_throughput_cache = cache;
+    const DseResult run = explore(graph, opts);
+    EXPECT_EQ(front_signature(run), want)
+        << "divergent front: cache=" << cache;
   }
 }
 

@@ -295,36 +295,6 @@ TEST(PropertyDifferential, FastFrontsAreSoundAndDominatedByExact) {
   }
 }
 
-// Property (g): worker threads are invisible in the result. Both engines
-// must produce byte-identical fronts — witnesses included, not just the
-// curve — at 1, 2 and 8 threads. This covers the whole parallel scaling
-// machinery at once: thread-affine solver slots, per-worker cache deltas
-// with once-per-wave merges, and the adaptive sequential-vs-sharded
-// decision (which moves candidates between outcome-identical paths; over
-// 200 structurally diverse graphs both paths get exercised).
-TEST(PropertyDifferential, FrontsAreByteIdenticalAtAnyThreadCount) {
-  for (const u64 seed : load_seeds()) {
-    const sdf::Graph graph = gen::random_graph(graph_options(seed));
-    buffer::DseOptions opts;
-    opts.target = sdf::ActorId(graph.num_actors() - 1);
-
-    for (const buffer::DseEngine engine :
-         {buffer::DseEngine::Exhaustive, buffer::DseEngine::Incremental}) {
-      opts.engine = engine;
-      opts.threads = 1;
-      const buffer::DseResult serial = buffer::explore(graph, opts);
-      for (const unsigned threads : {2u, 8u}) {
-        opts.threads = threads;
-        const buffer::DseResult parallel = buffer::explore(graph, opts);
-        ASSERT_EQ(serial.pareto.str(), parallel.pareto.str())
-            << repro(seed, graph) << "engine "
-            << (engine == buffer::DseEngine::Exhaustive ? "exh" : "inc")
-            << " at " << threads << " threads";
-      }
-    }
-  }
-}
-
 // Property (h): the SIMD backend is invisible in the result. Both
 // engines must reproduce the oracle's front (tests/oracle.hpp) byte for
 // byte — witnesses included — under the lane kernel compiled at the

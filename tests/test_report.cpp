@@ -68,8 +68,8 @@ TEST(ReportFragment, WriteCreatesDirectoriesAndFile) {
 
 TEST(ExperimentsManifest, NamesEveryReproductionBench) {
   const auto& manifest = trace::experiments_manifest();
-  ASSERT_EQ(manifest.size(), 17u);
-  // Paper order first, extensions later; parallel/hotpath/lanes close
+  ASSERT_EQ(manifest.size(), 15u);
+  // Paper order first, extensions later; hotpath/lanes close
   // the file.
   EXPECT_STREQ(manifest.front().fragment, "table1_schedule");
   EXPECT_STREQ(manifest.front().binary, "bench_table1_schedule");

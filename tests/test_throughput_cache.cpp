@@ -278,10 +278,10 @@ TEST(ThroughputCacheLru, DominanceWitnessesSurviveEviction) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot / Delta / merge — the per-wave protocol of the parallel engines:
-// workers read a frozen point-in-time view, record fresh outcomes into
-// thread-local deltas, and the coordinator folds the deltas back once per
-// wave (DESIGN.md §14).
+// Snapshot / Delta / merge — the per-wave protocol of explorations that
+// share a cache: each reads a frozen point-in-time view, records fresh
+// outcomes into its own delta, and merges it back once per wave
+// (DESIGN.md §14).
 
 TEST(ThroughputCacheDelta, RecordedEntriesAnswerTheRecordingWorker) {
   ThroughputCache cache(kMax);
@@ -299,7 +299,7 @@ TEST(ThroughputCacheDelta, RecordedEntriesAnswerTheRecordingWorker) {
 }
 
 TEST(ThroughputCacheDelta, LocalWitnessesGiveImmediateDominance) {
-  // A worker must see its OWN maximal/deadlock outcomes as dominance
+  // An exploration must see its OWN maximal/deadlock outcomes as dominance
   // witnesses within the wave — that is what keeps a sequential wave's
   // hit/miss sequence identical to the per-candidate store() path.
   ThroughputCache cache(kMax);
@@ -403,7 +403,7 @@ TEST(ThroughputCacheDelta, ManyWavesFoldTheOverlayWithoutLosingEntries) {
 }
 
 TEST(ThroughputCacheDelta, MergeRejectsDisagreeingDeltas) {
-  // Tamper test for the determinism check: two workers reporting
+  // Tamper test for the determinism check: two deltas reporting
   // different outcomes for the same capacity vector means the
   // deterministic-simulation invariant is broken, and merge() must throw
   // rather than silently pick a winner.
