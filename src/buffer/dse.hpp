@@ -93,7 +93,9 @@ struct DseOptions {
   unsigned threads = 1;
 
   /// Consult the per-exploration throughput cache: exact repeats are
-  /// answered from a concurrent map and candidates implied by Sec. 8
+  /// answered from a concurrent map (incremental engine), candidates
+  /// inside an earlier run's equivalence box from the box index
+  /// (exhaustive engine), and candidates implied by Sec. 8
   /// monotone dominance (pointwise >= a max-throughput witness, pointwise
   /// <= a deadlocked distribution) skip simulation entirely. Dominance
   /// answers equal the simulated values exactly, so the Pareto front is
@@ -187,8 +189,12 @@ struct DseResult {
   u64 max_states_stored = 0;
   /// Full state-space simulations actually executed.
   u64 simulations_run = 0;
-  /// Candidates answered from the throughput cache (exact repeats).
+  /// Candidates answered from the throughput cache's exact repeats
+  /// (incremental engine).
   u64 cache_hits = 0;
+  /// Candidates answered from an earlier run's equivalence box
+  /// (exhaustive engine; DESIGN.md §7).
+  u64 box_hits = 0;
   /// Candidates answered by Sec. 8 dominance without simulation.
   u64 dominance_skips = 0;
   /// Exhaustive engine: candidates or subtree envelopes answered by an LP

@@ -61,7 +61,7 @@ struct SliceOutcome {
   u64 distributions_explored = 0;
   u64 max_states_stored = 0;
   u64 simulations_run = 0;
-  u64 cache_hits = 0;
+  u64 box_hits = 0;
   u64 dominance_skips = 0;
   u64 lp_prunes = 0;
   u64 lp_cuts = 0;

@@ -10,7 +10,7 @@ std::string ProgressSnapshot::json() const {
       buf, sizeof buf,
       "{\"points_explored\": %llu, \"states_visited\": %llu, "
       "\"pruned_by_bound\": %llu, \"pareto_points\": %llu, \"waves\": %llu, "
-      "\"simulations\": %llu, \"cache_hits\": %llu, "
+      "\"simulations\": %llu, \"cache_hits\": %llu, \"box_hits\": %llu, "
       "\"dominance_skips\": %llu, \"lp_prunes\": %llu, "
       "\"sims_avoided\": %llu, "
       "\"arena_bytes\": %llu, \"trace_events\": %llu, "
@@ -22,6 +22,7 @@ std::string ProgressSnapshot::json() const {
       static_cast<unsigned long long>(waves),
       static_cast<unsigned long long>(simulations),
       static_cast<unsigned long long>(cache_hits),
+      static_cast<unsigned long long>(box_hits),
       static_cast<unsigned long long>(dominance_skips),
       static_cast<unsigned long long>(lp_prunes),
       static_cast<unsigned long long>(sims_avoided),
@@ -42,6 +43,7 @@ ProgressSnapshot Progress::snapshot() const {
   s.waves = waves_.v.load(std::memory_order_relaxed);
   s.simulations = simulations_.v.load(std::memory_order_relaxed);
   s.cache_hits = cache_hits_.v.load(std::memory_order_relaxed);
+  s.box_hits = box_hits_.v.load(std::memory_order_relaxed);
   s.dominance_skips = dominance_skips_.v.load(std::memory_order_relaxed);
   s.lp_prunes = lp_prunes_.v.load(std::memory_order_relaxed);
   s.sims_avoided = sims_avoided_.v.load(std::memory_order_relaxed);

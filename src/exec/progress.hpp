@@ -38,14 +38,17 @@ struct ProgressSnapshot {
   u64 simulations = 0;
   /// Candidates answered from the cross-distribution cache (exact repeat).
   u64 cache_hits = 0;
+  /// Candidates answered from an earlier run's equivalence box.
+  u64 box_hits = 0;
   /// Candidates answered by Sec. 8 monotone dominance without simulation.
   u64 dominance_skips = 0;
   /// Candidates or subtree envelopes answered by an LP cycle-cut bound
   /// without simulation (DESIGN.md §13).
   u64 lp_prunes = 0;
   /// Simulations the hot-path machinery avoided relative to the one-run-
-  /// per-candidate baseline: cache hits, dominance skips, LP cut answers
-  /// and storage-dependency collections fused into the throughput run.
+  /// per-candidate baseline: cache hits, dominance skips, LP cut answers,
+  /// box hits and storage-dependency collections fused into the
+  /// throughput run.
   u64 sims_avoided = 0;
   /// Peak footprint of any visited-state arena, in bytes.
   u64 arena_bytes = 0;
@@ -73,6 +76,7 @@ class Progress {
   void add_wave() { add(waves_, 1); }
   void add_simulations(u64 n) { add(simulations_, n); }
   void add_cache_hits(u64 n) { add(cache_hits_, n); }
+  void add_box_hits(u64 n) { add(box_hits_, n); }
   void add_dominance_skips(u64 n) { add(dominance_skips_, n); }
   void add_lp_prunes(u64 n) { add(lp_prunes_, n); }
   void add_sims_avoided(u64 n) { add(sims_avoided_, n); }
@@ -112,6 +116,7 @@ class Progress {
   Counter waves_;
   Counter simulations_;
   Counter cache_hits_;
+  Counter box_hits_;
   Counter dominance_skips_;
   Counter lp_prunes_;
   Counter sims_avoided_;

@@ -104,7 +104,7 @@ struct SliceResult {
   u64 distributions_explored = 0;
   u64 max_states_stored = 0;
   u64 simulations_run = 0;
-  u64 cache_hits = 0;
+  u64 box_hits = 0;
   u64 dominance_skips = 0;
   u64 lp_prunes = 0;
   u64 lp_cuts = 0;
@@ -137,7 +137,7 @@ SliceResult parse_slice_result(const JsonValue& result) {
   out.distributions_explored = result_u64(result, "distributions_explored");
   out.max_states_stored = result_u64(result, "max_states_stored");
   out.simulations_run = result_u64(result, "simulations_run");
-  out.cache_hits = result_u64(result, "cache_hits");
+  out.box_hits = result_u64(result, "box_hits");
   out.dominance_skips = result_u64(result, "dominance_skips");
   out.lp_prunes = result_u64(result, "lp_prunes");
   out.lp_cuts = result_u64(result, "lp_cuts");
@@ -1009,14 +1009,14 @@ void Router::scatter_explore(Connection* conn,
       pareto = std::move(filtered);
     }
 
-    u64 explored = 0, sims = 0, cache_hits = 0, dom = 0, lp_prunes = 0;
+    u64 explored = 0, sims = 0, box_hits = 0, dom = 0, lp_prunes = 0;
     u64 states = 0, lp_cuts = 0;
     bool static_narrow = !evaluated.empty();
     bool cached_graph = false;
     for (const auto& [size, outcome] : evaluated) {
       explored += outcome.distributions_explored;
       sims += outcome.simulations_run;
-      cache_hits += outcome.cache_hits;
+      box_hits += outcome.box_hits;
       dom += outcome.dominance_skips;
       lp_prunes += outcome.lp_prunes;
       states = std::max(states, outcome.max_states_stored);
@@ -1035,7 +1035,7 @@ void Router::scatter_explore(Connection* conn,
     res.set("distributions_explored",
             JsonValue::integer(static_cast<i64>(explored)));
     res.set("simulations_run", JsonValue::integer(static_cast<i64>(sims)));
-    res.set("cache_hits", JsonValue::integer(static_cast<i64>(cache_hits)));
+    res.set("box_hits", JsonValue::integer(static_cast<i64>(box_hits)));
     res.set("dominance_skips", JsonValue::integer(static_cast<i64>(dom)));
     res.set("lp_prunes", JsonValue::integer(static_cast<i64>(lp_prunes)));
     res.set("lp_cuts", JsonValue::integer(static_cast<i64>(lp_cuts)));

@@ -278,6 +278,8 @@ CacheRegistry::Totals CacheRegistry::totals() const {
     t.entries_stored += e.cache->entries_stored();
     t.entries_resident += e.cache->entries_resident();
     t.entries_evicted += e.cache->entries_evicted();
+    t.box_hits += e.cache->box_hits();
+    t.boxes_stored += e.cache->boxes_stored();
   }
   return t;
 }

@@ -138,6 +138,8 @@ class CacheRegistry {
     u64 entries_stored = 0;
     u64 entries_resident = 0;
     u64 entries_evicted = 0;
+    u64 box_hits = 0;
+    u64 boxes_stored = 0;
   };
   [[nodiscard]] Totals totals() const;
 

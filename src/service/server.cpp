@@ -253,6 +253,7 @@ JsonValue Server::handle_explore(const Request& req,
           JsonValue::integer(static_cast<i64>(result.simulations_run)));
   res.set("cache_hits",
           JsonValue::integer(static_cast<i64>(result.cache_hits)));
+  res.set("box_hits", JsonValue::integer(static_cast<i64>(result.box_hits)));
   res.set("dominance_skips",
           JsonValue::integer(static_cast<i64>(result.dominance_skips)));
   res.set("lp_prunes",
@@ -329,8 +330,7 @@ JsonValue Server::handle_explore_slice(const Request& req,
           JsonValue::integer(static_cast<i64>(outcome.distributions_explored)));
   res.set("simulations_run",
           JsonValue::integer(static_cast<i64>(outcome.simulations_run)));
-  res.set("cache_hits",
-          JsonValue::integer(static_cast<i64>(outcome.cache_hits)));
+  res.set("box_hits", JsonValue::integer(static_cast<i64>(outcome.box_hits)));
   res.set("dominance_skips",
           JsonValue::integer(static_cast<i64>(outcome.dominance_skips)));
   res.set("lp_prunes",
@@ -367,6 +367,8 @@ JsonValue Server::status_json() const {
   cache.set("entries_stored", u(totals.entries_stored));
   cache.set("entries_resident", u(totals.entries_resident));
   cache.set("entries_evicted", u(totals.entries_evicted));
+  cache.set("box_hits", u(totals.box_hits));
+  cache.set("boxes_stored", u(totals.boxes_stored));
   cache.set("analyses_computed", u(registry_.analyses_computed()));
   cache.set("analysis_hits", u(registry_.analysis_hits()));
   o.set("cache", cache);

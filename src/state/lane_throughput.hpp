@@ -38,6 +38,9 @@ struct LaneBatchOptions {
   /// Collect each candidate's storage dependencies (see
   /// ThroughputOptions::collect_storage_deps), fused into the batch.
   bool collect_storage_deps = false;
+  /// Collect each candidate's equivalence box (see
+  /// ThroughputOptions::collect_box), fused into the batch.
+  bool collect_box = false;
   /// Polled between lockstep steps; once cancelled the batch fails with
   /// exec::Cancelled (no per-candidate partial results).
   exec::CancellationToken cancel;
@@ -117,11 +120,12 @@ class LaneThroughputSolver {
     std::vector<T> live;
     std::vector<T> delta;
     std::vector<T> scratch;
+    std::vector<T> demand;
   };
 
   template <typename T>
   void init_lane(LaneTables<T>& t, std::size_t l, std::span<const i64> caps,
-                 bool track_deps);
+                 bool track_deps, bool track_box);
   template <typename T>
   void run_batch(LaneTables<T>& t,
                  LaneStepResult (*step)(const LaneKernelViewT<T>&),

@@ -26,6 +26,7 @@ ArgNames arg_names(EventKind kind) {
     case EventKind::EngineReset: return {"size", nullptr};
     case EventKind::ParetoPoint: return {"size", "throughput", true};
     case EventKind::LpPrune: return {"size", nullptr};
+    case EventKind::BoxHit: return {"size", nullptr};
   }
   return {"arg0", "arg1"};
 }

@@ -46,6 +46,7 @@ const char* kind_name(EventKind kind) {
     case EventKind::EngineReset: return "engine_reset";
     case EventKind::ParetoPoint: return "pareto_point";
     case EventKind::LpPrune: return "lp_prune";
+    case EventKind::BoxHit: return "box_hit";
   }
   return "unknown";
 }

@@ -71,10 +71,13 @@ enum class EventKind : std::uint8_t {
   /// Instant: a candidate (or subtree envelope) answered by an LP cycle
   /// cut without simulation. arg0 = distribution size, arg1 = 0.
   LpPrune,
+  /// Instant: a candidate answered from an earlier run's equivalence box.
+  /// arg0 = distribution size, arg1 = 0.
+  BoxHit,
 };
 
 /// Number of distinct EventKind values (table sizes in the sinks).
-inline constexpr std::size_t kNumEventKinds = 9;
+inline constexpr std::size_t kNumEventKinds = 10;
 
 /// Stable lower-case name of an event kind ("simulation", "cache_hit"...).
 [[nodiscard]] const char* kind_name(EventKind kind);

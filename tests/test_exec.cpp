@@ -189,7 +189,7 @@ TEST(DseCancellation, ExhaustiveDeadlineReturnsVerifiedPartialFront) {
   const sdf::Graph g = models::h263_decoder();
   buffer::DseOptions opts{.target = models::reported_actor(g),
                           .engine = buffer::DseEngine::Exhaustive};
-  opts.deadline_ms = 200;
+  opts.deadline_ms = 20;
   const auto r = explore(g, opts);
   EXPECT_TRUE(r.cancelled);
   for (const buffer::ParetoPoint& p : r.pareto.points()) {

@@ -128,7 +128,8 @@ TEST(HotpathCounters, ExhaustiveDominanceSkipsTheMaxWitness) {
       g, DseOptions{.target = models::reported_actor(g),
                     .engine = DseEngine::Exhaustive});
   EXPECT_GE(run.dominance_skips, 1u);
-  EXPECT_EQ(run.simulations_run + run.cache_hits + run.dominance_skips,
+  EXPECT_EQ(run.simulations_run + run.cache_hits + run.box_hits +
+                run.dominance_skips,
             run.distributions_explored);
 }
 
