@@ -60,9 +60,11 @@ Ablation run(const std::string& name, const sdf::Graph& g,
   return a;
 }
 
+// Negative when pruning costs simulations (see the fragment's note).
 double saved_pct(const Ablation& a) {
   if (a.sims_off == 0) return 0.0;
-  return 100.0 * static_cast<double>(a.sims_off - a.sims_on) /
+  return 100.0 *
+         (static_cast<double>(a.sims_off) - static_cast<double>(a.sims_on)) /
          static_cast<double>(a.sims_off);
 }
 
@@ -153,8 +155,12 @@ int main(int argc, char** argv) {
         "a subtree: when no distribution under the cut bound can beat the "
         "armed incumbent, the whole candidate is answered analytically. "
         "The bounds are necessary conditions, so the front must be — and "
-        "is — byte-identical with pruning on or off; only the simulation "
-        "count drops. Wall-clock deltas live in BENCH_lp_prune.json.");
+        "is — byte-identical with pruning on or off. The simulation count "
+        "usually drops, but not always: with the throughput cache on, a "
+        "candidate the LP answers records no equivalence box (DESIGN.md "
+        "§7), so a later candidate that box would have answered is "
+        "simulated instead (samplerate). Wall-clock deltas live in "
+        "BENCH_lp_prune.json.");
     std::vector<std::vector<std::string>> table;
     table.reserve(rows.size());
     for (const Ablation& a : rows) {

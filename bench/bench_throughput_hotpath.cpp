@@ -11,8 +11,10 @@
 //               ThroughputSolver; reports wall time, speedup and the
 //               reused path's states/second.
 //  * dse      — end-to-end explorations with the throughput cache off vs
-//               on; reports wall-clock speedup, simulations run and the
-//               fraction the cache saved, and checks the two Pareto
+//               on; reports wall-clock speedup, simulations run, the
+//               fraction the cache saved and how it saved them (exact
+//               repeats, equivalence-box hits, dominance skips), and
+//               checks the two Pareto
 //               fronts are byte-identical. The bundled models run with an
 //               unbounded cache; three exhaustive stress-corpus graphs run
 //               with buffyd's bounded one (1 << 18 entries).
@@ -151,6 +153,7 @@ struct DseMeasurement {
   u64 cache_simulations = 0;
   double simulations_saved_pct = 0;
   u64 cache_hits = 0;
+  u64 box_hits = 0;
   u64 dominance_skips = 0;
   bool identical = true;
 };
@@ -197,6 +200,7 @@ DseMeasurement bench_dse(const std::string& name, const sdf::Graph& graph,
                 static_cast<double>(off.simulations_run)
           : 0.0;
   m.cache_hits = on.cache_hits;
+  m.box_hits = on.box_hits;
   m.dominance_skips = on.dominance_skips;
   m.identical = fronts_identical(off, on);
   return m;
@@ -345,6 +349,7 @@ int main(int argc, char** argv) {
         bench::json_field("simulations_saved_pct",
                           bench::json_num(m.simulations_saved_pct)),
         bench::json_field("cache_hits", bench::json_num(m.cache_hits)),
+        bench::json_field("box_hits", bench::json_num(m.box_hits)),
         bench::json_field("dominance_skips",
                           bench::json_num(m.dominance_skips)),
         bench::json_field("identical", m.identical ? "true" : "false"),
@@ -381,11 +386,12 @@ int main(int argc, char** argv) {
                       std::to_string(m.nocache_simulations),
                       std::to_string(m.cache_simulations), pct,
                       std::to_string(m.cache_hits),
+                      std::to_string(m.box_hits),
                       std::to_string(m.dominance_skips),
                       m.identical ? "yes" : "NO"});
     }
     f.table({"model", "engine", "nocache-sims", "cache-sims", "sims-saved",
-             "cache-hits", "dominance-skips", "identical"},
+             "cache-hits", "box-hits", "dominance-skips", "identical"},
             rows);
     f.bullet(std::string("cached fronts identical to the cache-less front "
                          "on every model: ") +

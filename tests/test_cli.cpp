@@ -158,8 +158,8 @@ TEST(ExploreCli, StatsEmitsHotpathCounters) {
   const RunResult r = run_cli(graph("example.xml") + " --stats");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   for (const char* key : {"\"simulations\"", "\"cache_hits\"",
-                          "\"dominance_skips\"", "\"sims_avoided\"",
-                          "\"arena_bytes\""}) {
+                          "\"box_hits\"", "\"dominance_skips\"",
+                          "\"sims_avoided\"", "\"arena_bytes\""}) {
     EXPECT_NE(r.output.find(key), std::string::npos) << key << "\n" << r.output;
   }
 }
@@ -202,7 +202,7 @@ TEST(ExploreCli, ExpiredDeadlineStatsKeepEveryCounter) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   for (const char* key :
        {"\"points_explored\"", "\"simulations\"", "\"cache_hits\"",
-        "\"dominance_skips\"", "\"sims_avoided\"", "\"arena_bytes\"",
+        "\"box_hits\"", "\"dominance_skips\"", "\"sims_avoided\"", "\"arena_bytes\"",
         "\"trace_events\"", "\"seconds\"", "\"cancelled\""}) {
     EXPECT_NE(r.output.find(key), std::string::npos) << key << "\n"
                                                      << r.output;

@@ -451,6 +451,45 @@ TEST(Service, GraphAnalysisIsComputedOncePerRegistryEntry) {
   server.wait();
 }
 
+// A warm exhaustive repeat is answered from the equivalence boxes the
+// first request recorded in the graph's shared cache: the repeat
+// simulates nothing, its response counts the box hits, and the status
+// cache object counts the hits and the resident boxes.
+TEST(Service, WarmExhaustiveRepeatIsAnsweredFromBoxes) {
+  service::Server server(tcp_options());
+  server.start();
+  Client client = Client::tcp(server.tcp_port());
+  const std::string samplerate =
+      slurp(std::string(EXAMPLE_GRAPHS_DIR) + "/samplerate.sdf");
+  std::string fronts[2];
+  i64 sims[2] = {0, 0};
+  i64 box_hits[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    const service::JsonValue resp = client.call(
+        explore_request(i, samplerate, ",\"engine\":\"exh\""));
+    ASSERT_TRUE(response_ok(resp));
+    const service::JsonValue& result = result_of(resp);
+    fronts[i] = result.find("front")->as_string();
+    sims[i] = result.find("simulations_run")->as_int();
+    box_hits[i] = result.find("box_hits")->as_int();
+  }
+  EXPECT_EQ(fronts[0], fronts[1]);
+  EXPECT_GT(sims[0], 0);
+  EXPECT_EQ(sims[1], 0);
+  EXPECT_GT(box_hits[1], box_hits[0]);
+
+  const service::JsonValue status = client.call("{\"method\":\"status\"}");
+  const service::JsonValue& cache = *result_of(status).find("cache");
+  EXPECT_EQ(cache.find("box_hits")->as_int(), box_hits[0] + box_hits[1]);
+  // One box per simulation at most: lane-batched candidates that share a
+  // box are simulated together and recorded once.
+  EXPECT_GT(cache.find("boxes_stored")->as_int(), 0);
+  EXPECT_LE(cache.find("boxes_stored")->as_int(), sims[0]);
+
+  server.shutdown();
+  server.wait();
+}
+
 TEST(Service, AdmissionRejectsMagnitudeOverflowGraphs) {
   // A consistent graph whose magnitude certificate (DESIGN.md §16)
   // saturates: the timestamp envelope max_steps * max_execution_time
