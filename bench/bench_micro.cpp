@@ -132,7 +132,7 @@ void BM_CacheClassifyRecordMerge(benchmark::State& state) {
       buffer::ThroughputCache::Delta delta = cache->make_delta();
       for (const std::vector<i64>& caps : wave) {
         const buffer::CapsKey key(caps);
-        if (!snap.find(key, /*require_deps=*/false).has_value()) {
+        if (!snap.find(key).has_value()) {
           delta.record(key, value);
         }
       }
