@@ -112,10 +112,11 @@ struct DseOptions {
   /// additionally warm-starts its frontier from the LP necessary floors.
   bool use_lp_bounds = true;
 
-  /// Entry bound for the throughput cache (0 = unbounded): beyond it the
-  /// cache evicts least-recently-used exact entries (stripe-granular LRU,
-  /// see ThroughputCache). Eviction only forgets — evicted candidates are
-  /// re-simulated — so the Pareto front stays byte-identical at any cap.
+  /// Entry bound for the throughput cache (0 = unbounded): once it holds
+  /// this many exact entries (or boxes) the cache admits no new ones and
+  /// evicts nothing (see ThroughputCache). A refused outcome is only
+  /// re-simulated later, so the Pareto front stays byte-identical at any
+  /// cap.
   /// Ignored when `shared_cache` is set (a shared cache carries its own
   /// bound).
   u64 cache_capacity = 0;

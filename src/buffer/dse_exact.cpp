@@ -60,7 +60,7 @@ struct Sweep {
   // (DESIGN.md §16).
   state::LaneThroughputSolver* lanes = nullptr;
 
-  // Frozen read view of the shared cache for the current slice, plus the
+  // Read view of the shared cache for the current slice, plus the
   // outcomes this exploration learned inside it (merged in end_slice).
   std::optional<ThroughputCache::Snapshot> snap;
   std::optional<ThroughputCache::Delta> delta;
@@ -93,7 +93,7 @@ struct Sweep {
       // The snapshot covers everything merged before this slice; the
       // delta covers what this exploration has learned inside it —
       // including its own witnesses, so the scan sees exactly the
-      // hit/miss pattern the per-candidate store() path produced.
+      // hit/miss pattern of merging each candidate on its own.
       const std::vector<i64>& caps = key.caps();
       std::optional<CachedThroughput> hit = delta->find_box(*snap, key);
       const bool boxed = hit.has_value();

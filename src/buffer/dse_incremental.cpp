@@ -237,10 +237,10 @@ DseResult explore_incremental(const sdf::Graph& graph,
     std::vector<CapsKey> keys;
     keys.reserve(batch.size());
     for (const std::vector<i64>& caps : batch) keys.emplace_back(caps);
-    // The wave reads the cache through a frozen point-in-time snapshot and
-    // records fresh outcomes into the delta — no shared-map or witness-lock
-    // traffic inside the wave; the delta is merged back once at the wave
-    // boundary below.
+    // The wave reads the cache through a snapshot (exact lookups lock one
+    // stripe; witness scans read copies) and records fresh outcomes into
+    // the delta — no shared-map writes or witness-lock traffic inside the
+    // wave; the delta is merged back once at the wave boundary below.
     std::optional<ThroughputCache::Snapshot> snap;
     if (cache != nullptr) snap.emplace(cache->snapshot());
     // Cache/dominance lookup for one candidate; true when answered (the

@@ -50,33 +50,10 @@ CachedThroughput deadlock_hit() {
 }  // namespace
 
 ThroughputCache::ThroughputCache(Rational max_throughput, u64 capacity)
-    : max_throughput_(std::move(max_throughput)), capacity_(capacity) {
-  if (capacity_ > 0) {
-    per_stripe_cap_ = std::max<u64>(1, capacity_ / kStripes);
-  }
-}
+    : max_throughput_(std::move(max_throughput)), capacity_(capacity) {}
 
 ThroughputCache::Stripe& ThroughputCache::stripe_of(u64 hash) const {
   return stripes_[static_cast<std::size_t>(hash) % kStripes];
-}
-
-void ThroughputCache::Stripe::unlink(Entry& e) {
-  (e.newer != nullptr ? e.newer->older : newest) = e.older;
-  (e.older != nullptr ? e.older->newer : oldest) = e.newer;
-  e.newer = e.older = nullptr;
-}
-
-void ThroughputCache::Stripe::push_front(Entry& e) {
-  e.newer = nullptr;
-  e.older = newest;
-  (newest != nullptr ? newest->newer : oldest) = &e;
-  newest = &e;
-}
-
-void ThroughputCache::Stripe::touch(Entry& e) {
-  if (&e == newest) return;
-  unlink(e);
-  push_front(e);
 }
 
 // ---------------------------------------------------------------------------
@@ -195,77 +172,30 @@ void ThroughputCache::Antichain::clear() {
 }
 
 // ---------------------------------------------------------------------------
-// Locked (authoritative) API.
+// Writes: merge() and the witnesses it feeds.
 
-std::optional<CachedThroughput> ThroughputCache::find(
-    const CapsKey& key) const {
-  Stripe& stripe = stripe_of(key.hash());
+void ThroughputCache::apply_node(EntryMap::node_type node) {
+  Stripe& stripe = stripe_of(node.key().hash);
   const std::lock_guard<std::mutex> lock(stripe.mu);
-  const auto it = stripe.map.find(key);
-  if (it == stripe.map.end()) return std::nullopt;
-  // A hit refreshes recency (O(1), no allocation).
-  if (capacity_ > 0) stripe.touch(it->second);
-  exact_hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second.value;
-}
-
-std::optional<CachedThroughput> ThroughputCache::find_max_dominated(
-    const CapsKey& key) const {
-  const std::lock_guard<std::mutex> lock(witness_mu_);
-  if (!max_witnesses_.any_below(key)) return std::nullopt;
-  dominance_hits_.fetch_add(1, std::memory_order_relaxed);
-  return max_hit(max_throughput_);
-}
-
-std::optional<CachedThroughput> ThroughputCache::find_deadlock_dominated(
-    const CapsKey& key) const {
-  const std::lock_guard<std::mutex> lock(witness_mu_);
-  if (!deadlock_witnesses_.any_above(key)) return std::nullopt;
-  dominance_hits_.fetch_add(1, std::memory_order_relaxed);
-  return deadlock_hit();
-}
-
-void ThroughputCache::settle(Stripe& stripe, EntryMap::iterator it,
-                             bool inserted, const CachedThroughput& value,
-                             bool checked) {
-  if (inserted) {
-    resident_.fetch_add(1, std::memory_order_relaxed);
-    if (capacity_ == 0) return;
-    it->second.key = &it->first;
-    stripe.push_front(it->second);
-    if (stripe.map.size() > per_stripe_cap_) {
-      // Evict this stripe's least-recently-used entry (never the one just
-      // inserted: the stripe holds at least two). Its node is located
-      // before the erase, so the erase never reads the dying key.
-      Entry& victim = *stripe.oldest;
-      stripe.unlink(victim);
-      stripe.map.erase(stripe.map.find(*victim.key));
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      resident_.fetch_sub(1, std::memory_order_relaxed);
+  const auto it = stripe.map.find(node.key());
+  if (it != stripe.map.end()) {
+    if (!values_agree(it->second, node.mapped())) {
+      throw Error(
+          "throughput cache merge: two evaluations of the same capacity "
+          "vector disagree — the deterministic simulation invariant is "
+          "broken (delta merge rejected)");
     }
     return;
   }
-  Entry& resident = it->second;
-  if (checked && !values_agree(resident.value, value)) {
-    throw Error(
-        "throughput cache merge: two evaluations of the same capacity "
-        "vector disagree — the deterministic simulation invariant is "
-        "broken (delta merge rejected)");
+  if (capacity_ > 0 &&
+      resident_.load(std::memory_order_relaxed) >= capacity_) {
+    // Full: the key is refused, and its candidate is re-simulated when it
+    // comes again.
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
-  // A merge touch counts as a use, exactly like a find() hit.
-  if (capacity_ > 0) stripe.touch(resident);
-}
-
-void ThroughputCache::apply_node(
-    EntryMap::node_type node,
-    std::vector<std::pair<const StoredKey*, CachedThroughput>>& applied) {
-  Stripe& stripe = stripe_of(node.key().hash);
-  const std::lock_guard<std::mutex> lock(stripe.mu);
-  auto [it, inserted, rejected] = stripe.map.insert(std::move(node));
-  settle(stripe, it, inserted,
-         inserted ? it->second.value : rejected.mapped().value,
-         /*checked=*/true);
-  if (capacity_ == 0) applied.emplace_back(&it->first, it->second.value);
+  stripe.map.insert(std::move(node));
+  resident_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ThroughputCache::feed_witnesses(const CapsKey& key,
@@ -275,19 +205,6 @@ void ThroughputCache::feed_witnesses(const CapsKey& key,
   } else if (value.throughput == max_throughput_) {
     add_max_witness(key);
   }
-}
-
-void ThroughputCache::store(const CapsKey& key,
-                            const CachedThroughput& value) {
-  {
-    Stripe& stripe = stripe_of(key.hash());
-    const std::lock_guard<std::mutex> lock(stripe.mu);
-    const auto [it, inserted] = stripe.map.try_emplace(
-        StoredKey{key.caps(), key.hash()}, Entry{value});
-    settle(stripe, it, inserted, value, /*checked=*/false);
-  }
-  stores_.fetch_add(1, std::memory_order_relaxed);
-  feed_witnesses(key, value);
 }
 
 void ThroughputCache::add_max_witness(const CapsKey& key) {
@@ -307,8 +224,7 @@ ThroughputCache::Snapshot ThroughputCache::snapshot() const {
   Snapshot s;
   s.cache_ = this;
   {
-    const std::lock_guard<std::mutex> lock(frozen_mu_);
-    s.frozen_ = frozen_;  // null for bounded caches / before first merge
+    const std::lock_guard<std::mutex> lock(box_index_mu_);
     s.boxes_ = box_index_;
   }
   {
@@ -397,7 +313,7 @@ void ThroughputCache::merge_boxes(std::span<Delta* const> deltas) {
   if (!any) return;
   std::shared_ptr<const BoxIndex> old;
   {
-    const std::lock_guard<std::mutex> lock(frozen_mu_);
+    const std::lock_guard<std::mutex> lock(box_index_mu_);
     old = box_index_;
   }
   // Check first: (mask, pinned) determines the run, so a key recorded
@@ -449,9 +365,12 @@ void ThroughputCache::merge_boxes(std::span<Delta* const> deltas) {
         fresh[gid] = std::make_shared<BoxGroup>(*old->groups[gid]);
       }
       BoxGroup& group = *fresh[gid];
-      if (group.find(PinnedKey{lb.box.pinned, lb.box.hash}) != nullptr ||
-          (capacity_ > 0 && stored >= capacity_)) {
-        continue;  // an agreeing duplicate, or the index is full
+      if (group.find(PinnedKey{lb.box.pinned, lb.box.hash}) != nullptr) {
+        continue;  // an agreeing duplicate
+      }
+      if (capacity_ > 0 && stored >= capacity_) {
+        dropped_.fetch_add(1, std::memory_order_relaxed);
+        continue;  // the index is full
       }
       const Box& box = boxes_.emplace_back(std::move(lb.box));
       group.overlay.insert(&box);
@@ -476,7 +395,7 @@ void ThroughputCache::merge_boxes(std::span<Delta* const> deltas) {
     next->groups[gid] = std::move(fresh[gid]);
   }
   {
-    const std::lock_guard<std::mutex> lock(frozen_mu_);
+    const std::lock_guard<std::mutex> lock(box_index_mu_);
     box_index_ = std::move(next);
   }
   boxes_stored_.store(stored, std::memory_order_relaxed);
@@ -533,7 +452,7 @@ void ThroughputCache::merge(std::span<Delta* const> deltas) {
         const EntryMap& earlier = deltas[j]->index_;
         const auto it = earlier.find(entry->first);
         if (it != earlier.end() &&
-            !values_agree(it->second.value, entry->second.value)) {
+            !values_agree(it->second, entry->second)) {
           throw Error(
               "throughput cache merge: two deltas disagree on the "
               "same capacity vector — the deterministic simulation "
@@ -544,64 +463,21 @@ void ThroughputCache::merge(std::span<Delta* const> deltas) {
   }
   merge_boxes(deltas);
   // Pass 2 — apply in slot order, each delta in insertion order, so a
-  // sequential wave merges in exactly the order it simulated. Canonical
-  // (resident) values are collected for the frozen index. The
-  // order list is taken out of the delta first, so a rejected merge never
-  // leaves it pointing at moved nodes.
-  std::vector<std::pair<const StoredKey*, CachedThroughput>> applied;
+  // sequential wave merges in exactly the order it simulated (and a full
+  // cache keeps the earliest entries). The order list is taken out of the
+  // delta first, so a rejected merge never leaves it pointing at moved
+  // nodes.
   for (Delta* d : deltas) {
     std::vector<const EntryMap::value_type*> order;
     order.swap(d->entries_);
-    if (capacity_ == 0) applied.reserve(applied.size() + order.size());
     for (const auto* entry : order) {
       EntryMap::node_type node = d->index_.extract(entry->first);
       feed_witnesses(CapsKey(node.key().caps, node.key().hash),
-                     node.mapped().value);
-      apply_node(std::move(node), applied);
-      stores_.fetch_add(1, std::memory_order_relaxed);
+                     node.mapped());
+      apply_node(std::move(node));
     }
     order.clear();
     d->entries_.swap(order);  // hand the capacity back
-  }
-  // Pass 3 — republish the frozen index (unbounded caches only): one
-  // copy-on-write batch per merge, folding the overlay into the base when
-  // it outgrows max(64, |base| / 8).
-  if (capacity_ == 0 && !applied.empty()) {
-    std::shared_ptr<const Frozen> old;
-    {
-      const std::lock_guard<std::mutex> lock(frozen_mu_);
-      old = frozen_;
-    }
-    auto next = std::make_shared<Frozen>();
-    const std::size_t base_size = old != nullptr ? old->base->size() : 0;
-    const std::size_t overlay_size =
-        (old != nullptr ? old->overlay.size() : 0) + applied.size();
-    const bool fold =
-        old == nullptr ||
-        overlay_size >= std::max<std::size_t>(64, base_size / 8);
-    if (fold) {
-      auto base = old != nullptr ? std::make_shared<FrozenMap>(*old->base)
-                                 : std::make_shared<FrozenMap>();
-      if (old != nullptr) {
-        for (const auto& [key, value] : old->overlay) {
-          (*base)[key] = value;
-        }
-      }
-      for (auto& [key, value] : applied) {
-        (*base)[key] = std::move(value);
-      }
-      next->base = std::move(base);
-    } else {
-      next->base = old->base;  // old non-null here: a null old always folds
-      next->overlay = old->overlay;
-      for (auto& [key, value] : applied) {
-        next->overlay[key] = std::move(value);
-      }
-    }
-    {
-      const std::lock_guard<std::mutex> lock(frozen_mu_);
-      frozen_ = std::move(next);
-    }
   }
   merges_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -609,34 +485,11 @@ void ThroughputCache::merge(std::span<Delta* const> deltas) {
 bool ThroughputCache::corrupt_entry_for_test(const std::vector<i64>& caps,
                                              const Rational& delta) {
   const CapsKey key(caps);
-  const StoredKey* resident = nullptr;
-  CachedThroughput corrupted;
-  {
-    Stripe& stripe = stripe_of(key.hash());
-    const std::lock_guard<std::mutex> lock(stripe.mu);
-    const auto it = stripe.map.find(key);
-    if (it == stripe.map.end()) return false;
-    it->second.value.throughput = it->second.value.throughput + delta;
-    resident = &it->first;
-    corrupted = it->second.value;
-  }
-  // Keep the frozen index in sync so Snapshot readers see the corruption
-  // (this is what the audit tamper tests rely on).
-  const std::lock_guard<std::mutex> merge_lock(merge_mu_);
-  std::shared_ptr<const Frozen> old;
-  {
-    const std::lock_guard<std::mutex> lock(frozen_mu_);
-    old = frozen_;
-  }
-  if (old != nullptr &&
-      (old->overlay.contains(key) || old->base->contains(key))) {
-    auto next = std::make_shared<Frozen>();
-    next->base = old->base;
-    next->overlay = old->overlay;
-    next->overlay[resident] = corrupted;
-    const std::lock_guard<std::mutex> lock(frozen_mu_);
-    frozen_ = std::move(next);
-  }
+  Stripe& stripe = stripe_of(key.hash());
+  const std::lock_guard<std::mutex> lock(stripe.mu);
+  const auto it = stripe.map.find(key);
+  if (it == stripe.map.end()) return false;
+  it->second.throughput = it->second.throughput + delta;
   return true;
 }
 
@@ -645,22 +498,12 @@ bool ThroughputCache::corrupt_entry_for_test(const std::vector<i64>& caps,
 
 std::optional<CachedThroughput> ThroughputCache::Snapshot::find(
     const CapsKey& key) const {
-  if (frozen_ == nullptr) {
-    // Bounded cache (or nothing merged yet): the locked map is the only
-    // index, and going through it keeps LRU recency exact.
-    return cache_->find(key);
-  }
-  const auto ov = frozen_->overlay.find(key);
-  const CachedThroughput* value = nullptr;
-  if (ov != frozen_->overlay.end()) {
-    value = &ov->second;
-  } else {
-    const auto it = frozen_->base->find(key);
-    if (it != frozen_->base->end()) value = &it->second;
-  }
-  if (value == nullptr) return std::nullopt;
+  Stripe& stripe = cache_->stripe_of(key.hash());
+  const std::lock_guard<std::mutex> lock(stripe.mu);
+  const auto it = stripe.map.find(key);
+  if (it == stripe.map.end()) return std::nullopt;
   cache_->exact_hits_.fetch_add(1, std::memory_order_relaxed);
-  return *value;
+  return it->second;
 }
 
 std::optional<CachedThroughput> ThroughputCache::Snapshot::find_max_dominated(
@@ -684,13 +527,13 @@ ThroughputCache::Snapshot::find_deadlock_dominated(
 void ThroughputCache::Delta::record(const CapsKey& key,
                                     const CachedThroughput& value) {
   const auto [it, inserted] =
-      index_.try_emplace(StoredKey{key.caps(), key.hash()}, Entry{value});
+      index_.try_emplace(StoredKey{key.caps(), key.hash()}, value);
   if (!inserted) return;
   entries_.push_back(&*it);
   // Local witnesses: later candidates of THIS exploration's wave see this
   // outcome through the dominance rules immediately, which is what keeps
-  // a sequential wave's hit/miss pattern identical to the per-candidate
-  // store() path it replaced.
+  // a sequential wave's hit/miss pattern identical to merging each
+  // candidate on its own.
   if (value.deadlocked) {
     deadlock_witnesses_.insert_maximal(key);
   } else if (value.throughput == cache_->max_throughput_) {
@@ -703,7 +546,7 @@ std::optional<CachedThroughput> ThroughputCache::Delta::find(
   const auto it = index_.find(key);
   if (it == index_.end()) return std::nullopt;
   cache_->exact_hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second.value;
+  return it->second;
 }
 
 std::optional<CachedThroughput> ThroughputCache::Delta::find_max_dominated(
@@ -794,8 +637,8 @@ void ThroughputCache::Delta::sync(const Snapshot& snap) {
       probe_of_group_.push_back(probe_of(group->mask));
     }
     Probe& probe = probes_[probe_of_group_[gid]];
-    if (probe.frozen == group) continue;  // unchanged since the last sync
-    probe.frozen = group;
+    if (probe.published == group) continue;  // unchanged since the last sync
+    probe.published = group;
     if (probe.local.empty()) {
       probe.filter = group->filter;
     } else {
@@ -817,7 +660,7 @@ std::optional<CachedThroughput> ThroughputCache::Delta::find_box(
     for (const std::size_t c : probe.on) pinned_scratch_.push_back(caps[c]);
     const PinnedKey pinned{pinned_scratch_, hash_words(pinned_scratch_)};
     const Box* box =
-        probe.frozen != nullptr ? probe.frozen->find(pinned) : nullptr;
+        probe.published != nullptr ? probe.published->find(pinned) : nullptr;
     if (box == nullptr) box = find_box_in(probe.local, pinned);
     if (box == nullptr || !row_le(box->floors.data(), caps.data(), width_)) {
       continue;
@@ -836,8 +679,8 @@ void ThroughputCache::Delta::drop_boxes() {
   for (Probe& probe : probes_) {
     if (probe.local.empty()) continue;
     probe.local.clear();
-    if (probe.frozen != nullptr) {
-      probe.filter = probe.frozen->filter;
+    if (probe.published != nullptr) {
+      probe.filter = probe.published->filter;
     } else {
       probe.filter.reset(width_, probe.on);
     }

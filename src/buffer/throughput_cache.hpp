@@ -4,9 +4,9 @@
 // distributions have outcomes that are already implied by distributions
 // evaluated earlier:
 //
-//  * an exact repeat (the exhaustive engine's tie enumeration and repeated
-//    per-size boxes re-visit capacity vectors) — answered from a striped
-//    concurrent map;
+//  * an exact repeat (the incremental engine reaching one capacity vector
+//    twice, or a warm repeat of an earlier request) — answered from the
+//    one exact store, a striped locked map;
 //  * a candidate pointwise >= a distribution already known to attain the
 //    graph's maximal throughput — by monotonicity of throughput in the
 //    storage distribution (paper Sec. 8), its throughput IS the maximum,
@@ -32,39 +32,35 @@
 //
 // Every exact map is keyed by the capacity vector together with its
 // hash_words value (CapsKey / StoredKey): an engine hashes a candidate once
-// and that one hash selects the stripe, probes the snapshot, the delta and
-// the merge check, and is kept in each stored key so a rehash or a
-// frozen-index copy never re-reads a key's words.
+// and that one hash selects the stripe, probes the stripe and the delta,
+// and is kept in each stored key so a rehash never re-reads a key's words.
 //
-// Locking structure (DESIGN.md §14). The authoritative store is striped:
+// Locking structure (DESIGN.md §14). Exact entries have one store:
 // kStripes independent mutex+unordered_map shards selected by
 // capacity-vector hash. The witness sets are small antichains (minimal
 // max-throughput witnesses, maximal deadlock witnesses) stored as
 // contiguous rows and kept SORTED by total size so a dominance scan ends
 // at the first witness whose total already rules the rest out; they live
-// under their own lock. Neither lock is on the per-candidate path:
-// concurrent explorations sharing the cache (buffyd's requests) each read
-// through a point-in-time Snapshot (lock-free for unbounded caches) and
-// record fresh outcomes into their own Delta, merged back with merge()
-// once per wave. A stale Snapshot read is always safe — a missed entry
-// merely costs a re-simulation whose outcome is identical to the cached
-// one — and merge() verifies exactly that: duplicate keys across deltas
-// (or against resident entries) must carry the same simulated value,
+// under their own lock. Concurrent explorations sharing the cache
+// (buffyd's requests) each read through a Snapshot — exact lookups lock
+// one stripe, witness scans and box probes read point-in-time copies
+// without a lock — and record fresh outcomes into their own Delta, merged
+// back with merge() once per wave (the only writer of entries and
+// boxes). A stale Snapshot read is always safe — a missed entry merely
+// costs a re-simulation whose outcome is identical to the cached one —
+// and merge() verifies exactly that: duplicate keys across deltas (or
+// against resident entries) must carry the same simulated value,
 // otherwise determinism is broken somewhere and merge() throws.
 //
 // A cache may be bounded (a resident daemon must not grow without limit):
-// with a non-zero entry capacity, every stripe keeps an LRU list of its
-// exact entries and evicts its least-recently-used one when it exceeds its
-// share of the capacity. Eviction only ever forgets — an evicted candidate
-// is simply re-simulated on its next appearance — so a bounded cache keeps
-// every byte-identity guarantee of an unbounded one. The witness
-// antichains are already capped and are never evicted: Sec. 8 dominance
-// keeps answering even for distributions whose exact entries are gone.
-// Bounded caches have no frozen exact index (lock-free reads cannot
-// refresh LRU recency); their Snapshots fall back to the locked map for
-// exact lookups and stay lock-free for the witness scans. Boxes are never
-// evicted: the index is always published immutably (bounded caches too)
-// and stops accepting boxes once it holds `capacity` of them.
+// with a non-zero capacity, merge() stops admitting new exact entries once
+// `capacity` are resident, and new boxes once `capacity` boxes are, and
+// counts what it refuses (entries_dropped). Nothing is ever evicted, and a
+// refused outcome is simply re-simulated on its next appearance, so a
+// bounded cache keeps every byte-identity guarantee of an unbounded one.
+// The witness antichains are capped on their own and keep answering past
+// the cap: Sec. 8 dominance still covers distributions whose exact
+// entries were refused.
 #pragma once
 
 #include <array>
@@ -136,61 +132,33 @@ class ThroughputCache {
 
   /// `max_throughput` is the graph's maximal throughput for the explored
   /// target — the value a max-witness dominance hit reports.
-  /// `capacity` bounds the number of resident exact entries (0 =
-  /// unbounded): each of the kStripes shards holds at most
-  /// max(1, capacity / kStripes) entries and evicts its least-recently-
-  /// used one on overflow, so the resident total is capacity rounded to
-  /// stripe granularity.
+  /// `capacity` bounds the resident exact entries and, separately, the
+  /// resident boxes (0 = unbounded): once full, merge() admits nothing new
+  /// of that kind and never evicts.
   explicit ThroughputCache(Rational max_throughput, u64 capacity = 0);
-
-  /// Exact lookup.
-  [[nodiscard]] std::optional<CachedThroughput> find(
-      const CapsKey& key) const;
-
-  /// Sec. 8 dominance, max rule: caps pointwise >= a recorded
-  /// max-throughput witness. The answer carries the maximal throughput and
-  /// no dependencies (callers only use it where dependencies are moot).
-  [[nodiscard]] std::optional<CachedThroughput> find_max_dominated(
-      const CapsKey& key) const;
-
-  /// Sec. 8 dominance, deadlock rule: caps pointwise <= a recorded
-  /// deadlocked distribution. The answer is a deadlock (throughput 0).
-  [[nodiscard]] std::optional<CachedThroughput> find_deadlock_dominated(
-      const CapsKey& key) const;
-
-  /// Records a simulated outcome; feeds the witness antichains when the
-  /// outcome is the maximal throughput or a deadlock. Note: the frozen
-  /// index is built from merged deltas only, so an entry stored directly
-  /// (outside merge()) stays invisible to Snapshots of an unbounded cache
-  /// once a first merge() has published that index — a safe stale miss;
-  /// find() always sees it. The engines route everything through deltas;
-  /// store() remains for one-shot callers and tests.
-  void store(const CapsKey& key, const CachedThroughput& value);
 
   /// Seeds a max-throughput witness without a full map entry (e.g. the
   /// Fig. 7 bound's max-throughput distribution, known before the
   /// exploration starts).
   void add_max_witness(const CapsKey& key);
 
-  /// Point-in-time read view for one exploration's wave. Witness scans
-  /// are always lock-free (the antichains are copied out). Exact lookups
-  /// are lock-free against the frozen two-level index when the cache is
-  /// unbounded; a bounded cache's Snapshot delegates exact lookups to the
-  /// locked striped map so LRU recency stays exact. Snapshots are
-  /// intentionally allowed to lag concurrent writers: a stale miss is
-  /// re-simulated to the identical value, never answered wrongly.
+  /// Read view for one exploration's wave. Exact lookups lock the key's
+  /// stripe, so they see every merge so far. Witness scans and box probes
+  /// read the antichains and box index as of this call, without a lock;
+  /// they may lag concurrent writers, and a stale miss is re-simulated to
+  /// the identical value, never answered wrongly.
   [[nodiscard]] Snapshot snapshot() const;
 
   /// A fresh write buffer for one exploration's waves.
   [[nodiscard]] Delta make_delta() const;
 
-  /// Folds deltas back into the cache: applied in the given order, each
-  /// delta in its insertion order, so a wave merges in exactly the order
-  /// it simulated. Feeds the witness
-  /// antichains, maintains the bounded-cache LRU, and republishes the
-  /// frozen index (unbounded caches) in one copy-on-write batch. The
-  /// deltas' entries move into the cache (no key is copied), so each delta
-  /// is left without entries; its local witnesses stay until clear().
+  /// Folds deltas back into the cache — the only path that writes exact
+  /// entries and boxes: applied in the given order, each delta in its
+  /// insertion order, so a wave merges in exactly the order it simulated
+  /// (and a full cache keeps the earliest). Feeds the witness antichains
+  /// (refused outcomes too) and publishes the deltas' boxes. The deltas'
+  /// entries move into the cache (no key is copied), so each delta is
+  /// left without entries; its local witnesses stay until clear().
   ///
   /// Determinism check: a capacity vector recorded by two deltas — or
   /// recorded by a delta and already resident — must carry the same
@@ -204,10 +172,9 @@ class ThroughputCache {
   }
 
   /// Audit tamper hook: adds `delta` to the stored throughput of the
-  /// exact entry for `caps` (false when no such entry), so tests can
-  /// prove the sampled cache-vs-simulation audit catches a corrupted
-  /// entry. Updates the frozen index too, so Snapshot readers see the
-  /// corruption. Never called outside tests.
+  /// exact entry for `caps` (false when no such entry), visible to every
+  /// Snapshot, so tests can prove the sampled cache-vs-simulation audit
+  /// catches a corrupted entry. Never called outside tests.
   bool corrupt_entry_for_test(const std::vector<i64>& caps,
                               const Rational& delta);
 
@@ -236,16 +203,13 @@ class ThroughputCache {
   [[nodiscard]] u64 dominance_hits() const {
     return dominance_hits_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] u64 entries_stored() const {
-    return stores_.load(std::memory_order_relaxed);
-  }
-  /// Exact entries evicted by the LRU bound (0 for unbounded caches).
-  [[nodiscard]] u64 entries_evicted() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  /// Exact entries currently resident (stored minus evicted).
+  /// Exact entries resident (at most the capacity when bounded).
   [[nodiscard]] u64 entries_resident() const {
     return resident_.load(std::memory_order_relaxed);
+  }
+  /// Exact entries and boxes the capacity refused (0 when unbounded).
+  [[nodiscard]] u64 entries_dropped() const {
+    return dropped_.load(std::memory_order_relaxed);
   }
   /// Wave merges completed (metrics only).
   [[nodiscard]] u64 merges() const {
@@ -264,10 +228,8 @@ class ThroughputCache {
   /// The entry bound this cache was built with (0 = unbounded).
   [[nodiscard]] u64 capacity() const { return capacity_; }
 
-  /// Number of map shards; with a bounded cache, each holds at most
-  /// max(1, capacity / kStripes) entries. Public so tests can construct
-  /// same-stripe key sets (stripe = hash_words(caps) % kStripes) and pin
-  /// the eviction order.
+  /// Number of exact-map shards (stripe = hash_words(caps) % kStripes).
+  /// Public so tests can check the hash spreads keys over them.
   static constexpr std::size_t kStripes = 16;
 
  private:
@@ -364,66 +326,14 @@ class ThroughputCache {
       return (*this)(b, a);
     }
   };
-  /// The same over pointers to resident keys: an unbounded cache never
-  /// erases a stripe node, and each key is resident once, so the pointer
-  /// identifies the key.
-  struct KeyPtrHash {
-    using is_transparent = void;
-    std::size_t operator()(const StoredKey* k) const noexcept {
-      return static_cast<std::size_t>(k->hash);
-    }
-    std::size_t operator()(const CapsKey& k) const noexcept {
-      return static_cast<std::size_t>(k.hash());
-    }
-  };
-  struct KeyPtrEq {
-    using is_transparent = void;
-    bool operator()(const StoredKey* a, const StoredKey* b) const noexcept {
-      return a == b;
-    }
-    bool operator()(const CapsKey& a, const StoredKey* b) const noexcept {
-      return KeyEq{}(a, *b);
-    }
-    bool operator()(const StoredKey* a, const CapsKey& b) const noexcept {
-      return KeyEq{}(b, *a);
-    }
-  };
-  using FrozenMap = std::unordered_map<const StoredKey*, CachedThroughput,
-                                       KeyPtrHash, KeyPtrEq>;
-
-  /// Immutable two-level exact index published to Snapshots of an
-  /// unbounded cache. `overlay` holds entries merged since the last fold
-  /// and shadows `base`; merge() folds the overlay into a fresh base once
-  /// it reaches max(64, |base| / 8), so merge cost stays amortized O(new)
-  /// while lookups touch at most two hash tables. Both point at the
-  /// stripes' keys and copy only the canonical values.
-  struct Frozen {
-    std::shared_ptr<const FrozenMap> base;  // never null, possibly empty
-    FrozenMap overlay;
-  };
-
-  /// One exact entry. Deltas and stripes share this node type, so merge()
-  /// moves a delta's nodes into the stripes without copying a key or
-  /// allocating. A bounded cache's stripe also threads its entries into an
-  /// intrusive LRU list (nodes are stable across rehash); elsewhere the
-  /// links stay null.
-  struct Entry {
-    CachedThroughput value;
-    const StoredKey* key = nullptr;  // the node's own key, for eviction
-    Entry* newer = nullptr;
-    Entry* older = nullptr;
-  };
-  using EntryMap = std::unordered_map<StoredKey, Entry, KeyHash, KeyEq>;
+  /// One stripe's entries, and a delta's index: the two share the node
+  /// type, so merge() moves a delta's nodes into the stripes without
+  /// copying a key or allocating.
+  using EntryMap =
+      std::unordered_map<StoredKey, CachedThroughput, KeyHash, KeyEq>;
   struct Stripe {
     mutable std::mutex mu;
     EntryMap map;
-    Entry* newest = nullptr;  // LRU ends; maintained only when bounded
-    Entry* oldest = nullptr;
-
-    void unlink(Entry& e);
-    void push_front(Entry& e);
-    /// A use: moves e to the front of the LRU list.
-    void touch(Entry& e);
   };
 
   /// One equivalence box. A run at γ whose blocked channels form the
@@ -493,8 +403,9 @@ class ThroughputCache {
   /// The published boxes of one blocked-channel mask. Immutable once
   /// published: a merge that adds boxes publishes a fresh group sharing
   /// `base` and copying only `overlay` (boxes since the last fold),
-  /// folding into a new base once the overlay reaches max(64, |base| / 8)
-  /// — the exact index's two-level scheme.
+  /// folding into a new base once the overlay reaches max(64, |base| / 8),
+  /// so merge cost stays amortized O(new) while a lookup touches at most
+  /// two hash sets.
   struct BoxGroup {
     std::vector<u64> mask;        // ceil(m / 64) words, bit c = channel c
     std::vector<std::size_t> on;  // the mask's channels, ascending
@@ -516,24 +427,14 @@ class ThroughputCache {
 
   [[nodiscard]] Stripe& stripe_of(u64 hash) const;
   void add_deadlock_witness(const CapsKey& key);
-  /// Settles one insert attempt on `stripe` (lock held): a fresh entry is
-  /// linked into the LRU list and may evict the stripe's oldest; a
-  /// resident one keeps its value and is touched. `checked` makes a value
-  /// mismatch against a resident entry throw (the merge determinism
-  /// check) instead of keeping the old value.
-  void settle(Stripe& stripe, EntryMap::iterator it, bool inserted,
-              const CachedThroughput& value, bool checked);
-  /// Moves one delta node into its stripe (merge's determinism-checked
-  /// path). For an unbounded cache, appends the resident key and
-  /// canonical value to `applied` for the frozen index.
-  void apply_node(
-      EntryMap::node_type node,
-      std::vector<std::pair<const StoredKey*, CachedThroughput>>& applied);
+  /// Moves one delta node into its stripe unless the cache is full (merge
+  /// holds merge_mu_). A key already resident keeps its value, and a
+  /// different value throws (the determinism check).
+  void apply_node(EntryMap::node_type node);
   void feed_witnesses(const CapsKey& key, const CachedThroughput& value);
 
   Rational max_throughput_;
-  u64 capacity_ = 0;         // 0 = unbounded
-  u64 per_stripe_cap_ = 0;   // max(1, capacity_ / kStripes) when bounded
+  u64 capacity_ = 0;  // 0 = unbounded
   mutable std::array<Stripe, kStripes> stripes_;
 
   mutable std::mutex witness_mu_;
@@ -541,14 +442,12 @@ class ThroughputCache {
   Antichain deadlock_witnesses_;  // maximal elements
 
   /// Serializes merge() bodies (concurrent merges from explorations
-  /// sharing this cache) and corrupt_entry_for_test's frozen rebuild.
+  /// sharing this cache) and the box test hooks.
   mutable std::mutex merge_mu_;
-  /// Guards only the frozen_ pointer load/publish; held for nanoseconds.
-  mutable std::mutex frozen_mu_;
-  /// Null until the first merge() of an unbounded cache; never set for
-  /// bounded caches.
-  std::shared_ptr<const Frozen> frozen_;
-  /// Published under frozen_mu_; null until the first box is merged.
+  /// Guards only the box_index_ pointer load/publish; held for
+  /// nanoseconds.
+  mutable std::mutex box_index_mu_;
+  /// Published under box_index_mu_; null until the first box is merged.
   std::shared_ptr<const BoxIndex> box_index_;
 
   // Authoritative box store (merge_mu_): resident boxes (stable
@@ -560,9 +459,8 @@ class ThroughputCache {
 
   mutable std::atomic<u64> exact_hits_{0};
   mutable std::atomic<u64> dominance_hits_{0};
-  std::atomic<u64> stores_{0};
-  std::atomic<u64> evictions_{0};
-  std::atomic<u64> resident_{0};
+  std::atomic<u64> resident_{0};  // written under merge_mu_
+  std::atomic<u64> dropped_{0};   // written under merge_mu_
   std::atomic<u64> merges_{0};
   mutable std::atomic<u64> box_hits_{0};
   std::atomic<u64> boxes_stored_{0};
@@ -571,9 +469,7 @@ class ThroughputCache {
 /// See ThroughputCache::snapshot(). Copyable; typically one per wave.
 class ThroughputCache::Snapshot {
  public:
-  /// Exact lookup (same contract as ThroughputCache::find). Lock-free
-  /// against the frozen index when one exists; otherwise delegates to the
-  /// cache's locked map (bounded caches, or before the first merge).
+  /// Exact lookup in the cache's stripes, under the key's stripe lock.
   [[nodiscard]] std::optional<CachedThroughput> find(
       const CapsKey& key) const;
 
@@ -591,7 +487,6 @@ class ThroughputCache::Snapshot {
   Snapshot() = default;
 
   const ThroughputCache* cache_ = nullptr;
-  std::shared_ptr<const Frozen> frozen_;  // null = use the locked map
   std::shared_ptr<const BoxIndex> boxes_;  // null = no box merged yet
   Antichain max_witnesses_;
   Antichain deadlock_witnesses_;
@@ -602,7 +497,7 @@ class ThroughputCache::Snapshot {
 /// outcomes (insertion order is preserved for the deterministic merge) and
 /// answers lookups for what THIS exploration has already learned during
 /// the wave — including its own witness candidates, so a wave sees exactly
-/// the hit/miss sequence a per-candidate store() would produce.
+/// the hit/miss sequence a per-candidate merge would produce.
 class ThroughputCache::Delta {
  public:
   /// Records one simulated outcome. Re-recording a key keeps the first
@@ -663,8 +558,8 @@ class ThroughputCache::Delta {
   struct Probe {
     std::vector<u64> mask;
     std::vector<std::size_t> on;
-    BoxFilter filter;  // over `frozen`'s and `local`'s boxes
-    const BoxGroup* frozen = nullptr;  // owned by synced_
+    BoxFilter filter;  // over `published`'s and `local`'s boxes
+    const BoxGroup* published = nullptr;  // owned by synced_
     BoxSet local;
   };
 

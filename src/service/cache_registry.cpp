@@ -275,9 +275,8 @@ CacheRegistry::Totals CacheRegistry::totals() const {
     }
     t.exact_hits += e.cache->exact_hits();
     t.dominance_hits += e.cache->dominance_hits();
-    t.entries_stored += e.cache->entries_stored();
     t.entries_resident += e.cache->entries_resident();
-    t.entries_evicted += e.cache->entries_evicted();
+    t.entries_dropped += e.cache->entries_dropped();
     t.box_hits += e.cache->box_hits();
     t.boxes_stored += e.cache->boxes_stored();
   }

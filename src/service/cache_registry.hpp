@@ -11,8 +11,9 @@
 //    expansion) and the Fig. 7 design-space bounds — computed once per
 //    entry instead of once or twice per request.
 //
-// Entries within a cache are LRU-bounded (ThroughputCache capacity) and
-// the registry itself is LRU-bounded by graph, so a daemon serving an
+// Each cache is capped (ThroughputCache capacity: once full it admits no
+// new exact entries or boxes, evicts nothing, and counts what it refuses)
+// and the registry itself is LRU-bounded by graph, so a daemon serving an
 // unbounded stream of distinct graphs cannot grow without limit — the
 // least-recently-queried graph's entry is dropped first.
 //
@@ -72,11 +73,12 @@ struct GraphAnalysis {
 /// Thread-safe: all members may be called concurrently.
 class CacheRegistry {
  public:
-  /// At most `max_graphs` resident entries (>= 1), each cache bounded to
-  /// `entries_per_graph` exact entries (0 = unbounded entries). A new
-  /// entry evicts the least recently used one only once its analysis
-  /// shows the graph does not deadlock, so entries still computing their
-  /// analysis may briefly exceed the bound (by at most one per caller).
+  /// At most `max_graphs` resident entries (>= 1), each cache capped at
+  /// `entries_per_graph` exact entries and as many boxes (0 = unbounded).
+  /// A new entry evicts the least recently used one only once its
+  /// analysis shows the graph does not deadlock, so entries still
+  /// computing their analysis may briefly exceed the bound (by at most one
+  /// per caller).
   CacheRegistry(std::size_t max_graphs, u64 entries_per_graph);
 
   struct Lease {
@@ -135,9 +137,8 @@ class CacheRegistry {
   struct Totals {
     u64 exact_hits = 0;
     u64 dominance_hits = 0;
-    u64 entries_stored = 0;
     u64 entries_resident = 0;
-    u64 entries_evicted = 0;
+    u64 entries_dropped = 0;
     u64 box_hits = 0;
     u64 boxes_stored = 0;
   };

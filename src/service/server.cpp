@@ -364,9 +364,8 @@ JsonValue Server::status_json() const {
   cache.set("graph_evictions", u(registry_.evictions()));
   cache.set("exact_hits", u(totals.exact_hits));
   cache.set("dominance_hits", u(totals.dominance_hits));
-  cache.set("entries_stored", u(totals.entries_stored));
   cache.set("entries_resident", u(totals.entries_resident));
-  cache.set("entries_evicted", u(totals.entries_evicted));
+  cache.set("entries_dropped", u(totals.entries_dropped));
   cache.set("box_hits", u(totals.box_hits));
   cache.set("boxes_stored", u(totals.boxes_stored));
   cache.set("analyses_computed", u(registry_.analyses_computed()));

@@ -153,17 +153,20 @@ TEST(AuditTamper, CorruptCacheEntryTriggersSimulationMismatch) {
   buffer::ThroughputCache cache(run.throughput);
   buffer::CachedThroughput value;
   value.throughput = run.throughput;
-  cache.store(caps, value);
+  buffer::ThroughputCache::Delta writer = cache.make_delta();
+  writer.record(caps, value);
+  std::vector<buffer::ThroughputCache::Delta*> deltas{&writer};
+  cache.merge(deltas);
 
   // Healthy entry: the cached answer matches a fresh simulation.
-  auto hit = cache.find(caps);
+  auto hit = cache.snapshot().find(caps);
   ASSERT_TRUE(hit.has_value());
   EXPECT_NO_THROW(buffer::audit_check_cached_throughput(
       g, target, 100'000, {}, caps, *hit));
 
   // Tampered entry: the same check must report the exact mismatch.
   ASSERT_TRUE(cache.corrupt_entry_for_test(caps, Rational(1, 7)));
-  hit = cache.find(caps);
+  hit = cache.snapshot().find(caps);
   ASSERT_TRUE(hit.has_value());
   try {
     buffer::audit_check_cached_throughput(g, target, 100'000, {}, caps,
@@ -232,7 +235,7 @@ TEST(AuditTamper, BogusMaxWitnessTriggersSimulationMismatch) {
   buffer::ThroughputCache cache(Rational(1));
   std::vector<i64> witness(g.num_channels(), 4);
   cache.add_max_witness(witness);
-  const auto hit = cache.find_max_dominated(witness);
+  const auto hit = cache.snapshot().find_max_dominated(witness);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->throughput, Rational(1));
   try {

@@ -138,8 +138,8 @@ TEST(PropertyDifferential, ExhaustiveAndIncrementalFrontsAreIdentical) {
 }
 
 // Property (b): the throughput cache (exact repeats + Sec. 8 dominance)
-// and its LRU bound are pure accelerators — on, off, or evicting almost
-// everything, the front is the same bytes.
+// and its entry cap are pure accelerators — on, off, or full after a
+// handful of entries, the front is the same bytes.
 TEST(PropertyDifferential, CacheOnOffAndCappedFrontsAreIdentical) {
   for (const u64 seed : load_seeds()) {
     const sdf::Graph graph = gen::random_graph(graph_options(seed));
@@ -150,7 +150,7 @@ TEST(PropertyDifferential, CacheOnOffAndCappedFrontsAreIdentical) {
     opts.use_throughput_cache = false;
     const buffer::DseResult uncached = buffer::explore(graph, opts);
     opts.use_throughput_cache = true;
-    opts.cache_capacity = 16;  // one entry per stripe: constant eviction
+    opts.cache_capacity = 16;  // a cache full after its first 16 entries
     const buffer::DseResult capped = buffer::explore(graph, opts);
 
     ASSERT_EQ(cached.pareto.str(), uncached.pareto.str())

@@ -490,6 +490,34 @@ TEST(Service, WarmExhaustiveRepeatIsAnsweredFromBoxes) {
   server.wait();
 }
 
+// A capped per-graph cache fills up and then refuses new entries instead
+// of evicting: both fronts stay the reference's, and status shows the
+// cache full and counts what it refused.
+TEST(Service, CappedCacheFillsAndCountsDroppedEntries) {
+  constexpr i64 kCap = 16;
+  service::ServerOptions opts = tcp_options();
+  opts.cache_entries_per_graph = kCap;
+  service::Server server(opts);
+  server.start();
+  Client client = Client::tcp(server.tcp_port());
+  for (int i = 0; i < 2; ++i) {
+    const service::JsonValue resp =
+        client.call(explore_request(i, h263_xml()));
+    ASSERT_TRUE(response_ok(resp));
+    EXPECT_EQ(result_of(resp).find("front")->as_string(),
+              h263_reference_front())
+        << "request " << i;
+  }
+
+  const service::JsonValue status = client.call("{\"method\":\"status\"}");
+  const service::JsonValue& cache = *result_of(status).find("cache");
+  EXPECT_EQ(cache.find("entries_resident")->as_int(), kCap);
+  EXPECT_GT(cache.find("entries_dropped")->as_int(), 0);
+
+  server.shutdown();
+  server.wait();
+}
+
 TEST(Service, AdmissionRejectsMagnitudeOverflowGraphs) {
   // A consistent graph whose magnitude certificate (DESIGN.md §16)
   // saturates: the timestamp envelope max_steps * max_execution_time
