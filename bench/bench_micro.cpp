@@ -97,13 +97,14 @@ void BM_HashWords(benchmark::State& state) {
 }
 BENCHMARK(BM_HashWords)->Arg(17)->Arg(49);
 
-// Per-candidate cost of the bounded daemon cache (1 << 18 entries) over one
-// cold exact explore the size of g10_60's (24,000 candidates in waves of
-// 64): each candidate misses the snapshot, is recorded into the wave's
-// delta and is folded back by the wave's merge. Candidates are distinct
-// 17-channel vectors with a sub-maximal outcome, so the witness antichains
-// stay empty and the exact maps carry the whole cost. Building and
-// freeing the cache is not timed.
+// Per-candidate cost of the bounded daemon cache (1 << 18 boxes) over one
+// cold exhaustive explore the size of g10_60's (24,000 candidates in waves
+// of 64): each candidate misses the box probe, records its box into the
+// wave's delta and is folded back by the wave's merge. Candidates are
+// distinct 17-channel vectors that blocked on every channel, so every box
+// holds its own candidate only, and their outcome is sub-maximal, so the
+// witness antichains stay empty and the box index carries the whole cost.
+// Building and freeing the cache is not timed.
 void BM_CacheClassifyRecordMerge(benchmark::State& state) {
   constexpr std::size_t kChannels = 17;
   constexpr std::size_t kWave = 64;
@@ -113,10 +114,12 @@ void BM_CacheClassifyRecordMerge(benchmark::State& state) {
   value.states_stored = 3;
   value.period = 7;
   std::vector<std::vector<i64>> wave(kWave, std::vector<i64>(kChannels));
+  std::vector<i64> demand(kChannels);
   std::optional<buffer::ThroughputCache> cache;
   for (auto _ : state) {
     state.PauseTiming();
     cache.emplace(Rational(1, 2), u64{1} << 18);
+    buffer::ThroughputCache::Delta delta = cache->make_delta();
     state.ResumeTiming();
     u64 next = 0;
     for (std::size_t w = 0; w < kWaves; ++w) {
@@ -129,15 +132,16 @@ void BM_CacheClassifyRecordMerge(benchmark::State& state) {
         }
       }
       const buffer::ThroughputCache::Snapshot snap = cache->snapshot();
-      buffer::ThroughputCache::Delta delta = cache->make_delta();
       for (const std::vector<i64>& caps : wave) {
         const buffer::CapsKey key(caps);
-        if (!snap.find(key).has_value()) {
-          delta.record(key, value);
+        if (!delta.find_box(snap, key).has_value()) {
+          for (std::size_t c = 0; c < kChannels; ++c) demand[c] = caps[c] + 1;
+          delta.record_box(key, demand, value);
         }
       }
       buffer::ThroughputCache::Delta* const deltas[] = {&delta};
       cache->merge(deltas);
+      delta.clear();
     }
   }
   state.SetItemsProcessed(state.iterations() *

@@ -18,9 +18,9 @@
 //                          requests are answered `overloaded` (default 64)
 //   --cache-cap <n>        max resident per-graph caches, LRU-evicted by
 //                          graph fingerprint (default 64)
-//   --cache-entries <n>    per graph cache, at most n exact entries and n
-//                          boxes; once full it admits nothing new and
-//                          evicts nothing (default 262144; 0 = unbounded)
+//   --cache-entries <n>    per graph cache, at most n equivalence boxes;
+//                          once full it admits nothing new and evicts
+//                          nothing (default 262144; 0 = unbounded)
 //   --deadline-ms <n>      default deadline for requests that carry none
 //   --pid-file <path>      write the daemon's pid for process managers
 //

@@ -30,9 +30,9 @@
 //   --no-cache            disable the cross-distribution throughput cache
 //                         (every candidate runs a full simulation; the
 //                         Pareto front is identical either way)
-//   --cache-cap <n>       bound the cache to n exact entries and n boxes;
-//                         a full cache admits nothing new and evicts
-//                         nothing (the front is identical at any cap)
+//   --cache-cap <n>       bound the cache to n equivalence boxes; a full
+//                         cache admits nothing new and evicts nothing
+//                         (the front is identical at any cap)
 //   --stats               print exploration counters as one JSON object
 //                         and the backend that evaluated the candidates
 //                         (printed on every exit path, including deadline

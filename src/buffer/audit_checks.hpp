@@ -7,9 +7,9 @@
 //  * audit_check_cached_throughput — a cached or dominance-derived
 //    throughput answer must equal a fresh simulation of the same
 //    distribution. The engines call it on a deterministic sample of cache
-//    hits (audit::sample over the capacity-vector hash): exact repeats
-//    re-verify the stored value, dominance hits re-verify the Sec. 8
-//    monotonicity argument end-to-end.
+//    hits (audit::sample over the capacity-vector hash): box hits
+//    re-verify the replay argument, dominance hits the Sec. 8
+//    monotonicity argument, both end-to-end.
 //  * audit_verify_monotone_front — a finished Pareto front must be
 //    strictly increasing in both size and throughput; called on every
 //    explore() result while audit mode is on.

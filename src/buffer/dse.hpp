@@ -92,9 +92,8 @@ struct DseOptions {
   /// stays because existing callers (the request-path benchmark) set it.
   unsigned threads = 1;
 
-  /// Consult the per-exploration throughput cache: exact repeats are
-  /// answered from a concurrent map (incremental engine), candidates
-  /// inside an earlier run's equivalence box from the box index
+  /// Consult the per-exploration throughput cache: candidates inside an
+  /// earlier run's equivalence box are answered from the box index
   /// (exhaustive engine), and candidates implied by Sec. 8
   /// monotone dominance (pointwise >= a max-throughput witness, pointwise
   /// <= a deadlocked distribution) skip simulation entirely. Dominance
@@ -112,9 +111,9 @@ struct DseOptions {
   /// additionally warm-starts its frontier from the LP necessary floors.
   bool use_lp_bounds = true;
 
-  /// Entry bound for the throughput cache (0 = unbounded): once it holds
-  /// this many exact entries (or boxes) the cache admits no new ones and
-  /// evicts nothing (see ThroughputCache). A refused outcome is only
+  /// Box bound for the throughput cache (0 = unbounded): once it holds
+  /// this many boxes the cache admits no new ones and evicts nothing (see
+  /// ThroughputCache). A refused outcome is only
   /// re-simulated later, so the Pareto front stays byte-identical at any
   /// cap.
   /// Ignored when `shared_cache` is set (a shared cache carries its own
@@ -190,8 +189,8 @@ struct DseResult {
   u64 max_states_stored = 0;
   /// Full state-space simulations actually executed.
   u64 simulations_run = 0;
-  /// Candidates answered from the throughput cache's exact repeats
-  /// (incremental engine).
+  /// Former exact-repeat count; no engine answers exact repeats any more
+  /// (buffyd's front memo answers identical requests), so it reads 0.
   u64 cache_hits = 0;
   /// Candidates answered from an earlier run's equivalence box
   /// (exhaustive engine; DESIGN.md §7).

@@ -81,9 +81,8 @@ struct Sweep {
   // Books the candidate against the exploration budget and tries to
   // answer it from the cache: an earlier run's equivalence box first,
   // then Sec. 8 dominance. Returns the answer, or nullopt when the
-  // candidate needs a simulation. The exact map is not consulted: every
-  // simulated candidate lies in its own box, so the boxes answer every
-  // repeat the map would have.
+  // candidate needs a simulation. Every simulated candidate lies in its
+  // own box, so the boxes also answer exact repeats.
   [[nodiscard]] std::optional<Rational> classify(const CapsKey& key) {
     if (++explored > options.max_distributions) {
       throw Error(std::string(op_name) + " exceeded max_distributions = " +

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
-#include <unordered_set>
+#include <span>
 
 #include "analysis/bounds.hpp"
 #include "analysis/repetition_vector.hpp"
 #include "base/audit.hpp"
 #include "base/diagnostics.hpp"
+#include "base/hash.hpp"
 #include "buffer/audit_checks.hpp"
 #include "lp/sdf_model.hpp"
 #include "buffer/throughput_cache.hpp"
@@ -64,18 +64,88 @@ std::vector<sdf::ChannelId> storage_dependencies(
 
 namespace {
 
-// Deterministic size-ordered frontier: (size, capacities) sorted
-// lexicographically so runs are reproducible across platforms.
-using Frontier = std::set<std::pair<i64, std::vector<i64>>>;
+// The climb's reached distributions, each stored once as a row of one flat
+// arena. `slots_` indexes the rows by their words (open addressing with
+// linear probing; 0 = empty, else row + 1), so a distribution is reached
+// at most once, and `frontier_` is a min-heap of the rows still to
+// evaluate in the deterministic (size, capacities) order, so runs are
+// reproducible across platforms. No row owns an allocation: freeing the
+// climb costs a few frees however many distributions it reached.
+class Climb {
+ public:
+  explicit Climb(std::size_t width) : width_(width), slots_(64, 0) {}
 
-}  // namespace
+  /// Reaches `caps` (total `size`; must not point into the arena): it
+  /// joins the frontier unless it was reached before.
+  void reach(std::span<const i64> caps, i64 size) {
+    const u64 hash = hash_words(caps);
+    const std::size_t slot = find_slot(caps, hash);
+    if (slots_[slot] != 0) return;
+    const std::size_t r = sizes_.size();
+    rows_.insert(rows_.end(), caps.begin(), caps.end());
+    sizes_.push_back(size);
+    hashes_.push_back(hash);
+    slots_[slot] = r + 1;
+    if (2 * sizes_.size() > slots_.size()) grow();
+    frontier_.push_back(r);
+    std::ranges::push_heap(frontier_, Later{this});
+  }
 
-DseResult explore_incremental(const sdf::Graph& graph,
-                              const DseOptions& options,
-                              const DesignSpaceBounds& bounds) {
-  const auto t0 = std::chrono::steady_clock::now();
-  trace::Span explore_span(trace::EventKind::Exploration, /*engine=*/1,
-                           static_cast<i64>(graph.num_channels()));
+  [[nodiscard]] bool done() const { return frontier_.empty(); }
+  /// The size of the next row to evaluate (the frontier is not empty).
+  [[nodiscard]] i64 next_size() const { return sizes_[frontier_.front()]; }
+  /// Takes the next row off the frontier; valid until the next reach().
+  std::span<const i64> pop() {
+    std::ranges::pop_heap(frontier_, Later{this});
+    const std::size_t r = frontier_.back();
+    frontier_.pop_back();
+    return row(r);
+  }
+
+ private:
+  [[nodiscard]] std::span<const i64> row(std::size_t r) const {
+    return {rows_.data() + r * width_, width_};
+  }
+  /// The slot holding `caps`, else the empty slot where it belongs.
+  [[nodiscard]] std::size_t find_slot(std::span<const i64> caps,
+                                      u64 hash) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = static_cast<std::size_t>(hash) & mask;
+    while (slots_[slot] != 0) {
+      const std::size_t r = slots_[slot] - 1;
+      if (hashes_[r] == hash && std::ranges::equal(row(r), caps)) break;
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  }
+  /// The heap order: row a is evaluated after row b.
+  struct Later {
+    const Climb* climb;
+    bool operator()(std::size_t a, std::size_t b) const {
+      const std::vector<i64>& sizes = climb->sizes_;
+      if (sizes[a] != sizes[b]) return sizes[a] > sizes[b];
+      return std::ranges::lexicographical_compare(climb->row(b),
+                                                  climb->row(a));
+    }
+  };
+  void grow() {
+    slots_.assign(slots_.size() * 2, 0);
+    for (std::size_t r = 0; r < sizes_.size(); ++r) {
+      slots_[find_slot(row(r), hashes_[r])] = r + 1;
+    }
+  }
+
+  std::size_t width_;
+  std::vector<i64> rows_;     // row r is [r * width_, (r + 1) * width_)
+  std::vector<i64> sizes_;    // per row
+  std::vector<u64> hashes_;   // per row: hash_words of the row
+  std::vector<std::size_t> slots_;  // power-of-two open-addressing table
+  std::vector<std::size_t> frontier_;
+};
+
+// The whole climb; every container it built is freed on return.
+DseResult climb(const sdf::Graph& graph, const DseOptions& options,
+                const DesignSpaceBounds& bounds) {
   DseResult result;
   result.bounds = bounds;
 
@@ -88,11 +158,11 @@ DseResult explore_incremental(const sdf::Graph& graph,
   // maximum: exploring further cannot produce a new quantised Pareto point.
   const Rational quantized_goal = quantize_down(goal, options.quantization);
 
-  // Throughput cache. The `visited` set already makes exact repeats rare
-  // within one exploration; the cache's main contributions here are the
-  // seeded max-throughput witness (Sec. 8 dominance — sound only without a
-  // binding) and making every simulated outcome reusable by later calls
-  // that share the cache.
+  // Throughput cache. The climb reaches each distribution once, so it
+  // never repeats a candidate; the cache contributes the seeded
+  // max-throughput witness (Sec. 8 dominance — sound only without a
+  // binding) and collects this climb's deadlock and maximal outcomes as
+  // witnesses for later explorations that share it.
   std::optional<ThroughputCache> own_cache;
   ThroughputCache* cache = nullptr;
   if (options.use_throughput_cache) {
@@ -127,16 +197,10 @@ DseResult explore_incremental(const sdf::Graph& graph,
   const std::size_t lane_width =
       state::resolve_lanes(options.simd_lanes, lane_backend);
   std::optional<state::LaneThroughputSolver> lanes;
-  // What this exploration learned inside the current wave; merged into
-  // the cache at the wave boundary.
-  std::optional<ThroughputCache::Delta> delta;
-  if (cache != nullptr) delta.emplace(cache->make_delta());
   u64 simulations = 0;
-  u64 cache_hits = 0;
   u64 dominance_skips = 0;
 
-  Frontier frontier;
-  std::unordered_set<StorageDistribution, StorageDistributionHash> visited;
+  Climb frontier(graph.num_channels());
 
   const auto ceiling = constrained_ceiling(options, graph.num_channels());
   std::vector<i64> floor_caps = constrained_floor(options, bounds);
@@ -178,8 +242,7 @@ DseResult explore_incremental(const sdf::Graph& graph,
   const StorageDistribution lb(floor_caps);
   if (!options.max_distribution_size.has_value() ||
       lb.size() <= *options.max_distribution_size) {
-    frontier.emplace(lb.size(), lb.capacities());
-    visited.insert(lb);
+    frontier.reach(lb.capacities(), lb.size());
   }
 
   // Static magnitude certificate (DESIGN.md §16): a uniform per-channel
@@ -207,15 +270,16 @@ DseResult explore_incremental(const sdf::Graph& graph,
 
   Rational best_seen(0);
   bool goal_reached = false;
-  while (!frontier.empty() && !goal_reached) {
+  std::vector<i64> child;  // reused for every child reached
+  while (!frontier.done() && !goal_reached) {
     // One batch: every frontier entry of the current minimal size. The
     // sequential algorithm would pop exactly these, in this order, before
     // any of their (strictly larger) children.
-    const i64 batch_size = frontier.begin()->first;
+    const i64 batch_size = frontier.next_size();
     std::vector<std::vector<i64>> batch;
-    while (!frontier.empty() && frontier.begin()->first == batch_size) {
-      batch.push_back(frontier.begin()->second);
-      frontier.erase(frontier.begin());
+    while (!frontier.done() && frontier.next_size() == batch_size) {
+      const std::span<const i64> caps = frontier.pop();
+      batch.emplace_back(caps.begin(), caps.end());
     }
     if (result.distributions_explored + batch.size() >
         options.max_distributions) {
@@ -232,61 +296,42 @@ DseResult explore_incremental(const sdf::Graph& graph,
       bool valid = false;
     };
     std::vector<Evaluation> evals(batch.size());
-    // Each candidate is hashed once here; its key serves the cache
-    // lookups, the delta record and the audit sample.
+    // Each candidate is hashed once here; its key serves the dominance
+    // scan, the witness feed and the audit sample.
     std::vector<CapsKey> keys;
     keys.reserve(batch.size());
     for (const std::vector<i64>& caps : batch) keys.emplace_back(caps);
-    // The wave reads the cache through a snapshot (exact lookups lock one
-    // stripe; witness scans read copies) and records fresh outcomes into
-    // the delta — no shared-map writes or witness-lock traffic inside the
-    // wave; the delta is merged back once at the wave boundary below.
+    // The wave scans the witnesses as of its start (a lock-free copy).
+    // Only the cache's witnesses can answer: a candidate is dominated by
+    // no other candidate of its own wave, which all have its size.
     std::optional<ThroughputCache::Snapshot> snap;
     if (cache != nullptr) snap.emplace(cache->snapshot());
-    // Cache/dominance lookup for one candidate; true when answered (the
-    // evaluation is then already recorded in evals[i]).
+    // Max-dominance lookup for one candidate; true when answered (the
+    // evaluation is then already recorded in evals[i]). The hit needs no
+    // dependencies: the maximal throughput reaches the goal, so the fold
+    // stops before this candidate's children would be expanded. Dominance
+    // is consulted only without a binding (scheduling anomalies break the
+    // Sec. 8 monotonicity it relies on).
     const auto try_cache = [&](std::size_t i) {
-      if (cache == nullptr) return false;
-      // An exact hit carries the recorded dependencies (only this engine
-      // records exact entries) — children are expanded from them. A
-      // max-dominance hit needs none: the maximal throughput reaches the
-      // goal, so the fold stops before this candidate's children would be
-      // expanded. Dominance is consulted
-      // only without a binding (scheduling anomalies break the Sec. 8
-      // monotonicity it relies on); exact repeats stay valid either way.
-      // The snapshot covers everything merged before this wave; the
-      // delta covers what this exploration learned inside it.
-      std::optional<CachedThroughput> hit = snap->find(keys[i]);
-      if (!hit.has_value()) hit = delta->find(keys[i]);
-      const bool exact = hit.has_value();
-      if (!hit.has_value() && options.binding.empty()) {
-        hit = snap->find_max_dominated(keys[i]);
-        if (!hit.has_value()) hit = delta->find_max_dominated(keys[i]);
-      }
+      if (cache == nullptr || !options.binding.empty()) return false;
+      const std::optional<CachedThroughput> hit =
+          snap->find_max_dominated(keys[i]);
       if (!hit.has_value()) return false;
-      trace::emit_instant(exact ? trace::EventKind::CacheHit
-                                : trace::EventKind::DominanceSkip,
-                          batch_size);
+      trace::emit_instant(trace::EventKind::DominanceSkip, batch_size);
       evals[i].run.throughput = hit->throughput;
       evals[i].run.deadlocked = hit->deadlocked;
       evals[i].run.states_stored = hit->states_stored;
       evals[i].run.cycle_start_time = hit->cycle_start_time;
       evals[i].run.period = hit->period;
-      evals[i].deps = hit->storage_deps;
       evals[i].valid = true;
-      ++(exact ? cache_hits : dominance_skips);
+      ++dominance_skips;
       if (options.progress != nullptr) {
         options.progress->add_points(1);
         options.progress->add_sims_avoided(1);
-        if (exact) {
-          options.progress->add_cache_hits(1);
-        } else {
-          options.progress->add_dominance_skips(1);
-        }
+        options.progress->add_dominance_skips(1);
       }
-      // Audit mode re-simulates a deterministic sample of hits: exact
-      // repeats re-verify the stored value, dominance answers
-      // re-verify the Sec. 8 monotonicity end-to-end (DESIGN.md §9).
+      // Audit mode re-simulates a deterministic sample of hits,
+      // re-verifying the Sec. 8 monotonicity end-to-end (DESIGN.md §9).
       if (audit::enabled() && audit::sample(keys[i].hash())) {
         audit_check_cached_throughput(graph, options.target,
                                       options.max_steps_per_run,
@@ -294,18 +339,14 @@ DseResult explore_incremental(const sdf::Graph& graph,
       }
       return true;
     };
-    // Books one freshly simulated outcome: cache delta, LP-bound audit
+    // Books one freshly simulated outcome: witness feed, LP-bound audit
     // sample, progress. Shared by the scalar and lane paths.
     const auto absorb_simulated = [&](std::size_t i) {
       if (cache != nullptr) {
         CachedThroughput value;
         value.throughput = evals[i].run.throughput;
         value.deadlocked = evals[i].run.deadlocked;
-        value.states_stored = evals[i].run.states_stored;
-        value.cycle_start_time = evals[i].run.cycle_start_time;
-        value.period = evals[i].run.period;
-        value.storage_deps = evals[i].deps;
-        delta->record(keys[i], value);
+        cache->feed_witnesses(keys[i], value);
       }
       // Same deterministic sample as the cache check: the LP cycle-cut
       // bound must sit at or above the fresh simulation (DESIGN.md §13).
@@ -398,15 +439,6 @@ DseResult explore_incremental(const sdf::Graph& graph,
       }
     }
     if (options.progress != nullptr) options.progress->add_wave();
-    // Wave boundary: merge what the wave learned into the shared cache
-    // (insertion order — deterministic).
-    if (cache != nullptr) {
-      if (!delta->empty()) {
-        ThroughputCache::Delta* const deltas[] = {&*delta};
-        cache->merge(deltas);
-      }
-      delta->clear();
-    }
 
     // Fold sequentially in the deterministic pop order. Only the valid
     // prefix is folded: an unevaluated (cancelled) item and everything
@@ -453,24 +485,34 @@ DseResult explore_incremental(const sdf::Graph& graph,
           if (options.progress != nullptr) options.progress->add_pruned(1);
           continue;
         }
-        StorageDistribution child =
-            StorageDistribution(caps).with(c.index(), caps[c.index()] + 1);
         if (options.max_distribution_size.has_value() &&
-            child.size() > *options.max_distribution_size) {
+            batch_size + 1 > *options.max_distribution_size) {
           if (options.progress != nullptr) options.progress->add_pruned(1);
           continue;
         }
-        if (visited.insert(child).second) {
-          frontier.emplace(child.size(), child.capacities());
-        }
+        child = caps;
+        ++child[c.index()];
+        frontier.reach(child, batch_size + 1);
       }
     }
     if (result.cancelled) break;
   }
 
   result.simulations_run = simulations;
-  result.cache_hits = cache_hits;
   result.dominance_skips = dominance_skips;
+  return result;
+}
+
+}  // namespace
+
+DseResult explore_incremental(const sdf::Graph& graph,
+                              const DseOptions& options,
+                              const DesignSpaceBounds& bounds) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const trace::Span explore_span(trace::EventKind::Exploration, /*engine=*/1,
+                                 static_cast<i64>(graph.num_channels()));
+  DseResult result = climb(graph, options, bounds);
+  // Stamped after the climb's teardown, which is part of the run.
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

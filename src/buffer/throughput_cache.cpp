@@ -30,8 +30,7 @@ bool row_le(const i64* a, const i64* b, std::size_t n) {
 bool values_agree(const CachedThroughput& a, const CachedThroughput& b) {
   return a.throughput == b.throughput && a.deadlocked == b.deadlocked &&
          a.states_stored == b.states_stored &&
-         a.cycle_start_time == b.cycle_start_time && a.period == b.period &&
-         a.storage_deps == b.storage_deps;
+         a.cycle_start_time == b.cycle_start_time && a.period == b.period;
 }
 
 CachedThroughput max_hit(const Rational& max_throughput) {
@@ -51,10 +50,6 @@ CachedThroughput deadlock_hit() {
 
 ThroughputCache::ThroughputCache(Rational max_throughput, u64 capacity)
     : max_throughput_(std::move(max_throughput)), capacity_(capacity) {}
-
-ThroughputCache::Stripe& ThroughputCache::stripe_of(u64 hash) const {
-  return stripes_[static_cast<std::size_t>(hash) % kStripes];
-}
 
 // ---------------------------------------------------------------------------
 // Sorted witness antichains. Rows are ascending by total, so the rows that
@@ -173,30 +168,6 @@ void ThroughputCache::Antichain::clear() {
 
 // ---------------------------------------------------------------------------
 // Writes: merge() and the witnesses it feeds.
-
-void ThroughputCache::apply_node(EntryMap::node_type node) {
-  Stripe& stripe = stripe_of(node.key().hash);
-  const std::lock_guard<std::mutex> lock(stripe.mu);
-  const auto it = stripe.map.find(node.key());
-  if (it != stripe.map.end()) {
-    if (!values_agree(it->second, node.mapped())) {
-      throw Error(
-          "throughput cache merge: two evaluations of the same capacity "
-          "vector disagree — the deterministic simulation invariant is "
-          "broken (delta merge rejected)");
-    }
-    return;
-  }
-  if (capacity_ > 0 &&
-      resident_.load(std::memory_order_relaxed) >= capacity_) {
-    // Full: the key is refused, and its candidate is re-simulated when it
-    // comes again.
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  stripe.map.insert(std::move(node));
-  resident_.fetch_add(1, std::memory_order_relaxed);
-}
 
 void ThroughputCache::feed_witnesses(const CapsKey& key,
                                      const CachedThroughput& value) {
@@ -442,69 +413,12 @@ bool ThroughputCache::corrupt_box_for_test(const std::vector<i64>& caps,
 
 void ThroughputCache::merge(std::span<Delta* const> deltas) {
   const std::lock_guard<std::mutex> merge_lock(merge_mu_);
-  // Pass 1 — determinism check across deltas: duplicate keys must agree.
-  // A delta's own keys are unique, so each entry is looked up only in the
-  // indexes of the deltas before it (nothing to do for a single delta).
-  // (apply_node re-checks each entry against resident values.)
-  for (std::size_t i = 1; i < deltas.size(); ++i) {
-    for (const auto* entry : deltas[i]->entries_) {
-      for (std::size_t j = 0; j < i; ++j) {
-        const EntryMap& earlier = deltas[j]->index_;
-        const auto it = earlier.find(entry->first);
-        if (it != earlier.end() &&
-            !values_agree(it->second, entry->second)) {
-          throw Error(
-              "throughput cache merge: two deltas disagree on the "
-              "same capacity vector — the deterministic simulation "
-              "invariant is broken (delta merge rejected)");
-        }
-      }
-    }
-  }
   merge_boxes(deltas);
-  // Pass 2 — apply in slot order, each delta in insertion order, so a
-  // sequential wave merges in exactly the order it simulated (and a full
-  // cache keeps the earliest entries). The order list is taken out of the
-  // delta first, so a rejected merge never leaves it pointing at moved
-  // nodes.
-  for (Delta* d : deltas) {
-    std::vector<const EntryMap::value_type*> order;
-    order.swap(d->entries_);
-    for (const auto* entry : order) {
-      EntryMap::node_type node = d->index_.extract(entry->first);
-      feed_witnesses(CapsKey(node.key().caps, node.key().hash),
-                     node.mapped());
-      apply_node(std::move(node));
-    }
-    order.clear();
-    d->entries_.swap(order);  // hand the capacity back
-  }
   merges_.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool ThroughputCache::corrupt_entry_for_test(const std::vector<i64>& caps,
-                                             const Rational& delta) {
-  const CapsKey key(caps);
-  Stripe& stripe = stripe_of(key.hash());
-  const std::lock_guard<std::mutex> lock(stripe.mu);
-  const auto it = stripe.map.find(key);
-  if (it == stripe.map.end()) return false;
-  it->second.throughput = it->second.throughput + delta;
-  return true;
 }
 
 // ---------------------------------------------------------------------------
 // Snapshot.
-
-std::optional<CachedThroughput> ThroughputCache::Snapshot::find(
-    const CapsKey& key) const {
-  Stripe& stripe = cache_->stripe_of(key.hash());
-  const std::lock_guard<std::mutex> lock(stripe.mu);
-  const auto it = stripe.map.find(key);
-  if (it == stripe.map.end()) return std::nullopt;
-  cache_->exact_hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
-}
 
 std::optional<CachedThroughput> ThroughputCache::Snapshot::find_max_dominated(
     const CapsKey& key) const {
@@ -524,31 +438,6 @@ ThroughputCache::Snapshot::find_deadlock_dominated(
 // ---------------------------------------------------------------------------
 // Delta.
 
-void ThroughputCache::Delta::record(const CapsKey& key,
-                                    const CachedThroughput& value) {
-  const auto [it, inserted] =
-      index_.try_emplace(StoredKey{key.caps(), key.hash()}, value);
-  if (!inserted) return;
-  entries_.push_back(&*it);
-  // Local witnesses: later candidates of THIS exploration's wave see this
-  // outcome through the dominance rules immediately, which is what keeps
-  // a sequential wave's hit/miss pattern identical to merging each
-  // candidate on its own.
-  if (value.deadlocked) {
-    deadlock_witnesses_.insert_maximal(key);
-  } else if (value.throughput == cache_->max_throughput_) {
-    max_witnesses_.insert_minimal(key);
-  }
-}
-
-std::optional<CachedThroughput> ThroughputCache::Delta::find(
-    const CapsKey& key) const {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  cache_->exact_hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
-}
-
 std::optional<CachedThroughput> ThroughputCache::Delta::find_max_dominated(
     const CapsKey& key) const {
   if (!max_witnesses_.any_below(key)) return std::nullopt;
@@ -565,8 +454,6 @@ ThroughputCache::Delta::find_deadlock_dominated(
 }
 
 void ThroughputCache::Delta::clear() {
-  entries_.clear();
-  index_.clear();
   max_witnesses_.clear();
   deadlock_witnesses_.clear();
   drop_boxes();

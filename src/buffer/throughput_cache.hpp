@@ -4,24 +4,22 @@
 // distributions have outcomes that are already implied by distributions
 // evaluated earlier:
 //
-//  * an exact repeat (the incremental engine reaching one capacity vector
-//    twice, or a warm repeat of an earlier request) — answered from the
-//    one exact store, a striped locked map;
 //  * a candidate pointwise >= a distribution already known to attain the
 //    graph's maximal throughput — by monotonicity of throughput in the
 //    storage distribution (paper Sec. 8), its throughput IS the maximum,
 //    no simulation needed;
 //  * a candidate pointwise <= a distribution that deadlocked — again by
-//    monotonicity, it deadlocks too (throughput 0).
-//
+//    monotonicity, it deadlocks too (throughput 0);
 //  * a candidate inside an earlier run's equivalence box (DESIGN.md §7):
 //    a run that never failed a space check on channel c only ever asked
 //    c for its demand floor, so any distribution that keeps the channels
 //    that did block at their capacities and gives every other channel at
 //    least its floor replays that run exactly — answered from a box index
-//    grouped by blocked-channel mask. The exhaustive engine records and
-//    probes boxes instead of exact entries; the incremental engine, whose
-//    children bump exactly the blocking channels, stays on exact repeats.
+//    grouped by blocked-channel mask. Only the exhaustive engine records
+//    and probes boxes; the incremental engine, whose children bump exactly
+//    the blocking channels, feeds the witnesses only. Identical repeats of
+//    a whole request are answered above the engines (buffyd's front memo,
+//    DESIGN.md §10).
 //
 // Dominance answers are exact, not approximate: monotonicity pins the
 // simulated value, so substituting them can never change a fold result —
@@ -30,40 +28,31 @@
 // processor binding (fixed-priority scheduling anomalies), so the engines
 // only consult the dominance rules for unbound explorations.
 //
-// Every exact map is keyed by the capacity vector together with its
-// hash_words value (CapsKey / StoredKey): an engine hashes a candidate once
-// and that one hash selects the stripe, probes the stripe and the delta,
-// and is kept in each stored key so a rehash never re-reads a key's words.
-//
-// Locking structure (DESIGN.md §14). Exact entries have one store:
-// kStripes independent mutex+unordered_map shards selected by
-// capacity-vector hash. The witness sets are small antichains (minimal
-// max-throughput witnesses, maximal deadlock witnesses) stored as
-// contiguous rows and kept SORTED by total size so a dominance scan ends
-// at the first witness whose total already rules the rest out; they live
-// under their own lock. Concurrent explorations sharing the cache
-// (buffyd's requests) each read through a Snapshot — exact lookups lock
-// one stripe, witness scans and box probes read point-in-time copies
-// without a lock — and record fresh outcomes into their own Delta, merged
-// back with merge() once per wave (the only writer of entries and
-// boxes). A stale Snapshot read is always safe — a missed entry merely
-// costs a re-simulation whose outcome is identical to the cached one —
-// and merge() verifies exactly that: duplicate keys across deltas (or
-// against resident entries) must carry the same simulated value,
-// otherwise determinism is broken somewhere and merge() throws.
+// Locking structure (DESIGN.md §14). The witness sets are small
+// antichains (minimal max-throughput witnesses, maximal deadlock
+// witnesses) stored as contiguous rows and kept SORTED by total size so a
+// dominance scan ends at the first witness whose total already rules the
+// rest out; they live under their own lock. Concurrent explorations
+// sharing the cache (buffyd's requests) each read through a Snapshot —
+// witness scans and box probes read point-in-time copies without a lock —
+// and record fresh boxes into their own Delta, merged back with merge()
+// once per wave (the only writer of boxes). A stale Snapshot read is
+// always safe — a missed box merely costs a re-simulation whose outcome
+// is identical to the recorded one — and merge() verifies exactly that:
+// a box recorded twice (across deltas, or against a resident box) must
+// carry the same floors and outcome, otherwise determinism is broken
+// somewhere and merge() throws.
 //
 // A cache may be bounded (a resident daemon must not grow without limit):
-// with a non-zero capacity, merge() stops admitting new exact entries once
-// `capacity` are resident, and new boxes once `capacity` boxes are, and
-// counts what it refuses (entries_dropped). Nothing is ever evicted, and a
-// refused outcome is simply re-simulated on its next appearance, so a
-// bounded cache keeps every byte-identity guarantee of an unbounded one.
-// The witness antichains are capped on their own and keep answering past
-// the cap: Sec. 8 dominance still covers distributions whose exact
-// entries were refused.
+// with a non-zero capacity, merge() stops admitting new boxes once
+// `capacity` are resident, and counts what it refuses (entries_dropped).
+// Nothing is ever evicted, and a refused box's candidates are simply
+// re-simulated, so a bounded cache keeps every byte-identity guarantee of
+// an unbounded one. The witness antichains are capped on their own and
+// keep answering past the cap: Sec. 8 dominance still covers
+// distributions whose boxes were refused.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <deque>
 #include <memory>
@@ -90,15 +79,11 @@ struct CachedThroughput {
   u64 states_stored = 0;
   i64 cycle_start_time = 0;
   i64 period = 0;
-  /// The run's storage dependencies in an exact entry (only the
-  /// incremental engine records those, and expands children from them);
-  /// empty in box and dominance answers.
-  std::vector<sdf::ChannelId> storage_deps;
 };
 
 /// A capacity vector with its hash_words value and its total size,
 /// computed once. An engine builds one per candidate and hands it to every
-/// lookup and record of that candidate; one-shot callers pass the vector
+/// probe and record of that candidate; one-shot callers pass the vector
 /// and convert implicitly. Holds a reference: the vector must outlive the
 /// key.
 class CapsKey {
@@ -132,9 +117,8 @@ class ThroughputCache {
 
   /// `max_throughput` is the graph's maximal throughput for the explored
   /// target — the value a max-witness dominance hit reports.
-  /// `capacity` bounds the resident exact entries and, separately, the
-  /// resident boxes (0 = unbounded): once full, merge() admits nothing new
-  /// of that kind and never evicts.
+  /// `capacity` bounds the resident boxes (0 = unbounded): once full,
+  /// merge() admits no new box and never evicts.
   explicit ThroughputCache(Rational max_throughput, u64 capacity = 0);
 
   /// Seeds a max-throughput witness without a full map entry (e.g. the
@@ -142,8 +126,12 @@ class ThroughputCache {
   /// exploration starts).
   void add_max_witness(const CapsKey& key);
 
-  /// Read view for one exploration's wave. Exact lookups lock the key's
-  /// stripe, so they see every merge so far. Witness scans and box probes
+  /// Feeds one simulated outcome to the witness antichains: a deadlock
+  /// becomes a deadlock witness, an outcome at the maximal throughput a
+  /// max witness; any other outcome is ignored.
+  void feed_witnesses(const CapsKey& key, const CachedThroughput& value);
+
+  /// Read view for one exploration's wave. Witness scans and box probes
   /// read the antichains and box index as of this call, without a lock;
   /// they may lag concurrent writers, and a stale miss is re-simulated to
   /// the identical value, never answered wrongly.
@@ -152,31 +140,23 @@ class ThroughputCache {
   /// A fresh write buffer for one exploration's waves.
   [[nodiscard]] Delta make_delta() const;
 
-  /// Folds deltas back into the cache — the only path that writes exact
-  /// entries and boxes: applied in the given order, each delta in its
-  /// insertion order, so a wave merges in exactly the order it simulated
-  /// (and a full cache keeps the earliest). Feeds the witness antichains
-  /// (refused outcomes too) and publishes the deltas' boxes. The deltas'
-  /// entries move into the cache (no key is copied), so each delta is
-  /// left without entries; its local witnesses stay until clear().
+  /// Folds deltas back into the cache — the only path that writes boxes:
+  /// applied in the given order, each delta in its insertion order, so a
+  /// wave merges in exactly the order it simulated (and a full cache keeps
+  /// the earliest). Feeds the witness antichains (refused boxes too) and
+  /// publishes the deltas' boxes, which move into the cache, so each
+  /// delta is left without boxes; its local witnesses stay until clear().
   ///
-  /// Determinism check: a capacity vector recorded by two deltas — or
-  /// recorded by a delta and already resident — must carry the same
-  /// simulated outcome (simulation is deterministic; dominance answers are
-  /// exact). A mismatch means an exploration produced a divergent value,
-  /// and merge() throws Error instead of silently picking one.
+  /// Determinism check: a box recorded by two deltas — or recorded by a
+  /// delta and already resident — must carry the same floors and outcome
+  /// (simulation is deterministic). A mismatch means an exploration
+  /// produced a divergent value, and merge() throws Error instead of
+  /// silently picking one.
   void merge(std::span<Delta* const> deltas);
 
   [[nodiscard]] const Rational& max_throughput() const {
     return max_throughput_;
   }
-
-  /// Audit tamper hook: adds `delta` to the stored throughput of the
-  /// exact entry for `caps` (false when no such entry), visible to every
-  /// Snapshot, so tests can prove the sampled cache-vs-simulation audit
-  /// catches a corrupted entry. Never called outside tests.
-  bool corrupt_entry_for_test(const std::vector<i64>& caps,
-                              const Rational& delta);
 
   /// A resident box as tests re-simulate it: its blocked channels, its
   /// corner (the capacities on them, the demand floor elsewhere) and the
@@ -197,17 +177,10 @@ class ThroughputCache {
                             const Rational& delta);
 
   /// Lifetime counters (relaxed; for metrics only).
-  [[nodiscard]] u64 exact_hits() const {
-    return exact_hits_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] u64 dominance_hits() const {
     return dominance_hits_.load(std::memory_order_relaxed);
   }
-  /// Exact entries resident (at most the capacity when bounded).
-  [[nodiscard]] u64 entries_resident() const {
-    return resident_.load(std::memory_order_relaxed);
-  }
-  /// Exact entries and boxes the capacity refused (0 when unbounded).
+  /// Boxes the capacity refused (0 when unbounded).
   [[nodiscard]] u64 entries_dropped() const {
     return dropped_.load(std::memory_order_relaxed);
   }
@@ -220,17 +193,13 @@ class ThroughputCache {
     return box_hits_.load(std::memory_order_relaxed);
   }
   /// Equivalence boxes resident in the published index (at most the
-  /// entry capacity when bounded).
+  /// capacity when bounded).
   [[nodiscard]] u64 boxes_stored() const {
     return boxes_stored_.load(std::memory_order_relaxed);
   }
 
-  /// The entry bound this cache was built with (0 = unbounded).
+  /// The box bound this cache was built with (0 = unbounded).
   [[nodiscard]] u64 capacity() const { return capacity_; }
-
-  /// Number of exact-map shards (stripe = hash_words(caps) % kStripes).
-  /// Public so tests can check the hash spreads keys over them.
-  static constexpr std::size_t kStripes = 16;
 
  private:
   friend class Snapshot;
@@ -296,44 +265,6 @@ class ThroughputCache {
     std::size_t width_ = 0;
     std::vector<RowMeta> meta_;
     std::vector<i64> rows_;
-  };
-
-  /// A stored exact-map key: the capacity vector and its hash_words value.
-  struct StoredKey {
-    std::vector<i64> caps;
-    u64 hash = 0;
-  };
-  /// Hash and equality over stored keys that also accept a CapsKey, so a
-  /// lookup reuses the candidate's hash and builds no key.
-  struct KeyHash {
-    using is_transparent = void;
-    std::size_t operator()(const StoredKey& k) const noexcept {
-      return static_cast<std::size_t>(k.hash);
-    }
-    std::size_t operator()(const CapsKey& k) const noexcept {
-      return static_cast<std::size_t>(k.hash());
-    }
-  };
-  struct KeyEq {
-    using is_transparent = void;
-    bool operator()(const StoredKey& a, const StoredKey& b) const noexcept {
-      return a.hash == b.hash && a.caps == b.caps;
-    }
-    bool operator()(const CapsKey& a, const StoredKey& b) const noexcept {
-      return a.hash() == b.hash && a.caps() == b.caps;
-    }
-    bool operator()(const StoredKey& a, const CapsKey& b) const noexcept {
-      return (*this)(b, a);
-    }
-  };
-  /// One stripe's entries, and a delta's index: the two share the node
-  /// type, so merge() moves a delta's nodes into the stripes without
-  /// copying a key or allocating.
-  using EntryMap =
-      std::unordered_map<StoredKey, CachedThroughput, KeyHash, KeyEq>;
-  struct Stripe {
-    mutable std::mutex mu;
-    EntryMap map;
   };
 
   /// One equivalence box. A run at γ whose blocked channels form the
@@ -425,17 +356,10 @@ class ThroughputCache {
   /// before anything changes), then moves the boxes in and publishes.
   void merge_boxes(std::span<Delta* const> deltas);
 
-  [[nodiscard]] Stripe& stripe_of(u64 hash) const;
   void add_deadlock_witness(const CapsKey& key);
-  /// Moves one delta node into its stripe unless the cache is full (merge
-  /// holds merge_mu_). A key already resident keeps its value, and a
-  /// different value throws (the determinism check).
-  void apply_node(EntryMap::node_type node);
-  void feed_witnesses(const CapsKey& key, const CachedThroughput& value);
 
   Rational max_throughput_;
   u64 capacity_ = 0;  // 0 = unbounded
-  mutable std::array<Stripe, kStripes> stripes_;
 
   mutable std::mutex witness_mu_;
   Antichain max_witnesses_;       // minimal elements
@@ -457,10 +381,8 @@ class ThroughputCache {
   std::vector<std::vector<const Box*>> group_boxes_;
   std::unordered_map<std::vector<u64>, std::size_t, MaskHash> group_of_mask_;
 
-  mutable std::atomic<u64> exact_hits_{0};
   mutable std::atomic<u64> dominance_hits_{0};
-  std::atomic<u64> resident_{0};  // written under merge_mu_
-  std::atomic<u64> dropped_{0};   // written under merge_mu_
+  std::atomic<u64> dropped_{0};  // written under merge_mu_
   std::atomic<u64> merges_{0};
   mutable std::atomic<u64> box_hits_{0};
   std::atomic<u64> boxes_stored_{0};
@@ -469,10 +391,6 @@ class ThroughputCache {
 /// See ThroughputCache::snapshot(). Copyable; typically one per wave.
 class ThroughputCache::Snapshot {
  public:
-  /// Exact lookup in the cache's stripes, under the key's stripe lock.
-  [[nodiscard]] std::optional<CachedThroughput> find(
-      const CapsKey& key) const;
-
   /// Sec. 8 max rule over the snapshotted witness antichain; lock-free.
   [[nodiscard]] std::optional<CachedThroughput> find_max_dominated(
       const CapsKey& key) const;
@@ -493,21 +411,13 @@ class ThroughputCache::Snapshot {
 };
 
 /// See ThroughputCache::make_delta(). One per exploration, cleared after
-/// each merge; never shared between threads. Records fresh simulation
-/// outcomes (insertion order is preserved for the deterministic merge) and
-/// answers lookups for what THIS exploration has already learned during
-/// the wave — including its own witness candidates, so a wave sees exactly
-/// the hit/miss sequence a per-candidate merge would produce.
+/// each merge; never shared between threads. Records fresh boxes
+/// (insertion order is preserved for the deterministic merge) and answers
+/// probes for what THIS exploration has already learned during the wave —
+/// including its own witness candidates, so a wave sees exactly the
+/// hit/miss sequence a per-candidate merge would produce.
 class ThroughputCache::Delta {
  public:
-  /// Records one simulated outcome. Re-recording a key keeps the first
-  /// value.
-  void record(const CapsKey& key, const CachedThroughput& value);
-
-  /// Exact lookup among this delta's own entries.
-  [[nodiscard]] std::optional<CachedThroughput> find(
-      const CapsKey& key) const;
-
   /// Sec. 8 max rule over this delta's local witnesses.
   [[nodiscard]] std::optional<CachedThroughput> find_max_dominated(
       const CapsKey& key) const;
@@ -519,8 +429,8 @@ class ThroughputCache::Delta {
   /// Records one simulated outcome's equivalence box from the run's
   /// per-channel demand floor (state::ThroughputResult::demand): the
   /// channels whose demand exceeds their capacity in `key` blocked and
-  /// form the box's mask. Feeds the local witnesses exactly like
-  /// record(). Re-recording a box keeps the first.
+  /// form the box's mask. Feeds the local witnesses as feed_witnesses()
+  /// feeds the cache's. Re-recording a box keeps the first.
   void record_box(const CapsKey& key, std::span<const i64> demand,
                   const CachedThroughput& value);
 
@@ -532,11 +442,8 @@ class ThroughputCache::Delta {
   [[nodiscard]] std::optional<CachedThroughput> find_box(const Snapshot& snap,
                                                          const CapsKey& key);
 
-  [[nodiscard]] bool empty() const {
-    return entries_.empty() && boxes_.empty();
-  }
-  /// Exact entries recorded since the last merge.
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  /// True when no box was recorded since the last merge.
+  [[nodiscard]] bool empty() const { return boxes_.empty(); }
 
   /// Ready for the next wave; keeps the capacity of the containers and
   /// the box probe order.
@@ -572,11 +479,6 @@ class ThroughputCache::Delta {
   void drop_boxes();
 
   const ThroughputCache* cache_ = nullptr;  // counters + max throughput
-  /// Owns each recorded key once; `entries_` points into its (stable)
-  /// nodes in insertion order for the deterministic merge, which moves
-  /// the nodes into the cache and leaves both empty.
-  EntryMap index_;
-  std::vector<const EntryMap::value_type*> entries_;
   Antichain max_witnesses_;
   Antichain deadlock_witnesses_;
 

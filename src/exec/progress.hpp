@@ -36,7 +36,8 @@ struct ProgressSnapshot {
   u64 waves = 0;
   /// Full state-space simulations executed (one per throughput run).
   u64 simulations = 0;
-  /// Candidates answered from the cross-distribution cache (exact repeat).
+  /// Former exact-repeat count: no engine answers exact repeats any more,
+  /// so it reads 0 (kept for the output's shape).
   u64 cache_hits = 0;
   /// Candidates answered from an earlier run's equivalence box.
   u64 box_hits = 0;
@@ -75,7 +76,6 @@ class Progress {
   void add_pareto_points(u64 n) { add(pareto_points_, n); }
   void add_wave() { add(waves_, 1); }
   void add_simulations(u64 n) { add(simulations_, n); }
-  void add_cache_hits(u64 n) { add(cache_hits_, n); }
   void add_box_hits(u64 n) { add(box_hits_, n); }
   void add_dominance_skips(u64 n) { add(dominance_skips_, n); }
   void add_lp_prunes(u64 n) { add(lp_prunes_, n); }

@@ -10,6 +10,7 @@
 #include "base/hash.hpp"
 #include "buffer/dse.hpp"
 #include "io/dsl.hpp"
+#include "service/requests.hpp"
 #include "state/throughput.hpp"
 
 namespace buffy::service {
@@ -88,6 +89,63 @@ void audit_check_memoized_analysis(const sdf::Graph& graph,
 
 }  // namespace
 
+std::optional<JsonValue> FrontMemo::find(const std::string& key) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = answers_.find(key);
+  if (it == answers_.end()) return std::nullopt;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  return it->second;
+}
+
+void FrontMemo::store(const std::string& key, JsonValue answer) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (answers_.size() < kCapacity) answers_.try_emplace(key, std::move(answer));
+}
+
+std::size_t FrontMemo::size() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return answers_.size();
+}
+
+bool FrontMemo::corrupt_for_test(const std::string& key, i64 delta) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = answers_.find(key);
+  if (it == answers_.end()) return false;
+  JsonValue& answer = it->second;
+  answer.set("distributions_explored",
+             JsonValue::integer(
+                 answer.find("distributions_explored")->as_int() + delta));
+  return true;
+}
+
+void audit_check_memoized_front(const sdf::Graph& graph,
+                                const buffer::DseOptions& options,
+                                const JsonValue& answer) {
+  audit::note_check();
+  buffer::DseOptions uncached = options;
+  uncached.use_throughput_cache = false;
+  uncached.shared_cache = nullptr;
+  uncached.progress = nullptr;
+  const buffer::DseResult fresh = buffer::explore(graph, uncached);
+  if (fresh.cancelled) return;
+  JsonValue want = JsonValue::object();
+  set_front(want, fresh.bounds, fresh.pareto);
+  want.set("distributions_explored",
+           JsonValue::integer(static_cast<i64>(fresh.distributions_explored)));
+  for (const char* name : {"deadlock", "bounds", "front", "points",
+                           "distributions_explored"}) {
+    const JsonValue* memo = answer.find(name);
+    const JsonValue* again = want.find(name);
+    const std::string memoized = memo != nullptr ? memo->dump() : "absent";
+    const std::string derived = again != nullptr ? again->dump() : "absent";
+    if (memoized != derived) {
+      audit::fail("memoized-front",
+                  "graph '" + graph.name() + "': memoized " + name + " " +
+                      memoized + " != re-explored " + derived);
+    }
+  }
+}
+
 struct CacheRegistry::Entry {
   explicit Entry(std::string key) : canonical(std::move(key)) {}
 
@@ -98,6 +156,7 @@ struct CacheRegistry::Entry {
   // for corrupt_analysis_for_test).
   std::shared_ptr<GraphAnalysis> analysis;
   std::shared_ptr<buffer::ThroughputCache> cache;
+  std::shared_ptr<FrontMemo> memo;
 };
 
 CacheRegistry::CacheRegistry(std::size_t max_graphs, u64 entries_per_graph)
@@ -155,6 +214,7 @@ bool CacheRegistry::resolve(Entry& entry, const sdf::Graph& graph,
   if (!entry.analysis->bounds.deadlock) {
     entry.cache = std::make_shared<buffer::ThroughputCache>(
         entry.analysis->bounds.max_throughput, entries_per_graph_);
+    entry.memo = std::make_shared<FrontMemo>();
   }
   entry.ready.store(true, std::memory_order_release);
   analyses_computed_.fetch_add(1, std::memory_order_relaxed);
@@ -200,7 +260,7 @@ CacheRegistry::Lease CacheRegistry::acquire(const GraphKey& key,
     const std::lock_guard<std::mutex> lock(mu_);
     evict_over_capacity_locked();
   }
-  return {entry->cache, hit, entry->analysis};
+  return {entry->cache, hit, entry->analysis, entry->memo};
 }
 
 std::shared_ptr<const GraphAnalysis> CacheRegistry::peek(
@@ -234,7 +294,7 @@ CacheRegistry::Lease CacheRegistry::get_or_create(
     entry->ready.store(true, std::memory_order_release);
     evict_over_capacity_locked();
   }
-  return {entry->cache, hit, nullptr};
+  return {entry->cache, hit, nullptr, nullptr};
 }
 
 bool CacheRegistry::contains(u64 fingerprint) const {
@@ -273,12 +333,14 @@ CacheRegistry::Totals CacheRegistry::totals() const {
     if (!e.ready.load(std::memory_order_acquire) || e.cache == nullptr) {
       continue;
     }
-    t.exact_hits += e.cache->exact_hits();
     t.dominance_hits += e.cache->dominance_hits();
-    t.entries_resident += e.cache->entries_resident();
     t.entries_dropped += e.cache->entries_dropped();
     t.box_hits += e.cache->box_hits();
     t.boxes_stored += e.cache->boxes_stored();
+    if (e.memo != nullptr) {
+      t.memo_hits += e.memo->hits();
+      t.memo_entries += e.memo->size();
+    }
   }
   return t;
 }

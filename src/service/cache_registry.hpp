@@ -6,16 +6,19 @@
 // the canonical identity of (graph, target) to an entry holding
 //
 //  * a shared ThroughputCache that every exact request on the graph feeds
-//    and consults (DseOptions::shared_cache), and
+//    and consults (DseOptions::shared_cache),
 //  * the graph's analysis — the maximal throughput (the MCM over the HSDF
 //    expansion) and the Fig. 7 design-space bounds — computed once per
-//    entry instead of once or twice per request.
+//    entry instead of once or twice per request, and
+//  * a FrontMemo of the finished exact answers, so an identical repeat
+//    runs no engine at all.
 //
 // Each cache is capped (ThroughputCache capacity: once full it admits no
-// new exact entries or boxes, evicts nothing, and counts what it refuses)
-// and the registry itself is LRU-bounded by graph, so a daemon serving an
-// unbounded stream of distinct graphs cannot grow without limit — the
-// least-recently-queried graph's entry is dropped first.
+// new boxes, evicts nothing, and counts what it refuses), each memo holds
+// a constant number of answers, and the registry itself is LRU-bounded by
+// graph, so a daemon serving an unbounded stream of distinct graphs cannot
+// grow without limit — the least-recently-queried graph's entry is dropped
+// first, memo included.
 //
 // Entries are handed out as shared_ptr: an eviction never invalidates a
 // cache or an analysis an in-flight request still holds, it only stops
@@ -26,6 +29,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -34,8 +38,10 @@
 #include "base/checked_math.hpp"
 #include "base/rational.hpp"
 #include "buffer/bounds.hpp"
+#include "buffer/dse.hpp"
 #include "buffer/throughput_cache.hpp"
 #include "sdf/graph.hpp"
+#include "service/json.hpp"
 
 namespace buffy::service {
 
@@ -69,12 +75,52 @@ struct GraphAnalysis {
 [[nodiscard]] GraphAnalysis analyze_graph(const sdf::Graph& graph,
                                           sdf::ActorId target);
 
+/// The finished exact explore answers of one registry entry (DESIGN.md
+/// §10). The exploration is deterministic, so an answer depends only on
+/// the graph, the target and the request's engine-effective options — the
+/// key — and an identical repeat is answered without running an engine.
+/// Holds at most kCapacity answers: a full memo refuses new ones and never
+/// evicts. Thread-safe.
+class FrontMemo {
+ public:
+  static constexpr std::size_t kCapacity = 16;
+
+  /// The answer stored under `key`, counted as a hit; nullopt when none.
+  [[nodiscard]] std::optional<JsonValue> find(const std::string& key) const;
+  /// Stores `answer` under `key` unless an answer is stored there already
+  /// or the memo is full.
+  void store(const std::string& key, JsonValue answer);
+
+  [[nodiscard]] u64 hits() const {
+    return hits_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::size_t size() const;
+
+  /// Audit tamper hook: adds `delta` to the distributions_explored of the
+  /// answer stored under `key`; false when there is none. Never called
+  /// outside tests.
+  bool corrupt_for_test(const std::string& key, i64 delta);
+
+ private:
+  mutable std::mutex mu_;
+  std::unordered_map<std::string, JsonValue> answers_;
+  mutable std::atomic<u64> hits_{0};
+};
+
+/// BUFFY_AUDIT `memoized-front`: the front members of a memoized answer
+/// (deadlock, bounds, front, points, distributions_explored) must equal
+/// those of an uncached exploration under `options`. A re-exploration cut
+/// by `options.cancel` proves nothing and is not compared.
+void audit_check_memoized_front(const sdf::Graph& graph,
+                                const buffer::DseOptions& options,
+                                const JsonValue& answer);
+
 /// LRU registry of per-graph entries; see file comment.
 /// Thread-safe: all members may be called concurrently.
 class CacheRegistry {
  public:
   /// At most `max_graphs` resident entries (>= 1), each cache capped at
-  /// `entries_per_graph` exact entries and as many boxes (0 = unbounded).
+  /// `entries_per_graph` boxes (0 = unbounded).
   /// A new entry evicts the least recently used one only once its
   /// analysis shows the graph does not deadlock, so entries still
   /// computing their analysis may briefly exceed the bound (by at most one
@@ -89,6 +135,8 @@ class CacheRegistry {
     bool warm = false;
     /// The entry's analysis (acquire only; null from get_or_create).
     std::shared_ptr<const GraphAnalysis> analysis;
+    /// The entry's answer memo (null whenever `analysis` or `cache` is).
+    std::shared_ptr<FrontMemo> memo;
   };
 
   /// Returns the entry of `key`, creating it (cold) when absent; a hit
@@ -135,12 +183,12 @@ class CacheRegistry {
 
   /// Aggregated counters over the resident caches (status endpoint).
   struct Totals {
-    u64 exact_hits = 0;
     u64 dominance_hits = 0;
-    u64 entries_resident = 0;
     u64 entries_dropped = 0;
     u64 box_hits = 0;
     u64 boxes_stored = 0;
+    u64 memo_hits = 0;
+    u64 memo_entries = 0;
   };
   [[nodiscard]] Totals totals() const;
 

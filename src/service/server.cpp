@@ -6,7 +6,9 @@
 #include <utility>
 
 #include "analysis/max_throughput.hpp"
+#include "base/audit.hpp"
 #include "base/diagnostics.hpp"
+#include "base/hash.hpp"
 #include "buffer/dse.hpp"
 #include "buffer/dse_exact.hpp"
 #include "buffer/fast_front.hpp"
@@ -14,6 +16,58 @@
 #include "state/throughput.hpp"
 
 namespace buffy::service {
+
+namespace {
+
+// The front memo's key: every request member the engine reads (the graph
+// and the target are the registry entry's), and whether a fast request was
+// downgraded, which the answer reports.
+std::string memo_key(const buffer::DseOptions& opts, bool downgraded) {
+  const auto num = [](const std::optional<i64>& v) {
+    return v.has_value() ? std::to_string(*v) : std::string("-");
+  };
+  const auto rat = [](const std::optional<Rational>& v) {
+    return v.has_value() ? v->str() : std::string("-");
+  };
+  return std::string(opts.engine == buffer::DseEngine::Exhaustive ? "exh"
+                                                                  : "inc") +
+         " levels=" + num(opts.quantization_levels) +
+         " max_size=" + num(opts.max_distribution_size) +
+         " goal=" + rat(opts.throughput_goal) +
+         " min=" + rat(opts.min_throughput) +
+         (downgraded ? " downgraded" : "");
+}
+
+// The members of an exact answer that depend only on the request, in wire
+// order: what the front memo keeps.
+JsonValue exact_front(const std::string& target, bool downgraded,
+                      const buffer::DseResult& result) {
+  JsonValue res = JsonValue::object();
+  res.set("target", JsonValue::string(target));
+  res.set("quality", JsonValue::string("exact"));
+  if (downgraded) res.set("downgraded", JsonValue::boolean(true));
+  set_front(res, result.bounds, result.pareto);
+  res.set("distributions_explored",
+          JsonValue::integer(static_cast<i64>(result.distributions_explored)));
+  return res;
+}
+
+// The work the request itself did, and whether the graph was warm.
+void set_work(JsonValue& res, const buffer::DseResult& result, bool warm) {
+  const auto u = [](u64 v) { return JsonValue::integer(static_cast<i64>(v)); };
+  res.set("simulations_run", u(result.simulations_run));
+  res.set("cache_hits", u(result.cache_hits));
+  res.set("box_hits", u(result.box_hits));
+  res.set("dominance_skips", u(result.dominance_skips));
+  res.set("lp_prunes", u(result.lp_prunes));
+  res.set("lp_cuts", u(result.lp_cuts));
+  res.set("static_narrow", JsonValue::boolean(result.static_narrow));
+  res.set("max_states_stored", u(result.max_states_stored));
+  res.set("seconds", JsonValue::number(result.seconds));
+  res.set("cached_graph", JsonValue::boolean(warm));
+}
+
+}  // namespace
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
@@ -231,6 +285,27 @@ JsonValue Server::handle_explore(const Request& req,
     opts.shared_cache = lease.cache.get();
   }
 
+  // An identical repeat is answered from the entry's front memo; its work
+  // counters read what it did: nothing. Audit mode re-explores a
+  // deterministic sample of hits uncached.
+  std::string memo;
+  if (lease.memo != nullptr) {
+    memo = memo_key(opts, downgraded);
+    std::optional<JsonValue> hit = lease.memo->find(memo);
+    if (hit.has_value()) {
+      u64 h = key->fingerprint;
+      for (const char c : memo) {
+        h = hash_step(h, static_cast<u64>(static_cast<unsigned char>(c)));
+      }
+      if (audit::enabled() && audit::sample(h)) {
+        audit_check_memoized_front(graph, opts, *hit);
+      }
+      set_work(*hit, buffer::DseResult{}, lease.warm);
+      hit->set("memo", JsonValue::boolean(true));
+      return std::move(*hit);
+    }
+  }
+
   const buffer::DseResult result =
       lease.analysis != nullptr
           ? buffer::explore(graph, opts, lease.analysis->bounds)
@@ -242,28 +317,9 @@ JsonValue Server::handle_explore(const Request& req,
     throw exec::Cancelled();
   }
 
-  JsonValue res = JsonValue::object();
-  res.set("target", JsonValue::string(graph.actor(target).name));
-  res.set("quality", JsonValue::string("exact"));
-  if (downgraded) res.set("downgraded", JsonValue::boolean(true));
-  set_front(res, result.bounds, result.pareto);
-  res.set("distributions_explored",
-          JsonValue::integer(static_cast<i64>(result.distributions_explored)));
-  res.set("simulations_run",
-          JsonValue::integer(static_cast<i64>(result.simulations_run)));
-  res.set("cache_hits",
-          JsonValue::integer(static_cast<i64>(result.cache_hits)));
-  res.set("box_hits", JsonValue::integer(static_cast<i64>(result.box_hits)));
-  res.set("dominance_skips",
-          JsonValue::integer(static_cast<i64>(result.dominance_skips)));
-  res.set("lp_prunes",
-          JsonValue::integer(static_cast<i64>(result.lp_prunes)));
-  res.set("lp_cuts", JsonValue::integer(static_cast<i64>(result.lp_cuts)));
-  res.set("static_narrow", JsonValue::boolean(result.static_narrow));
-  res.set("max_states_stored",
-          JsonValue::integer(static_cast<i64>(result.max_states_stored)));
-  res.set("seconds", JsonValue::number(result.seconds));
-  res.set("cached_graph", JsonValue::boolean(lease.warm));
+  JsonValue res = exact_front(graph.actor(target).name, downgraded, result);
+  if (lease.memo != nullptr) lease.memo->store(memo, res);
+  set_work(res, result, lease.warm);
   return res;
 }
 
@@ -362,12 +418,12 @@ JsonValue Server::status_json() const {
   cache.set("graph_capacity", u(registry_.max_graphs()));
   cache.set("warm_hits", u(registry_.warm_hits()));
   cache.set("graph_evictions", u(registry_.evictions()));
-  cache.set("exact_hits", u(totals.exact_hits));
   cache.set("dominance_hits", u(totals.dominance_hits));
-  cache.set("entries_resident", u(totals.entries_resident));
   cache.set("entries_dropped", u(totals.entries_dropped));
   cache.set("box_hits", u(totals.box_hits));
   cache.set("boxes_stored", u(totals.boxes_stored));
+  cache.set("memo_hits", u(totals.memo_hits));
+  cache.set("memo_entries", u(totals.memo_entries));
   cache.set("analyses_computed", u(registry_.analyses_computed()));
   cache.set("analysis_hits", u(registry_.analysis_hits()));
   o.set("cache", cache);

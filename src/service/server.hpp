@@ -43,8 +43,8 @@ struct ServerOptions : ListenerOptions {
   u64 queue_capacity = 64;
   /// Max resident per-graph caches (LRU by graph fingerprint).
   std::size_t cache_graphs = 64;
-  /// Cap on the exact entries, and on the boxes, of each graph cache
-  /// (0 = unbounded); a full cache admits nothing new.
+  /// Cap on the boxes of each graph cache (0 = unbounded); a full cache
+  /// admits nothing new.
   u64 cache_entries_per_graph = 1u << 18;
 };
 

@@ -12,6 +12,7 @@
 #include "lp/sdf_model.hpp"
 #include "models/models.hpp"
 #include "service/cache_registry.hpp"
+#include "service/requests.hpp"
 #include "state/engine.hpp"
 #include "state/throughput.hpp"
 #include "state/visited_table.hpp"
@@ -139,42 +140,39 @@ TEST(AuditTamper, CorruptVisitedHashTriggersHashDiagnostic) {
   }
 }
 
-// --- tamper: throughput cache entry --------------------------------------
+// --- tamper: front memo entry ---------------------------------------------
 
-TEST(AuditTamper, CorruptCacheEntryTriggersSimulationMismatch) {
-  const sdf::Graph g = models::paper_example();
-  const sdf::ActorId target = models::reported_actor(g);
-  std::vector<i64> caps(g.num_channels(), 10);
-  const state::ThroughputResult run = state::compute_throughput(
-      g, state::Capacities::bounded(caps),
-      state::ThroughputOptions{.target = target});
-  ASSERT_FALSE(run.deadlocked);
+TEST(AuditTamper, CorruptMemoEntryTriggersMemoizedFrontMismatch) {
+  // A memo hit answers a repeat without an engine; the sampled audit
+  // re-explores uncached and compares the front members byte for byte.
+  const sdf::Graph g = models::samplerate_converter();
+  const buffer::DseOptions opts{.target = models::reported_actor(g)};
+  const buffer::DseResult result = buffer::explore(g, opts);
+  service::JsonValue answer = service::JsonValue::object();
+  service::set_front(answer, result.bounds, result.pareto);
+  answer.set("distributions_explored",
+             service::JsonValue::integer(
+                 static_cast<i64>(result.distributions_explored)));
+  service::FrontMemo memo;
+  memo.store("inc", answer);
 
-  buffer::ThroughputCache cache(run.throughput);
-  buffer::CachedThroughput value;
-  value.throughput = run.throughput;
-  buffer::ThroughputCache::Delta writer = cache.make_delta();
-  writer.record(caps, value);
-  std::vector<buffer::ThroughputCache::Delta*> deltas{&writer};
-  cache.merge(deltas);
-
-  // Healthy entry: the cached answer matches a fresh simulation.
-  auto hit = cache.snapshot().find(caps);
+  // Healthy entry: the memoized answer matches a fresh exploration.
+  const u64 before = audit::checks_performed();
+  auto hit = memo.find("inc");
   ASSERT_TRUE(hit.has_value());
-  EXPECT_NO_THROW(buffer::audit_check_cached_throughput(
-      g, target, 100'000, {}, caps, *hit));
+  EXPECT_NO_THROW(service::audit_check_memoized_front(g, opts, *hit));
+  EXPECT_GT(audit::checks_performed(), before);
 
-  // Tampered entry: the same check must report the exact mismatch.
-  ASSERT_TRUE(cache.corrupt_entry_for_test(caps, Rational(1, 7)));
-  hit = cache.snapshot().find(caps);
+  // Tampered entry: the same check must report the mismatch.
+  ASSERT_TRUE(memo.corrupt_for_test("inc", 1));
+  hit = memo.find("inc");
   ASSERT_TRUE(hit.has_value());
   try {
-    buffer::audit_check_cached_throughput(g, target, 100'000, {}, caps,
-                                          *hit);
+    service::audit_check_memoized_front(g, opts, *hit);
     FAIL() << "expected AuditError";
   } catch (const audit::AuditError& e) {
-    EXPECT_EQ(e.invariant(), "cache-vs-simulation");
-    EXPECT_NE(std::string(e.what()).find("fresh simulation"),
+    EXPECT_EQ(e.invariant(), "memoized-front");
+    EXPECT_NE(std::string(e.what()).find("distributions_explored"),
               std::string::npos)
         << e.what();
   }

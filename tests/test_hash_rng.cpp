@@ -10,7 +10,6 @@
 #include "base/hash.hpp"
 #include "base/rng.hpp"
 #include "buffer/bounds.hpp"
-#include "buffer/throughput_cache.hpp"
 #include "io/dsl.hpp"
 #include "models/models.hpp"
 #include "service/cache_registry.hpp"
@@ -113,7 +112,10 @@ TEST(Hash, CorpusBoxVectorsHashDistinctly) {
 TEST(Hash, CorpusBoxVectorsSpreadOverCacheStripes) {
   const auto candidates = g10_60_candidates(24'000);
   ASSERT_GE(candidates.size(), 20'000u);
-  constexpr std::size_t kStripes = buffer::ThroughputCache::kStripes;
+  // The low bits of hash_words index power-of-two tables (the incremental
+  // climb's open-addressing table); 16 buckets, as the cache's former
+  // stripes did.
+  constexpr std::size_t kStripes = 16;
   std::vector<std::size_t> per_stripe(kStripes, 0);
   for (const auto& caps : candidates) {
     ++per_stripe[static_cast<std::size_t>(hash_words(caps)) % kStripes];

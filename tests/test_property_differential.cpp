@@ -137,8 +137,8 @@ TEST(PropertyDifferential, ExhaustiveAndIncrementalFrontsAreIdentical) {
   }
 }
 
-// Property (b): the throughput cache (exact repeats + Sec. 8 dominance)
-// and its entry cap are pure accelerators — on, off, or full after a
+// Property (b): the throughput cache (equivalence boxes + Sec. 8
+// dominance) and its cap are pure accelerators — on, off, or full after a
 // handful of entries, the front is the same bytes.
 TEST(PropertyDifferential, CacheOnOffAndCappedFrontsAreIdentical) {
   for (const u64 seed : load_seeds()) {

@@ -451,29 +451,37 @@ TEST(Service, GraphAnalysisIsComputedOncePerRegistryEntry) {
   server.wait();
 }
 
-// A warm exhaustive repeat is answered from the equivalence boxes the
-// first request recorded in the graph's shared cache: the repeat
-// simulates nothing, its response counts the box hits, and the status
-// cache object counts the hits and the resident boxes.
+// A warm exhaustive repeat that the front memo does not answer (its
+// max_size differs, but lies past every enumerated candidate) is answered
+// from the equivalence boxes the first request recorded in the graph's
+// shared cache: the repeat simulates nothing, its response counts the box
+// hits, and the status cache object counts the hits and the resident
+// boxes.
 TEST(Service, WarmExhaustiveRepeatIsAnsweredFromBoxes) {
   service::Server server(tcp_options());
   server.start();
   Client client = Client::tcp(server.tcp_port());
   const std::string samplerate =
       slurp(std::string(EXAMPLE_GRAPHS_DIR) + "/samplerate.sdf");
+  const char* extra[2] = {",\"engine\":\"exh\"",
+                          ",\"engine\":\"exh\",\"max_size\":1000000"};
   std::string fronts[2];
+  i64 explored[2] = {0, 0};
   i64 sims[2] = {0, 0};
   i64 box_hits[2] = {0, 0};
   for (int i = 0; i < 2; ++i) {
-    const service::JsonValue resp = client.call(
-        explore_request(i, samplerate, ",\"engine\":\"exh\""));
+    const service::JsonValue resp =
+        client.call(explore_request(i, samplerate, extra[i]));
     ASSERT_TRUE(response_ok(resp));
     const service::JsonValue& result = result_of(resp);
+    EXPECT_EQ(result.find("memo"), nullptr) << "request " << i;
     fronts[i] = result.find("front")->as_string();
+    explored[i] = result.find("distributions_explored")->as_int();
     sims[i] = result.find("simulations_run")->as_int();
     box_hits[i] = result.find("box_hits")->as_int();
   }
   EXPECT_EQ(fronts[0], fronts[1]);
+  EXPECT_EQ(explored[0], explored[1]);
   EXPECT_GT(sims[0], 0);
   EXPECT_EQ(sims[1], 0);
   EXPECT_GT(box_hits[1], box_hits[0]);
@@ -490,9 +498,9 @@ TEST(Service, WarmExhaustiveRepeatIsAnsweredFromBoxes) {
   server.wait();
 }
 
-// A capped per-graph cache fills up and then refuses new entries instead
-// of evicting: both fronts stay the reference's, and status shows the
-// cache full and counts what it refused.
+// A capped per-graph cache fills up with boxes and then refuses new ones
+// instead of evicting: both fronts stay the reference's, and status shows
+// the cache full and counts what it refused.
 TEST(Service, CappedCacheFillsAndCountsDroppedEntries) {
   constexpr i64 kCap = 16;
   service::ServerOptions opts = tcp_options();
@@ -501,8 +509,8 @@ TEST(Service, CappedCacheFillsAndCountsDroppedEntries) {
   server.start();
   Client client = Client::tcp(server.tcp_port());
   for (int i = 0; i < 2; ++i) {
-    const service::JsonValue resp =
-        client.call(explore_request(i, h263_xml()));
+    const service::JsonValue resp = client.call(
+        explore_request(i, h263_xml(), ",\"engine\":\"exh\""));
     ASSERT_TRUE(response_ok(resp));
     EXPECT_EQ(result_of(resp).find("front")->as_string(),
               h263_reference_front())
@@ -511,8 +519,210 @@ TEST(Service, CappedCacheFillsAndCountsDroppedEntries) {
 
   const service::JsonValue status = client.call("{\"method\":\"status\"}");
   const service::JsonValue& cache = *result_of(status).find("cache");
-  EXPECT_EQ(cache.find("entries_resident")->as_int(), kCap);
+  EXPECT_EQ(cache.find("boxes_stored")->as_int(), kCap);
   EXPECT_GT(cache.find("entries_dropped")->as_int(), 0);
+
+  server.shutdown();
+  server.wait();
+}
+
+// ---------------------------------------------------------------------------
+// The front memo (DESIGN.md §10): an identical exact repeat on a resident
+// graph is answered from the entry's finished answers, without an engine.
+
+// The front members a memo hit must reproduce byte for byte.
+std::string front_members(const service::JsonValue& result) {
+  std::string out;
+  for (const char* name : {"target", "quality", "deadlock", "bounds", "front",
+                           "points", "distributions_explored"}) {
+    const service::JsonValue* v = result.find(name);
+    out += std::string(name) + "=" + (v != nullptr ? v->dump() : "-") + ";";
+  }
+  return out;
+}
+
+i64 memo_counter(Client& client, const char* name) {
+  const service::JsonValue status = client.call("{\"method\":\"status\"}");
+  return result_of(status).find("cache")->find(name)->as_int();
+}
+
+TEST(Service, IdenticalExactRepeatIsAnsweredFromTheFrontMemo) {
+  service::Server server(tcp_options());
+  server.start();
+  Client client = Client::tcp(server.tcp_port());
+  const service::JsonValue cold = client.call(explore_request(1, h263_xml()));
+  const service::JsonValue warm = client.call(explore_request(2, h263_xml()));
+  ASSERT_TRUE(response_ok(cold));
+  ASSERT_TRUE(response_ok(warm));
+  const service::JsonValue& first = result_of(cold);
+  const service::JsonValue& hit = result_of(warm);
+  EXPECT_EQ(first.find("memo"), nullptr);
+  EXPECT_GT(first.find("simulations_run")->as_int(), 0);
+  EXPECT_EQ(front_members(hit), front_members(first));
+  EXPECT_EQ(hit.find("front")->as_string(), h263_reference_front());
+  EXPECT_TRUE(hit.find("cached_graph")->as_bool());
+  ASSERT_NE(hit.find("memo"), nullptr) << warm.dump();
+  EXPECT_TRUE(hit.find("memo")->as_bool());
+  // The work counters read what the repeat did: nothing.
+  for (const char* counter : {"simulations_run", "cache_hits", "box_hits",
+                              "dominance_skips", "lp_prunes", "lp_cuts",
+                              "max_states_stored"}) {
+    EXPECT_EQ(hit.find(counter)->as_int(), 0) << counter;
+  }
+  EXPECT_EQ(memo_counter(client, "memo_hits"), 1);
+  EXPECT_EQ(memo_counter(client, "memo_entries"), 1);
+
+  server.shutdown();
+  server.wait();
+}
+
+TEST(Service, FrontMemoMissesOnEveryKeyedOption) {
+  // Each request differs from the first in one engine-effective option, so
+  // each is explored and memoized on its own; repeating them all hits.
+  constexpr const char* kBigExecDsl =
+      "graph bigexec\n"
+      "actor a 3000000000\n"
+      "actor b 1\n"
+      "channel ab a 1 b 1\n"
+      "channel ba b 1 a 1 tokens 1\n";
+  const std::vector<std::pair<const char*, std::string>> requests = {
+      {kTinyDsl, ""},
+      {kTinyDsl, ",\"engine\":\"exh\""},
+      {kTinyDsl, ",\"levels\":2"},
+      {kTinyDsl, ",\"max_size\":3"},
+      {kTinyDsl, ",\"goal\":\"1/4\""},
+      {kTinyDsl, ",\"min_throughput\":\"1/8\""},
+      {kBigExecDsl, ""},
+      // Downgraded from fast: the same exploration, but a marked answer.
+      {kBigExecDsl, ",\"quality\":\"fast\""},
+  };
+  service::Server server(tcp_options());
+  server.start();
+  Client client = Client::tcp(server.tcp_port());
+  for (const int round : {0, 1}) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const service::JsonValue resp = client.call(explore_request(
+          static_cast<i64>(i), requests[i].first, requests[i].second));
+      ASSERT_TRUE(response_ok(resp)) << resp.dump();
+      EXPECT_EQ(result_of(resp).find("memo") != nullptr, round == 1)
+          << "request " << i << " round " << round;
+    }
+  }
+  EXPECT_EQ(memo_counter(client, "memo_entries"),
+            static_cast<i64>(requests.size()));
+  EXPECT_EQ(memo_counter(client, "memo_hits"),
+            static_cast<i64>(requests.size()));
+
+  server.shutdown();
+  server.wait();
+}
+
+TEST(Service, CacheFalseBypassesTheFrontMemo) {
+  service::Server server(tcp_options());
+  server.start();
+  Client client = Client::tcp(server.tcp_port());
+  for (int i = 0; i < 2; ++i) {
+    const service::JsonValue resp =
+        client.call(explore_request(i, kTinyDsl, ",\"cache\":false"));
+    ASSERT_TRUE(response_ok(resp));
+    EXPECT_EQ(result_of(resp).find("memo"), nullptr) << "request " << i;
+    EXPECT_FALSE(result_of(resp).find("cached_graph")->as_bool());
+  }
+  EXPECT_EQ(memo_counter(client, "memo_entries"), 0);
+  EXPECT_EQ(memo_counter(client, "memo_hits"), 0);
+
+  server.shutdown();
+  server.wait();
+}
+
+TEST(Service, FullFrontMemoRefusesNewAnswers) {
+  // One graph, one more distinct option set than the memo holds: the
+  // first kCapacity answers stay and keep answering, the last is refused
+  // and explored again on its repeat.
+  constexpr i64 kCapacity = service::FrontMemo::kCapacity;
+  service::Server server(tcp_options());
+  server.start();
+  Client client = Client::tcp(server.tcp_port());
+  const auto explore = [&client](i64 levels) {
+    const service::JsonValue resp = client.call(explore_request(
+        levels, kTinyDsl, ",\"levels\":" + std::to_string(levels)));
+    EXPECT_TRUE(response_ok(resp)) << resp.dump();
+    return result_of(resp).find("memo") != nullptr;
+  };
+  for (i64 levels = 1; levels <= kCapacity + 1; ++levels) {
+    EXPECT_FALSE(explore(levels)) << levels;
+  }
+  EXPECT_EQ(memo_counter(client, "memo_entries"), kCapacity);
+  EXPECT_TRUE(explore(1));
+  EXPECT_TRUE(explore(kCapacity));
+  EXPECT_FALSE(explore(kCapacity + 1));
+  EXPECT_EQ(memo_counter(client, "memo_entries"), kCapacity);
+
+  server.shutdown();
+  server.wait();
+}
+
+TEST(Service, FrontMemoIsDroppedWithItsGraphEntry) {
+  const std::string kTinyText = kTinyDsl;
+  // One resident graph: exploring a second evicts the first's entry, memo
+  // included, so the first graph's repeat is explored cold again.
+  service::ServerOptions opts = tcp_options();
+  opts.cache_graphs = 1;
+  service::Server server(opts);
+  server.start();
+  Client client = Client::tcp(server.tcp_port());
+  const std::string samplerate =
+      slurp(std::string(EXAMPLE_GRAPHS_DIR) + "/samplerate.sdf");
+  // tiny, samplerate (evicts tiny), tiny (cold again), tiny (memo hit).
+  const std::string* graphs[] = {&kTinyText, &samplerate, &kTinyText,
+                                 &kTinyText};
+  std::vector<service::JsonValue> answers;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const service::JsonValue resp =
+        client.call(explore_request(static_cast<i64>(i), *graphs[i]));
+    ASSERT_TRUE(response_ok(resp));
+    answers.push_back(result_of(resp));
+  }
+  EXPECT_EQ(answers[2].find("memo"), nullptr);
+  EXPECT_FALSE(answers[2].find("cached_graph")->as_bool());
+  ASSERT_NE(answers[3].find("memo"), nullptr);
+  EXPECT_EQ(front_members(answers[2]), front_members(answers[0]));
+  EXPECT_EQ(front_members(answers[3]), front_members(answers[0]));
+  EXPECT_EQ(memo_counter(client, "memo_entries"), 1);
+
+  server.shutdown();
+  server.wait();
+}
+
+TEST(Service, ConcurrentIdenticalExploresShareOneMemoEntry) {
+  // Requests racing on a cold memo may each explore; every answer is the
+  // reference front, and only one of them is kept.
+  service::Server server(tcp_options());
+  server.start();
+  const int port = server.tcp_port();
+  constexpr int kClients = 6;
+  std::vector<std::string> fronts(kClients);
+  {
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (int i = 0; i < kClients; ++i) {
+      clients.emplace_back([i, port, &fronts] {
+        Client client = Client::tcp(port);
+        const service::JsonValue resp = client.call(
+            explore_request(i, h263_xml(), ",\"engine\":\"exh\""));
+        if (!response_ok(resp)) return;
+        fronts[static_cast<std::size_t>(i)] =
+            result_of(resp).find("front")->as_string();
+      });
+    }
+    for (std::thread& t : clients) t.join();
+  }
+  for (int i = 0; i < kClients; ++i) {
+    EXPECT_EQ(fronts[static_cast<std::size_t>(i)], h263_reference_front())
+        << "client " << i;
+  }
+  Client client = Client::tcp(port);
+  EXPECT_EQ(memo_counter(client, "memo_entries"), 1);
 
   server.shutdown();
   server.wait();

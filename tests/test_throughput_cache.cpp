@@ -33,24 +33,42 @@ CachedThroughput deadlock() {
   return value;
 }
 
+// Records one box into `delta`: the run at `caps` blocked on `blocked`
+// (a check there asked for one token more than the capacity) and asked
+// for `demand` elsewhere.
+void record_box(ThroughputCache::Delta& delta, const Caps& caps,
+                std::initializer_list<std::size_t> blocked, Caps demand,
+                const CachedThroughput& value) {
+  for (const std::size_t c : blocked) demand[c] = caps[c] + 1;
+  delta.record_box(caps, demand, value);
+}
+
+// A run that blocked on every channel: its box holds exactly `caps`.
+void record_point(ThroughputCache::Delta& delta, const Caps& caps,
+                  const CachedThroughput& value) {
+  Caps demand = caps;
+  for (i64& d : demand) ++d;
+  delta.record_box(caps, demand, value);
+}
+
 // Writes go through a delta and merge(), the cache's only write path;
-// reads go through a snapshot.
+// reads go through a snapshot and a fresh reader's delta.
 void merge_one(ThroughputCache& cache, ThroughputCache::Delta& delta) {
   std::vector<ThroughputCache::Delta*> deltas{&delta};
   cache.merge(deltas);
   delta.clear();
 }
 
-void store(ThroughputCache& cache, const Caps& caps,
-           const CachedThroughput& value) {
+void store_point(ThroughputCache& cache, const Caps& caps,
+                 const CachedThroughput& value) {
   ThroughputCache::Delta delta = cache.make_delta();
-  delta.record(caps, value);
+  record_point(delta, caps, value);
   merge_one(cache, delta);
 }
 
-std::optional<CachedThroughput> find(const ThroughputCache& cache,
-                                     const Caps& caps) {
-  return cache.snapshot().find(caps);
+std::optional<CachedThroughput> find_point(const ThroughputCache& cache,
+                                           const Caps& caps) {
+  return cache.make_delta().find_box(cache.snapshot(), caps);
 }
 
 bool max_dominated(const ThroughputCache& cache, const Caps& caps) {
@@ -61,36 +79,6 @@ bool deadlock_dominated(const ThroughputCache& cache, const Caps& caps) {
   return cache.snapshot().find_deadlock_dominated(caps).has_value();
 }
 
-TEST(ThroughputCache, ExactStoreAndFindRoundTrip) {
-  ThroughputCache cache(kMax);
-  store(cache, Caps{4, 2}, periodic(Rational(1, 7)));
-
-  const auto hit = find(cache, Caps{4, 2});
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->throughput, Rational(1, 7));
-  EXPECT_FALSE(hit->deadlocked);
-  EXPECT_EQ(hit->states_stored, 3u);
-  EXPECT_EQ(hit->cycle_start_time, 2);
-  EXPECT_EQ(hit->period, 7);
-
-  EXPECT_FALSE(find(cache, Caps{4, 3}).has_value());
-  EXPECT_EQ(cache.exact_hits(), 1u);
-  EXPECT_EQ(cache.entries_resident(), 1u);
-}
-
-TEST(ThroughputCache, ExactEntriesCarryTheirStorageDependencies) {
-  // The incremental engine expands a hit's children from its recorded
-  // dependencies.
-  ThroughputCache cache(kMax);
-  CachedThroughput with_deps = periodic(Rational(1, 7));
-  with_deps.storage_deps = {sdf::ChannelId(1)};
-  store(cache, Caps{6, 2}, with_deps);
-  const auto hit = find(cache, Caps{6, 2});
-  ASSERT_TRUE(hit.has_value());
-  ASSERT_EQ(hit->storage_deps.size(), 1u);
-  EXPECT_EQ(hit->storage_deps[0], sdf::ChannelId(1));
-}
-
 TEST(ThroughputCache, MaxDominanceAnswersPointwiseGreaterOrEqual) {
   ThroughputCache cache(kMax);
   cache.add_max_witness(Caps{8, 2});
@@ -99,8 +87,6 @@ TEST(ThroughputCache, MaxDominanceAnswersPointwiseGreaterOrEqual) {
   ASSERT_TRUE(above.has_value());
   EXPECT_EQ(above->throughput, kMax);
   EXPECT_FALSE(above->deadlocked);
-  // Dominance answers never carry dependencies.
-  EXPECT_TRUE(above->storage_deps.empty());
 
   EXPECT_TRUE(max_dominated(cache, Caps{8, 2}));  // equal
   // Below the witness in c0, then in c1.
@@ -111,7 +97,7 @@ TEST(ThroughputCache, MaxDominanceAnswersPointwiseGreaterOrEqual) {
 
 TEST(ThroughputCache, DeadlockDominanceAnswersPointwiseLessOrEqual) {
   ThroughputCache cache(kMax);
-  store(cache, Caps{3, 2}, deadlock());
+  cache.feed_witnesses(Caps{3, 2}, deadlock());
 
   const auto below = cache.snapshot().find_deadlock_dominated(Caps{2, 1});
   ASSERT_TRUE(below.has_value());
@@ -124,11 +110,12 @@ TEST(ThroughputCache, DeadlockDominanceAnswersPointwiseLessOrEqual) {
 
 TEST(ThroughputCache, StoringTheMaximumFeedsTheMaxWitnesses) {
   ThroughputCache cache(kMax);
-  store(cache, Caps{6, 4}, periodic(kMax));  // simulated outcome == maximum
+  // Simulated outcome == maximum.
+  cache.feed_witnesses(Caps{6, 4}, periodic(kMax));
   EXPECT_TRUE(max_dominated(cache, Caps{7, 4}));
 
   // A sub-maximal outcome must NOT become a witness.
-  store(cache, Caps{5, 2}, periodic(Rational(1, 6)));
+  cache.feed_witnesses(Caps{5, 2}, periodic(Rational(1, 6)));
   EXPECT_FALSE(max_dominated(cache, Caps{5, 3}));
 }
 
@@ -147,8 +134,8 @@ TEST(ThroughputCache, MaxWitnessesFormAMinimalAntichain) {
 
 TEST(ThroughputCache, DeadlockWitnessesFormAMaximalAntichain) {
   ThroughputCache cache(kMax);
-  store(cache, Caps{1, 1}, deadlock());
-  store(cache, Caps{2, 2}, deadlock());  // supersedes {1,1}
+  cache.feed_witnesses(Caps{1, 1}, deadlock());
+  cache.feed_witnesses(Caps{2, 2}, deadlock());  // supersedes {1,1}
   EXPECT_TRUE(deadlock_dominated(cache, Caps{2, 1}));
   EXPECT_TRUE(deadlock_dominated(cache, Caps{1, 2}));
   EXPECT_FALSE(deadlock_dominated(cache, Caps{3, 2}));
@@ -161,10 +148,14 @@ TEST(ThroughputCache, FullDeadlockAntichainMakesRoomOnlyByDominance) {
   // here: rows separated by that channel (i >= 41 against {40, 40}), rows
   // it lets through that the full compare keeps (i <= 22) or removes.
   ThroughputCache cache(kMax);
-  for (i64 i = 0; i < 64; ++i) store(cache, Caps{i, 63 - i}, deadlock());
-  store(cache, Caps{40, 40}, deadlock());  // dominates {23, 40} .. {40, 23}
+  for (i64 i = 0; i < 64; ++i) {
+    cache.feed_witnesses(Caps{i, 63 - i}, deadlock());
+  }
+  // Dominates {23, 40} .. {40, 23}.
+  cache.feed_witnesses(Caps{40, 40}, deadlock());
   EXPECT_TRUE(deadlock_dominated(cache, Caps{40, 40}));
-  store(cache, Caps{10, 60}, deadlock());  // dominates {3, 60} .. {10, 53}
+  // Dominates {3, 60} .. {10, 53}.
+  cache.feed_witnesses(Caps{10, 60}, deadlock());
   EXPECT_TRUE(deadlock_dominated(cache, Caps{10, 60}));
   EXPECT_TRUE(deadlock_dominated(cache, Caps{22, 41}));
   EXPECT_TRUE(deadlock_dominated(cache, Caps{41, 22}));
@@ -182,105 +173,111 @@ TEST(ThroughputCache, IncomparableWitnessesCoexist) {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded mode. Once `capacity` exact entries are resident, merge() admits
-// no new key and evicts nothing: the resident entries keep answering, the
-// refused ones miss (their candidates are re-simulated) and are counted
-// as dropped.
+// Bounded mode. Once `capacity` boxes are resident, merge() admits no new
+// box and evicts nothing: the resident boxes keep answering, the refused
+// ones miss (their candidates are re-simulated) and are counted as
+// dropped. Point boxes (every channel blocked) make each box one key.
 
 TEST(ThroughputCacheCap, UnboundedCacheAdmitsEverything) {
   ThroughputCache cache(kMax);  // capacity 0 = unbounded
   for (i64 v = 1; v <= 200; ++v) {
-    store(cache, Caps{v, v}, periodic(Rational(1, 7)));
+    store_point(cache, Caps{v, v}, periodic(Rational(1, 7)));
   }
   EXPECT_EQ(cache.capacity(), 0u);
   EXPECT_EQ(cache.entries_dropped(), 0u);
-  EXPECT_EQ(cache.entries_resident(), 200u);
-  EXPECT_TRUE(find(cache, Caps{1, 1}).has_value());
-  EXPECT_TRUE(find(cache, Caps{200, 200}).has_value());
+  EXPECT_EQ(cache.boxes_stored(), 200u);
+  EXPECT_TRUE(find_point(cache, Caps{1, 1}).has_value());
+  EXPECT_TRUE(find_point(cache, Caps{200, 200}).has_value());
 }
 
 TEST(ThroughputCacheCap, FullCacheAdmitsNothingNewAndAnswersItsResidents) {
-  // One merge of five entries into a cache of capacity 3 keeps the first
-  // three in merge order, whatever stripes they land in.
+  // One merge of five boxes into a cache of capacity 3 keeps the first
+  // three in merge order.
   ThroughputCache cache(kMax, /*capacity=*/3);
   ThroughputCache::Delta delta = cache.make_delta();
   for (i64 k = 0; k < 5; ++k) {
-    delta.record(Caps{k, 10 + k}, periodic(Rational(1, 10 + k)));
+    record_point(delta, Caps{k, 10 + k}, periodic(Rational(1, 10 + k)));
   }
   merge_one(cache, delta);
-  EXPECT_EQ(cache.entries_resident(), 3u);
+  EXPECT_EQ(cache.boxes_stored(), 3u);
   EXPECT_EQ(cache.entries_dropped(), 2u);
   for (i64 k = 0; k < 3; ++k) {
-    const auto hit = find(cache, Caps{k, 10 + k});
+    const auto hit = find_point(cache, Caps{k, 10 + k});
     ASSERT_TRUE(hit.has_value()) << k;
     EXPECT_EQ(hit->throughput, Rational(1, 10 + k));
   }
   for (i64 k = 3; k < 5; ++k) {
-    EXPECT_FALSE(find(cache, Caps{k, 10 + k}).has_value()) << k;
+    EXPECT_FALSE(find_point(cache, Caps{k, 10 + k}).has_value()) << k;
   }
 }
 
 TEST(ThroughputCacheCap, PinnedAdmissionOrderOverASequenceOfMerges) {
   // Regression pin for the admission order: with capacity 2 and five
-  // successive merges, exactly the first two keys stay resident and every
+  // successive merges, exactly the first two boxes stay resident and every
   // later one is dropped.
   ThroughputCache cache(kMax, /*capacity=*/2);
   const std::vector<Caps> keys = {{5, 1}, {5, 2}, {5, 3}, {5, 4}, {5, 5}};
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    store(cache, keys[i], periodic(Rational(1, static_cast<i64>(i) + 3)));
-    EXPECT_EQ(cache.entries_resident(), std::min<u64>(i + 1, 2));
+    store_point(cache, keys[i],
+                periodic(Rational(1, static_cast<i64>(i) + 3)));
+    EXPECT_EQ(cache.boxes_stored(), std::min<u64>(i + 1, 2));
     EXPECT_EQ(cache.entries_dropped(), i < 2 ? 0u : i - 1);
     for (std::size_t j = 0; j < keys.size(); ++j) {
-      EXPECT_EQ(find(cache, keys[j]).has_value(), j <= std::min<u64>(i, 1))
+      EXPECT_EQ(find_point(cache, keys[j]).has_value(),
+                j <= std::min<u64>(i, 1))
           << "after merge " << i << ", key " << j;
     }
   }
 }
 
 TEST(ThroughputCacheCap, ResidentKeyMergedIntoAFullCacheIsCheckedNotDropped) {
-  // A key already resident is not new: a full cache neither counts it as
+  // A box already resident is not new: a full cache neither counts it as
   // dropped nor skips the determinism check on it.
   ThroughputCache cache(kMax, /*capacity=*/1);
-  store(cache, Caps{7, 1}, periodic(Rational(1, 7)));
-  store(cache, Caps{7, 1}, periodic(Rational(1, 7)));  // agreeing duplicate
+  store_point(cache, Caps{7, 1}, periodic(Rational(1, 7)));
+  store_point(cache, Caps{7, 1}, periodic(Rational(1, 7)));  // agreeing
   EXPECT_EQ(cache.entries_dropped(), 0u);
-  EXPECT_EQ(cache.entries_resident(), 1u);
-  EXPECT_THROW(store(cache, Caps{7, 1}, periodic(Rational(1, 6))), Error);
-  store(cache, Caps{7, 2}, periodic(Rational(1, 7)));  // new: dropped
+  EXPECT_EQ(cache.boxes_stored(), 1u);
+  EXPECT_THROW(store_point(cache, Caps{7, 1}, periodic(Rational(1, 6))),
+               Error);
+  store_point(cache, Caps{7, 2}, periodic(Rational(1, 7)));  // new: dropped
   EXPECT_EQ(cache.entries_dropped(), 1u);
-  EXPECT_EQ(cache.entries_resident(), 1u);
+  EXPECT_EQ(cache.boxes_stored(), 1u);
 }
 
 TEST(ThroughputCacheCap, WitnessesAnswerPastTheCap) {
-  // Witness antichains are not entries: outcomes refused by a full cache
+  // Witness antichains are not boxes: outcomes refused by a full cache
   // still feed them, so Sec. 8 dominance keeps answering for
-  // distributions whose exact entries were never admitted.
+  // distributions whose boxes were never admitted.
   ThroughputCache cache(kMax, /*capacity=*/1);
-  store(cache, Caps{9, 9}, periodic(Rational(1, 7)));
-  store(cache, Caps{6, 4}, periodic(kMax));
-  store(cache, Caps{1, 1}, deadlock());
+  store_point(cache, Caps{9, 9}, periodic(Rational(1, 7)));
+  store_point(cache, Caps{6, 4}, periodic(kMax));
+  store_point(cache, Caps{1, 1}, deadlock());
   EXPECT_EQ(cache.entries_dropped(), 2u);
-  EXPECT_FALSE(find(cache, Caps{6, 4}).has_value());
+  EXPECT_FALSE(find_point(cache, Caps{6, 4}).has_value());
   EXPECT_TRUE(max_dominated(cache, Caps{7, 5}));
   EXPECT_TRUE(deadlock_dominated(cache, Caps{1, 1}));
 }
 
 // ---------------------------------------------------------------------------
 // Snapshot / Delta / merge — the per-wave protocol of explorations that
-// share a cache: each reads through a snapshot, records fresh outcomes
-// into its own delta, and merges it back once per wave (DESIGN.md §14).
+// share a cache: each reads through a snapshot, records fresh boxes into
+// its own delta, and merges it back once per wave (DESIGN.md §14).
 
 TEST(ThroughputCacheDelta, RecordedEntriesAnswerTheRecordingWorker) {
   ThroughputCache cache(kMax);
   ThroughputCache::Delta delta = cache.make_delta();
   EXPECT_TRUE(delta.empty());
 
-  delta.record(Caps{4, 2}, periodic(Rational(1, 7)));
-  EXPECT_EQ(delta.size(), 1u);
-  const auto hit = delta.find(Caps{4, 2});
+  record_point(delta, Caps{4, 2}, periodic(Rational(1, 7)));
+  EXPECT_FALSE(delta.empty());
+  const ThroughputCache::Snapshot snap = cache.snapshot();
+  const auto hit = delta.find_box(snap, Caps{4, 2});
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->throughput, Rational(1, 7));
-  EXPECT_FALSE(delta.find(Caps{4, 3}).has_value());
+  EXPECT_FALSE(delta.find_box(snap, Caps{4, 3}).has_value());
+  // Nothing reached the cache yet.
+  EXPECT_FALSE(find_point(cache, Caps{4, 2}).has_value());
 }
 
 TEST(ThroughputCacheDelta, LocalWitnessesGiveImmediateDominance) {
@@ -289,8 +286,8 @@ TEST(ThroughputCacheDelta, LocalWitnessesGiveImmediateDominance) {
   // hit/miss sequence identical to merging each candidate on its own.
   ThroughputCache cache(kMax);
   ThroughputCache::Delta delta = cache.make_delta();
-  delta.record(Caps{6, 4}, periodic(kMax));
-  delta.record(Caps{1, 1}, deadlock());
+  record_point(delta, Caps{6, 4}, periodic(kMax));
+  record_point(delta, Caps{1, 1}, deadlock());
 
   const auto above = delta.find_max_dominated(Caps{7, 4});
   ASSERT_TRUE(above.has_value());
@@ -299,7 +296,7 @@ TEST(ThroughputCacheDelta, LocalWitnessesGiveImmediateDominance) {
   EXPECT_TRUE(delta.find_deadlock_dominated(Caps{1, 1}).has_value());
   EXPECT_FALSE(delta.find_deadlock_dominated(Caps{2, 1}).has_value());
   // Sub-maximal outcomes never become witnesses.
-  delta.record(Caps{5, 2}, periodic(Rational(1, 6)));
+  record_point(delta, Caps{5, 2}, periodic(Rational(1, 6)));
   EXPECT_FALSE(delta.find_max_dominated(Caps{5, 3}).has_value());
 }
 
@@ -307,59 +304,42 @@ TEST(ThroughputCacheDelta, MergePublishesEntriesWitnessesAndCounters) {
   ThroughputCache cache(kMax);
   ThroughputCache::Delta d0 = cache.make_delta();
   ThroughputCache::Delta d1 = cache.make_delta();
-  d0.record(Caps{4, 2}, periodic(Rational(1, 7)));
-  d1.record(Caps{6, 4}, periodic(kMax));
-  d1.record(Caps{1, 1}, deadlock());
+  record_point(d0, Caps{4, 2}, periodic(Rational(1, 7)));
+  record_point(d1, Caps{6, 4}, periodic(kMax));
+  record_point(d1, Caps{1, 1}, deadlock());
 
   std::vector<ThroughputCache::Delta*> deltas{&d0, &d1};
   cache.merge(deltas);
   EXPECT_EQ(cache.merges(), 1u);
-  EXPECT_EQ(cache.entries_resident(), 3u);
+  EXPECT_EQ(cache.boxes_stored(), 3u);
   EXPECT_EQ(cache.entries_dropped(), 0u);
-  // The entries moved into the cache.
+  // The boxes moved into the cache.
   EXPECT_TRUE(d0.empty());
   EXPECT_TRUE(d1.empty());
-  EXPECT_TRUE(find(cache, Caps{4, 2}).has_value());
-  EXPECT_TRUE(find(cache, Caps{6, 4}).has_value());
+  EXPECT_TRUE(find_point(cache, Caps{4, 2}).has_value());
+  EXPECT_TRUE(find_point(cache, Caps{6, 4}).has_value());
   // Witness antichains were fed through the merge.
   EXPECT_TRUE(max_dominated(cache, Caps{7, 4}));
   EXPECT_TRUE(deadlock_dominated(cache, Caps{1, 1}));
 }
 
 TEST(ThroughputCacheDelta, SnapshotSeesMergedEntriesNotLiveOnes) {
-  // A snapshot's exact lookups read the cache's stripes: an entry still
-  // waiting in a worker's delta is invisible, and becomes visible once
-  // merged, even to a snapshot taken before the merge.
+  // A box still waiting in a worker's delta is invisible to every other
+  // reader. Once merged, every later snapshot sees it; a snapshot taken
+  // before the merge keeps its point-in-time view (a safe, stale miss).
   ThroughputCache cache(kMax);
   const ThroughputCache::Snapshot before = cache.snapshot();
   ThroughputCache::Delta delta = cache.make_delta();
-  delta.record(Caps{4, 2}, periodic(Rational(1, 7)));
-  EXPECT_FALSE(before.find(Caps{4, 2}).has_value());
+  record_point(delta, Caps{4, 2}, periodic(Rational(1, 7)));
+  EXPECT_FALSE(cache.make_delta().find_box(before, Caps{4, 2}).has_value());
 
   merge_one(cache, delta);
   EXPECT_TRUE(delta.empty());
-  const auto hit = before.find(Caps{4, 2});
+  EXPECT_FALSE(cache.make_delta().find_box(before, Caps{4, 2}).has_value());
+  const auto hit = find_point(cache, Caps{4, 2});
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->throughput, Rational(1, 7));
-  EXPECT_TRUE(cache.snapshot().find(Caps{4, 2}).has_value());
-  EXPECT_FALSE(before.find(Caps{9, 9}).has_value());
-}
-
-TEST(ThroughputCacheDelta, BoundedCacheSnapshotsDelegateToTheLiveMap) {
-  // Bounded and unbounded caches share one read path: a bounded cache's
-  // snapshot also reads the striped map, so it sees entries merged after
-  // it was taken.
-  ThroughputCache cache(kMax, /*capacity=*/ThroughputCache::kStripes);
-  const ThroughputCache::Snapshot snap = cache.snapshot();
-  ThroughputCache::Delta delta = cache.make_delta();
-  delta.record(Caps{4, 2}, periodic(Rational(1, 7)));
-  EXPECT_FALSE(snap.find(Caps{4, 2}).has_value());
-
-  merge_one(cache, delta);
-  const auto hit = snap.find(Caps{4, 2});
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->throughput, Rational(1, 7));
-  EXPECT_FALSE(snap.find(Caps{9, 9}).has_value());
+  EXPECT_FALSE(find_point(cache, Caps{9, 9}).has_value());
 }
 
 TEST(ThroughputCacheDelta, SnapshotWitnessScansAreFrozenAtCreation) {
@@ -371,24 +351,25 @@ TEST(ThroughputCacheDelta, SnapshotWitnessScansAreFrozenAtCreation) {
 }
 
 TEST(ThroughputCacheDelta, ManyWavesFoldTheOverlayWithoutLosingEntries) {
-  // Many merges spread entries over every stripe; a fresh snapshot still
-  // answers every key.
+  // Many merges fold the group's overlay into its base; a fresh snapshot
+  // still answers every box.
   ThroughputCache cache(kMax);
   ThroughputCache::Delta delta = cache.make_delta();
   std::vector<ThroughputCache::Delta*> deltas{&delta};
   for (i64 wave = 0; wave < 10; ++wave) {
     for (i64 v = 0; v < 20; ++v) {
-      delta.record(Caps{wave, v}, periodic(Rational(1, 7)));
+      record_point(delta, Caps{wave, v}, periodic(Rational(1, 7)));
     }
     cache.merge(deltas);
     delta.clear();
   }
   EXPECT_EQ(cache.merges(), 10u);
-  EXPECT_EQ(cache.entries_resident(), 200u);
+  EXPECT_EQ(cache.boxes_stored(), 200u);
+  ThroughputCache::Delta reader = cache.make_delta();
   const ThroughputCache::Snapshot snap = cache.snapshot();
   for (i64 wave = 0; wave < 10; ++wave) {
     for (i64 v = 0; v < 20; ++v) {
-      EXPECT_TRUE(snap.find(Caps{wave, v}).has_value())
+      EXPECT_TRUE(reader.find_box(snap, Caps{wave, v}).has_value())
           << wave << "," << v;
     }
   }
@@ -396,14 +377,14 @@ TEST(ThroughputCacheDelta, ManyWavesFoldTheOverlayWithoutLosingEntries) {
 
 TEST(ThroughputCacheDelta, MergeRejectsDisagreeingDeltas) {
   // Tamper test for the determinism check: two deltas reporting
-  // different outcomes for the same capacity vector means the
-  // deterministic-simulation invariant is broken, and merge() must throw
-  // rather than silently pick a winner.
+  // different outcomes for the same run means the deterministic-
+  // simulation invariant is broken, and merge() must throw rather than
+  // silently pick a winner.
   ThroughputCache cache(kMax);
   ThroughputCache::Delta d0 = cache.make_delta();
   ThroughputCache::Delta d1 = cache.make_delta();
-  d0.record(Caps{4, 2}, periodic(Rational(1, 7)));
-  d1.record(Caps{4, 2}, periodic(Rational(1, 6)));  // divergent throughput
+  record_point(d0, Caps{4, 2}, periodic(Rational(1, 7)));
+  record_point(d1, Caps{4, 2}, periodic(Rational(1, 6)));  // divergent
   std::vector<ThroughputCache::Delta*> deltas{&d0, &d1};
   EXPECT_THROW(cache.merge(deltas), Error);
 }
@@ -411,44 +392,44 @@ TEST(ThroughputCacheDelta, MergeRejectsDisagreeingDeltas) {
 TEST(ThroughputCacheDelta, MergeRejectsDisagreementWithResidentEntries) {
   ThroughputCache cache(kMax);
   ThroughputCache::Delta delta = cache.make_delta();
-  delta.record(Caps{4, 2}, periodic(Rational(1, 7)));
+  record_point(delta, Caps{4, 2}, periodic(Rational(1, 7)));
   std::vector<ThroughputCache::Delta*> deltas{&delta};
   cache.merge(deltas);
   delta.clear();
 
-  // Disagrees with the resident entry.
-  delta.record(Caps{4, 2}, periodic(Rational(1, 6)));
+  // Disagrees with the resident box.
+  record_point(delta, Caps{4, 2}, periodic(Rational(1, 6)));
   EXPECT_THROW(cache.merge(deltas), Error);
 
-  // Storage dependencies are pinned by the simulation too.
+  // The state-space size is pinned by the simulation too.
   delta.clear();
-  CachedThroughput other_deps = periodic(Rational(1, 7));
-  other_deps.storage_deps = {sdf::ChannelId(0)};
-  delta.record(Caps{4, 2}, other_deps);
+  CachedThroughput other_states = periodic(Rational(1, 7));
+  other_states.states_stored = 4;
+  record_point(delta, Caps{4, 2}, other_states);
   EXPECT_THROW(cache.merge(deltas), Error);
 
   // Agreement is not a conflict.
   delta.clear();
-  delta.record(Caps{4, 2}, periodic(Rational(1, 7)));
+  record_point(delta, Caps{4, 2}, periodic(Rational(1, 7)));
   cache.merge(deltas);
-  EXPECT_TRUE(find(cache, Caps{4, 2}).has_value());
+  EXPECT_EQ(cache.boxes_stored(), 1u);
+  EXPECT_TRUE(find_point(cache, Caps{4, 2}).has_value());
 }
 
 TEST(ThroughputCacheDelta, DuplicateRecordKeepsFirstValue) {
   ThroughputCache cache(kMax);
   ThroughputCache::Delta delta = cache.make_delta();
   CachedThroughput first = periodic(Rational(1, 7));
-  first.storage_deps = {sdf::ChannelId(1)};
-  delta.record(Caps{4, 2}, first);
+  record_point(delta, Caps{4, 2}, first);
   CachedThroughput second = periodic(Rational(1, 7));
-  second.storage_deps = {sdf::ChannelId(0)};
-  delta.record(Caps{4, 2}, second);
+  second.states_stored = 9;
+  record_point(delta, Caps{4, 2}, second);
 
-  EXPECT_EQ(delta.size(), 1u);
-  const auto hit = delta.find(Caps{4, 2});
+  const auto hit = delta.find_box(cache.snapshot(), Caps{4, 2});
   ASSERT_TRUE(hit.has_value());
-  ASSERT_EQ(hit->storage_deps.size(), 1u);
-  EXPECT_EQ(hit->storage_deps[0], sdf::ChannelId(1));
+  EXPECT_EQ(hit->states_stored, first.states_stored);
+  merge_one(cache, delta);
+  EXPECT_EQ(cache.boxes_stored(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -513,16 +494,6 @@ TEST(ThroughputCacheWitnesses, CapDropsNewWitnessesWithoutBreakingAnswers) {
 // capacities γ answers every distribution equal to γ on B and at least the
 // run's demand floor elsewhere.
 
-// Records one box into `delta`: the run at `caps` blocked on `blocked`
-// (a check there asked for one token more than the capacity) and asked
-// for `demand` elsewhere.
-void record_box(ThroughputCache::Delta& delta, const Caps& caps,
-                std::initializer_list<std::size_t> blocked, Caps demand,
-                const CachedThroughput& value) {
-  for (const std::size_t c : blocked) demand[c] = caps[c] + 1;
-  delta.record_box(caps, demand, value);
-}
-
 TEST(ThroughputCacheBoxes, RecordedBoxAnswersExactlyItsInterior) {
   ThroughputCache cache(kMax);
   ThroughputCache::Delta delta = cache.make_delta();
@@ -568,7 +539,7 @@ TEST(ThroughputCacheBoxes, MergePublishesBoxesToLaterSnapshots) {
   EXPECT_FALSE(reader.find_box(after, Caps{2, 7, 1}).has_value());
   // Handing the reader an older snapshot again keeps what it synced.
   EXPECT_TRUE(reader.find_box(before, Caps{4, 2, 6}).has_value());
-  // The boxes fed the witness antichains like exact records do.
+  // The boxes fed the witness antichains.
   EXPECT_TRUE(max_dominated(cache, Caps{4, 2, 5}));
   EXPECT_TRUE(deadlock_dominated(cache, Caps{1, 1, 1}));
 }
