@@ -103,7 +103,7 @@ BENCHMARK(BM_HashWords)->Arg(17)->Arg(49);
 // wave's delta and is folded back by the wave's merge. Candidates are
 // distinct 17-channel vectors that blocked on every channel, so every box
 // holds its own candidate only, and their outcome is sub-maximal, so the
-// witness antichains stay empty and the box index carries the whole cost.
+// witness antichain stays empty and the box index carries the whole cost.
 // Building and freeing the cache is not timed.
 void BM_CacheClassifyRecordMerge(benchmark::State& state) {
   constexpr std::size_t kChannels = 17;

@@ -94,12 +94,12 @@ struct DseOptions {
 
   /// Consult the per-exploration throughput cache: candidates inside an
   /// earlier run's equivalence box are answered from the box index
-  /// (exhaustive engine), and candidates implied by Sec. 8
-  /// monotone dominance (pointwise >= a max-throughput witness, pointwise
-  /// <= a deadlocked distribution) skip simulation entirely. Dominance
-  /// answers equal the simulated values exactly, so the Pareto front is
-  /// byte-identical with the cache on or off (see DESIGN.md §7). Disable
-  /// to force every candidate through a full state-space run.
+  /// (exhaustive engine), and candidates implied by Sec. 8 monotone
+  /// dominance (pointwise >= a max-throughput witness) skip simulation
+  /// entirely. Both answers equal the simulated values exactly, so the
+  /// Pareto front is byte-identical with the cache on or off (see
+  /// DESIGN.md §7). Disable to force every candidate through a full
+  /// state-space run.
   bool use_throughput_cache = true;
 
   /// Derive LP cycle-cut throughput bounds (src/lp/, DESIGN.md §13) and

@@ -80,9 +80,10 @@ struct Sweep {
 
   // Books the candidate against the exploration budget and tries to
   // answer it from the cache: an earlier run's equivalence box first,
-  // then Sec. 8 dominance. Returns the answer, or nullopt when the
+  // then the Sec. 8 max rule. Returns the answer, or nullopt when the
   // candidate needs a simulation. Every simulated candidate lies in its
-  // own box, so the boxes also answer exact repeats.
+  // own box, so the boxes also answer exact repeats; a deadlocked
+  // candidate is answered by a box or simulated.
   [[nodiscard]] std::optional<Rational> classify(const CapsKey& key) {
     if (++explored > options.max_distributions) {
       throw Error(std::string(op_name) + " exceeded max_distributions = " +
@@ -96,14 +97,8 @@ struct Sweep {
       const std::vector<i64>& caps = key.caps();
       std::optional<CachedThroughput> hit = delta->find_box(*snap, key);
       const bool boxed = hit.has_value();
-      if (!hit.has_value()) {
-        hit = snap->find_max_dominated(key);
-        if (!hit.has_value()) hit = delta->find_max_dominated(key);
-      }
-      if (!hit.has_value()) {
-        hit = snap->find_deadlock_dominated(key);
-        if (!hit.has_value()) hit = delta->find_deadlock_dominated(key);
-      }
+      if (!hit.has_value()) hit = snap->find_max_dominated(key);
+      if (!hit.has_value()) hit = delta->find_max_dominated(key);
       if (hit.has_value()) {
         if (trace::enabled()) {
           i64 size = 0;
@@ -585,7 +580,7 @@ void attach_engines(Sweep& sweep, SweepEngines& eng) {
     if (!eng.cuts->empty()) sweep.cuts = &*eng.cuts;
   }
   // The exhaustive engine never applies a processor binding, so Sec. 8
-  // monotonicity holds and both dominance rules are sound.
+  // monotonicity holds and the max rule is sound.
   if (options.use_throughput_cache) {
     if (options.shared_cache != nullptr) {
       BUFFY_REQUIRE(

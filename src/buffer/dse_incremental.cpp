@@ -161,8 +161,8 @@ DseResult climb(const sdf::Graph& graph, const DseOptions& options,
   // Throughput cache. The climb reaches each distribution once, so it
   // never repeats a candidate; the cache contributes the seeded
   // max-throughput witness (Sec. 8 dominance — sound only without a
-  // binding) and collects this climb's deadlock and maximal outcomes as
-  // witnesses for later explorations that share it.
+  // binding) and collects this climb's maximal outcomes as witnesses for
+  // later explorations that share it.
   std::optional<ThroughputCache> own_cache;
   ThroughputCache* cache = nullptr;
   if (options.use_throughput_cache) {

@@ -39,23 +39,16 @@ CachedThroughput max_hit(const Rational& max_throughput) {
   return hit;
 }
 
-CachedThroughput deadlock_hit() {
-  CachedThroughput hit;
-  hit.deadlocked = true;
-  hit.throughput = Rational(0);
-  return hit;
-}
-
 }  // namespace
 
 ThroughputCache::ThroughputCache(Rational max_throughput, u64 capacity)
     : max_throughput_(std::move(max_throughput)), capacity_(capacity) {}
 
 // ---------------------------------------------------------------------------
-// Sorted witness antichains. Rows are ascending by total, so the rows that
-// can lie below a candidate form a prefix and those that can lie above it a
-// suffix. Within the equal-total run only the candidate itself can match,
-// which a scan over the run's hashes settles.
+// The sorted witness antichain. Rows are ascending by total, so the rows
+// that can lie below a candidate form a prefix. Within the equal-total run
+// only the candidate itself can match, which a scan over the run's hashes
+// settles.
 
 bool ThroughputCache::Antichain::holds(std::size_t from, std::size_t to,
                                        const CapsKey& key) const {
@@ -96,47 +89,24 @@ bool ThroughputCache::Antichain::any_below(const CapsKey& key) const {
   return holds(equal, first_above(key.total()), key);
 }
 
-bool ThroughputCache::Antichain::any_above(const CapsKey& key) const {
-  const std::vector<i64>& caps = key.caps();
-  if (caps.size() != width_) return false;
-  const std::size_t above = first_above(key.total());
-  for (std::size_t r = above; r < size(); ++r) {
-    if (row_le(caps.data(), row(r), width_)) return true;
-  }
-  return holds(first_at_least(key.total()), above, key);
-}
-
 void ThroughputCache::Antichain::insert_minimal(const CapsKey& key) {
   adopt_width(key.caps());
   if (any_below(key)) return;
   // Rows caps lies below are no longer minimal; they have a larger total.
-  remove_comparable(first_above(key.total()), size(), key.caps(),
-                    /*below=*/false);
-  insert_sorted(key);
-}
-
-void ThroughputCache::Antichain::insert_maximal(const CapsKey& key) {
-  adopt_width(key.caps());
-  if (any_above(key)) return;
-  // Rows caps lies above are no longer maximal; they have a smaller total.
-  remove_comparable(0, first_at_least(key.total()), key.caps(),
-                    /*below=*/true);
+  remove_comparable(first_above(key.total()), size(), key.caps());
   insert_sorted(key);
 }
 
 void ThroughputCache::Antichain::remove_comparable(
-    std::size_t from, std::size_t to, const std::vector<i64>& caps,
-    bool below) {
+    std::size_t from, std::size_t to, const std::vector<i64>& caps) {
   std::size_t keep = from;
   for (std::size_t r = from; r < to; ++r) {
-    // Test lo <= hi pointwise: the row below caps, or caps below the row.
-    const i64* lo = below ? row(r) : caps.data();
-    const i64* hi = below ? caps.data() : row(r);
+    const i64* above = row(r);
     std::size_t& split = meta_[r].split;
-    if (lo[split] <= hi[split]) {
-      if (row_le(lo, hi, width_)) continue;  // comparable: drop the row
+    if (caps[split] <= above[split]) {
+      if (row_le(caps.data(), above, width_)) continue;  // drop the row
       split = 0;
-      while (lo[split] <= hi[split]) ++split;
+      while (caps[split] <= above[split]) ++split;
     }
     if (keep != r) {
       meta_[keep] = meta_[r];
@@ -171,9 +141,7 @@ void ThroughputCache::Antichain::clear() {
 
 void ThroughputCache::feed_witnesses(const CapsKey& key,
                                      const CachedThroughput& value) {
-  if (value.deadlocked) {
-    add_deadlock_witness(key);
-  } else if (value.throughput == max_throughput_) {
+  if (!value.deadlocked && value.throughput == max_throughput_) {
     add_max_witness(key);
   }
 }
@@ -181,11 +149,6 @@ void ThroughputCache::feed_witnesses(const CapsKey& key,
 void ThroughputCache::add_max_witness(const CapsKey& key) {
   const std::lock_guard<std::mutex> lock(witness_mu_);
   max_witnesses_.insert_minimal(key);
-}
-
-void ThroughputCache::add_deadlock_witness(const CapsKey& key) {
-  const std::lock_guard<std::mutex> lock(witness_mu_);
-  deadlock_witnesses_.insert_maximal(key);
 }
 
 // ---------------------------------------------------------------------------
@@ -201,7 +164,6 @@ ThroughputCache::Snapshot ThroughputCache::snapshot() const {
   {
     const std::lock_guard<std::mutex> lock(witness_mu_);
     s.max_witnesses_ = max_witnesses_;
-    s.deadlock_witnesses_ = deadlock_witnesses_;
   }
   return s;
 }
@@ -427,14 +389,6 @@ std::optional<CachedThroughput> ThroughputCache::Snapshot::find_max_dominated(
   return max_hit(cache_->max_throughput_);
 }
 
-std::optional<CachedThroughput>
-ThroughputCache::Snapshot::find_deadlock_dominated(
-    const CapsKey& key) const {
-  if (!deadlock_witnesses_.any_above(key)) return std::nullopt;
-  cache_->dominance_hits_.fetch_add(1, std::memory_order_relaxed);
-  return deadlock_hit();
-}
-
 // ---------------------------------------------------------------------------
 // Delta.
 
@@ -445,17 +399,8 @@ std::optional<CachedThroughput> ThroughputCache::Delta::find_max_dominated(
   return max_hit(cache_->max_throughput_);
 }
 
-std::optional<CachedThroughput>
-ThroughputCache::Delta::find_deadlock_dominated(
-    const CapsKey& key) const {
-  if (!deadlock_witnesses_.any_above(key)) return std::nullopt;
-  cache_->dominance_hits_.fetch_add(1, std::memory_order_relaxed);
-  return deadlock_hit();
-}
-
 void ThroughputCache::Delta::clear() {
   max_witnesses_.clear();
-  deadlock_witnesses_.clear();
   drop_boxes();
 }
 
@@ -501,9 +446,7 @@ void ThroughputCache::Delta::record_box(const CapsKey& key,
   const Box& box = boxes_.emplace_back(std::move(local)).box;
   probe.local.insert(&box);
   probe.filter.widen(box, probe.on);
-  if (value.deadlocked) {
-    deadlock_witnesses_.insert_maximal(key);
-  } else if (value.throughput == cache_->max_throughput_) {
+  if (!value.deadlocked && value.throughput == cache_->max_throughput_) {
     max_witnesses_.insert_minimal(key);
   }
 }

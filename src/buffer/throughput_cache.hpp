@@ -4,12 +4,6 @@
 // distributions have outcomes that are already implied by distributions
 // evaluated earlier:
 //
-//  * a candidate pointwise >= a distribution already known to attain the
-//    graph's maximal throughput — by monotonicity of throughput in the
-//    storage distribution (paper Sec. 8), its throughput IS the maximum,
-//    no simulation needed;
-//  * a candidate pointwise <= a distribution that deadlocked — again by
-//    monotonicity, it deadlocks too (throughput 0);
 //  * a candidate inside an earlier run's equivalence box (DESIGN.md §7):
 //    a run that never failed a space check on channel c only ever asked
 //    c for its demand floor, so any distribution that keeps the channels
@@ -19,38 +13,42 @@
 //    and probes boxes; the incremental engine, whose children bump exactly
 //    the blocking channels, feeds the witnesses only. Identical repeats of
 //    a whole request are answered above the engines (buffyd's front memo,
-//    DESIGN.md §10).
+//    DESIGN.md §10);
+//  * a candidate pointwise >= a distribution already known to attain the
+//    graph's maximal throughput — by monotonicity of throughput in the
+//    storage distribution (paper Sec. 8), its throughput IS the maximum,
+//    no simulation needed. Deadlocked candidates are answered by boxes
+//    or simulated.
 //
 // Dominance answers are exact, not approximate: monotonicity pins the
 // simulated value, so substituting them can never change a fold result —
 // which is why the engines stay byte-identical to the uncached scan (see
-// DESIGN.md). Monotonicity does NOT hold under a
-// processor binding (fixed-priority scheduling anomalies), so the engines
-// only consult the dominance rules for unbound explorations.
+// DESIGN.md). Monotonicity does NOT hold under a processor binding
+// (fixed-priority scheduling anomalies), so the engines only consult the
+// max rule for unbound explorations.
 //
-// Locking structure (DESIGN.md §14). The witness sets are small
-// antichains (minimal max-throughput witnesses, maximal deadlock
-// witnesses) stored as contiguous rows and kept SORTED by total size so a
-// dominance scan ends at the first witness whose total already rules the
-// rest out; they live under their own lock. Concurrent explorations
-// sharing the cache (buffyd's requests) each read through a Snapshot —
-// witness scans and box probes read point-in-time copies without a lock —
-// and record fresh boxes into their own Delta, merged back with merge()
-// once per wave (the only writer of boxes). A stale Snapshot read is
-// always safe — a missed box merely costs a re-simulation whose outcome
-// is identical to the recorded one — and merge() verifies exactly that:
-// a box recorded twice (across deltas, or against a resident box) must
-// carry the same floors and outcome, otherwise determinism is broken
-// somewhere and merge() throws.
+// Locking structure (DESIGN.md §14). The max witnesses form a small
+// antichain of minimal elements stored as contiguous rows and kept SORTED
+// by total size so a dominance scan ends at the first witness whose total
+// already rules the rest out; it lives under its own lock. Concurrent
+// explorations sharing the cache (buffyd's requests) each read through a
+// Snapshot — witness scans and box probes read point-in-time copies
+// without a lock — and record fresh boxes into their own Delta, merged
+// back with merge() once per wave (the only writer of boxes). A stale
+// Snapshot read is always safe — a missed box merely costs a
+// re-simulation whose outcome is identical to the recorded one — and
+// merge() verifies exactly that: a box recorded twice (across deltas, or
+// against a resident box) must carry the same floors and outcome,
+// otherwise determinism is broken somewhere and merge() throws.
 //
 // A cache may be bounded (a resident daemon must not grow without limit):
 // with a non-zero capacity, merge() stops admitting new boxes once
 // `capacity` are resident, and counts what it refuses (entries_dropped).
 // Nothing is ever evicted, and a refused box's candidates are simply
 // re-simulated, so a bounded cache keeps every byte-identity guarantee of
-// an unbounded one. The witness antichains are capped on their own and
-// keep answering past the cap: Sec. 8 dominance still covers
-// distributions whose boxes were refused.
+// an unbounded one. The witness antichain is capped on its own and keeps
+// answering past the cap: Sec. 8 dominance still covers distributions
+// whose boxes were refused.
 #pragma once
 
 #include <atomic>
@@ -126,13 +124,13 @@ class ThroughputCache {
   /// exploration starts).
   void add_max_witness(const CapsKey& key);
 
-  /// Feeds one simulated outcome to the witness antichains: a deadlock
-  /// becomes a deadlock witness, an outcome at the maximal throughput a
-  /// max witness; any other outcome is ignored.
+  /// Feeds one simulated outcome to the witness antichain: an outcome at
+  /// the maximal throughput becomes a max witness; any other outcome is
+  /// ignored.
   void feed_witnesses(const CapsKey& key, const CachedThroughput& value);
 
   /// Read view for one exploration's wave. Witness scans and box probes
-  /// read the antichains and box index as of this call, without a lock;
+  /// read the antichain and box index as of this call, without a lock;
   /// they may lag concurrent writers, and a stale miss is re-simulated to
   /// the identical value, never answered wrongly.
   [[nodiscard]] Snapshot snapshot() const;
@@ -143,7 +141,7 @@ class ThroughputCache {
   /// Folds deltas back into the cache — the only path that writes boxes:
   /// applied in the given order, each delta in its insertion order, so a
   /// wave merges in exactly the order it simulated (and a full cache keeps
-  /// the earliest). Feeds the witness antichains (refused boxes too) and
+  /// the earliest). Feeds the witness antichain (refused boxes too) and
   /// publishes the deltas' boxes, which move into the cache, so each
   /// delta is left without boxes; its local witnesses stay until clear().
   ///
@@ -205,32 +203,27 @@ class ThroughputCache {
   friend class Snapshot;
   friend class Delta;
 
-  // Witness antichains are capped so the dominance scan stays cheap on
+  // The witness antichain is capped so the dominance scan stays cheap on
   // pathological fronts; beyond the cap new witnesses are dropped (pruning
   // then just fires less often — never incorrectly).
   static constexpr std::size_t kMaxWitnesses = 64;
 
-  /// A capped antichain of witness capacity vectors, stored as contiguous
-  /// rows of one width (row r is rows_[r * width_, (r + 1) * width_)) so
-  /// the pointwise comparisons run branch-free over adjacent memory and
-  /// copying the set for a Snapshot is two allocations. Rows are sorted
-  /// ascending by total (ties in insertion order): a max-rule witness must
-  /// have total <= the candidate's, a deadlock-rule witness total >= it,
-  /// so each scan touches only the qualifying prefix/suffix. Two distinct
+  /// A capped antichain of minimal max-throughput witnesses, stored as
+  /// contiguous rows of one width (row r is
+  /// rows_[r * width_, (r + 1) * width_)) so the pointwise comparisons
+  /// run branch-free over adjacent memory and copying the set for a
+  /// Snapshot is two allocations. Rows are sorted ascending by total
+  /// (ties in insertion order): a witness below the candidate has total
+  /// <= the candidate's, so a scan touches only that prefix. Two distinct
   /// vectors of one total are incomparable, so an equal-total row matters
   /// only when it IS the candidate — a hash compare settles that.
   class Antichain {
    public:
     /// Adds caps unless a row lies pointwise below it; drops the rows it
-    /// lies below (max-throughput witnesses: minimal elements).
+    /// lies below.
     void insert_minimal(const CapsKey& key);
-    /// Adds caps unless a row lies pointwise above it; drops the rows it
-    /// lies above (deadlock witnesses: maximal elements).
-    void insert_maximal(const CapsKey& key);
     /// True when some row lies pointwise <= caps.
     [[nodiscard]] bool any_below(const CapsKey& key) const;
-    /// True when some row lies pointwise >= caps.
-    [[nodiscard]] bool any_above(const CapsKey& key) const;
     void clear();
 
    private:
@@ -256,9 +249,9 @@ class ThroughputCache {
     /// Fixes the row width on the first insert; all rows share it.
     void adopt_width(const std::vector<i64>& caps);
     /// Removes, in place and in order, the rows of [from, to) that lie
-    /// pointwise below caps (`below`) or above it (`!below`).
+    /// pointwise above caps.
     void remove_comparable(std::size_t from, std::size_t to,
-                           const std::vector<i64>& caps, bool below);
+                           const std::vector<i64>& caps);
     /// Appends key after the rows of its total unless the set is full.
     void insert_sorted(const CapsKey& key);
 
@@ -356,14 +349,11 @@ class ThroughputCache {
   /// before anything changes), then moves the boxes in and publishes.
   void merge_boxes(std::span<Delta* const> deltas);
 
-  void add_deadlock_witness(const CapsKey& key);
-
   Rational max_throughput_;
   u64 capacity_ = 0;  // 0 = unbounded
 
   mutable std::mutex witness_mu_;
-  Antichain max_witnesses_;       // minimal elements
-  Antichain deadlock_witnesses_;  // maximal elements
+  Antichain max_witnesses_;
 
   /// Serializes merge() bodies (concurrent merges from explorations
   /// sharing this cache) and the box test hooks.
@@ -395,10 +385,6 @@ class ThroughputCache::Snapshot {
   [[nodiscard]] std::optional<CachedThroughput> find_max_dominated(
       const CapsKey& key) const;
 
-  /// Sec. 8 deadlock rule over the snapshotted antichain; lock-free.
-  [[nodiscard]] std::optional<CachedThroughput> find_deadlock_dominated(
-      const CapsKey& key) const;
-
  private:
   friend class ThroughputCache;
   friend class ThroughputCache::Delta;
@@ -407,7 +393,6 @@ class ThroughputCache::Snapshot {
   const ThroughputCache* cache_ = nullptr;
   std::shared_ptr<const BoxIndex> boxes_;  // null = no box merged yet
   Antichain max_witnesses_;
-  Antichain deadlock_witnesses_;
 };
 
 /// See ThroughputCache::make_delta(). One per exploration, cleared after
@@ -420,10 +405,6 @@ class ThroughputCache::Delta {
  public:
   /// Sec. 8 max rule over this delta's local witnesses.
   [[nodiscard]] std::optional<CachedThroughput> find_max_dominated(
-      const CapsKey& key) const;
-
-  /// Sec. 8 deadlock rule over this delta's local witnesses.
-  [[nodiscard]] std::optional<CachedThroughput> find_deadlock_dominated(
       const CapsKey& key) const;
 
   /// Records one simulated outcome's equivalence box from the run's
@@ -480,7 +461,6 @@ class ThroughputCache::Delta {
 
   const ThroughputCache* cache_ = nullptr;  // counters + max throughput
   Antichain max_witnesses_;
-  Antichain deadlock_witnesses_;
 
   std::deque<LocalBox> boxes_;  // insertion order, stable addresses
   std::size_t width_ = 0;       // channels; fixed by the first box

@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -444,15 +445,26 @@ std::string caps_str(const std::vector<i64>& caps) {
   return out.str();
 }
 
+// Graphs up to this repetition-vector sum also check every box corner
+// against the analytic oracle, whose HSDF expansion has sum(q) nodes. The
+// sweep's family (at most 6 actors, q <= 3) stays under it today; the cap
+// keeps the check cheap if the family grows.
+constexpr i64 kAnalyticMaxIterationSize = 18;
+
 // Property (g): every equivalence box the exhaustive engine records
 // (DESIGN.md §7) holds. The engine runs its default lane path with a
 // caller-owned cache; each recorded box's corner (the capacities on the
 // blocked channels, the demand floor elsewhere) and a random point above
 // the corner off the blocked channels are re-simulated by the scalar
 // solver. Both must give the identical ThroughputResult, storage
-// dependencies included, carrying the recorded outcome.
+// dependencies included, carrying the recorded outcome. On small graphs
+// the corner's throughput and deadlock verdict are also checked against
+// testing::throughput_at, which shares no code with the state space —
+// deadlocked candidates are answered only by boxes or simulations.
 TEST(PropertyDifferential, EveryRecordedBoxReplaysItsRun) {
   std::size_t boxes = 0;
+  std::size_t analytic = 0;
+  std::size_t analytic_deadlocks = 0;
   for (const u64 seed : load_seeds()) {
     const sdf::Graph graph = gen::random_graph(graph_options(seed));
     const sdf::ActorId target(graph.num_actors() - 1);
@@ -465,6 +477,10 @@ TEST(PropertyDifferential, EveryRecordedBoxReplaysItsRun) {
     buffer::ThroughputCache cache(bounds.max_throughput);
     opts.shared_cache = &cache;
     (void)buffer::explore(graph, opts, bounds);
+    const analysis::RepetitionVector q = analysis::repetition_vector(graph);
+    const bool check_analytic =
+        std::accumulate(q.counts().begin(), q.counts().end(), i64{0}) <=
+        kAnalyticMaxIterationSize;
 
     Rng rng(seed);
     state::ThroughputOptions run_opts{.target = target};
@@ -495,9 +511,18 @@ TEST(PropertyDifferential, EveryRecordedBoxReplaysItsRun) {
       ASSERT_EQ(corner.states_stored, box.value.states_stored) << where;
       ASSERT_EQ(corner.cycle_start_time, box.value.cycle_start_time) << where;
       ASSERT_EQ(corner.period, box.value.period) << where;
+      if (!check_analytic) continue;
+      const testing::AnalyticThroughput reference =
+          testing::throughput_at(graph, target, box.corner);
+      ASSERT_EQ(reference.deadlocked, box.value.deadlocked) << where;
+      ASSERT_EQ(reference.throughput, box.value.throughput) << where;
+      ++analytic;
+      if (reference.deadlocked) ++analytic_deadlocks;
     }
   }
   EXPECT_GT(boxes, 0u);
+  EXPECT_GT(analytic, 0u);
+  EXPECT_GT(analytic_deadlocks, 0u);
 }
 
 // The pinned list itself: losing seeds would silently weaken the sweep.

@@ -75,10 +75,6 @@ bool max_dominated(const ThroughputCache& cache, const Caps& caps) {
   return cache.snapshot().find_max_dominated(caps).has_value();
 }
 
-bool deadlock_dominated(const ThroughputCache& cache, const Caps& caps) {
-  return cache.snapshot().find_deadlock_dominated(caps).has_value();
-}
-
 TEST(ThroughputCache, MaxDominanceAnswersPointwiseGreaterOrEqual) {
   ThroughputCache cache(kMax);
   cache.add_max_witness(Caps{8, 2});
@@ -93,19 +89,6 @@ TEST(ThroughputCache, MaxDominanceAnswersPointwiseGreaterOrEqual) {
   EXPECT_FALSE(max_dominated(cache, Caps{7, 5}));
   EXPECT_FALSE(max_dominated(cache, Caps{9, 1}));
   EXPECT_EQ(cache.dominance_hits(), 2u);
-}
-
-TEST(ThroughputCache, DeadlockDominanceAnswersPointwiseLessOrEqual) {
-  ThroughputCache cache(kMax);
-  cache.feed_witnesses(Caps{3, 2}, deadlock());
-
-  const auto below = cache.snapshot().find_deadlock_dominated(Caps{2, 1});
-  ASSERT_TRUE(below.has_value());
-  EXPECT_TRUE(below->deadlocked);
-  EXPECT_EQ(below->throughput, Rational(0));
-
-  EXPECT_TRUE(deadlock_dominated(cache, Caps{3, 2}));   // equal
-  EXPECT_FALSE(deadlock_dominated(cache, Caps{4, 1}));  // above
 }
 
 TEST(ThroughputCache, StoringTheMaximumFeedsTheMaxWitnesses) {
@@ -132,35 +115,24 @@ TEST(ThroughputCache, MaxWitnessesFormAMinimalAntichain) {
   EXPECT_FALSE(max_dominated(cache, Caps{3, 9}));
 }
 
-TEST(ThroughputCache, DeadlockWitnessesFormAMaximalAntichain) {
-  ThroughputCache cache(kMax);
-  cache.feed_witnesses(Caps{1, 1}, deadlock());
-  cache.feed_witnesses(Caps{2, 2}, deadlock());  // supersedes {1,1}
-  EXPECT_TRUE(deadlock_dominated(cache, Caps{2, 1}));
-  EXPECT_TRUE(deadlock_dominated(cache, Caps{1, 2}));
-  EXPECT_FALSE(deadlock_dominated(cache, Caps{3, 2}));
-}
-
-TEST(ThroughputCache, FullDeadlockAntichainMakesRoomOnlyByDominance) {
-  // 64 incomparable witnesses fill the set: a larger witness is kept only
-  // because it dominates (and so removes) some of them. The removal scan
+TEST(ThroughputCache, FullMaxAntichainMakesRoomOnlyByDominance) {
+  // 64 incomparable witnesses fill the set: a smaller witness is kept only
+  // because it lies below (and so removes) some of them. The removal scan
   // tries each row's last failing channel first; every branch of it runs
-  // here: rows separated by that channel (i >= 41 against {40, 40}), rows
-  // it lets through that the full compare keeps (i <= 22) or removes.
+  // here: rows separated by that channel (i <= 22 against {23, 23}), rows
+  // it lets through that the full compare keeps (i >= 41) or removes.
   ThroughputCache cache(kMax);
-  for (i64 i = 0; i < 64; ++i) {
-    cache.feed_witnesses(Caps{i, 63 - i}, deadlock());
-  }
-  // Dominates {23, 40} .. {40, 23}.
-  cache.feed_witnesses(Caps{40, 40}, deadlock());
-  EXPECT_TRUE(deadlock_dominated(cache, Caps{40, 40}));
-  // Dominates {3, 60} .. {10, 53}.
-  cache.feed_witnesses(Caps{10, 60}, deadlock());
-  EXPECT_TRUE(deadlock_dominated(cache, Caps{10, 60}));
-  EXPECT_TRUE(deadlock_dominated(cache, Caps{22, 41}));
-  EXPECT_TRUE(deadlock_dominated(cache, Caps{41, 22}));
-  EXPECT_FALSE(deadlock_dominated(cache, Caps{23, 41}));
-  EXPECT_FALSE(deadlock_dominated(cache, Caps{11, 60}));
+  for (i64 i = 0; i < 64; ++i) cache.add_max_witness(Caps{i, 63 - i});
+  // Below {23, 40} .. {40, 23}.
+  cache.add_max_witness(Caps{23, 23});
+  EXPECT_TRUE(max_dominated(cache, Caps{23, 23}));
+  // Below {3, 60} .. {10, 53}.
+  cache.add_max_witness(Caps{3, 53});
+  EXPECT_TRUE(max_dominated(cache, Caps{3, 53}));
+  EXPECT_TRUE(max_dominated(cache, Caps{22, 41}));
+  EXPECT_TRUE(max_dominated(cache, Caps{41, 22}));
+  EXPECT_FALSE(max_dominated(cache, Caps{22, 40}));
+  EXPECT_FALSE(max_dominated(cache, Caps{2, 60}));
 }
 
 TEST(ThroughputCache, IncomparableWitnessesCoexist) {
@@ -246,8 +218,8 @@ TEST(ThroughputCacheCap, ResidentKeyMergedIntoAFullCacheIsCheckedNotDropped) {
 }
 
 TEST(ThroughputCacheCap, WitnessesAnswerPastTheCap) {
-  // Witness antichains are not boxes: outcomes refused by a full cache
-  // still feed them, so Sec. 8 dominance keeps answering for
+  // The witness antichain is not a box index: outcomes refused by a full
+  // cache still feed it, so Sec. 8 dominance keeps answering for
   // distributions whose boxes were never admitted.
   ThroughputCache cache(kMax, /*capacity=*/1);
   store_point(cache, Caps{9, 9}, periodic(Rational(1, 7)));
@@ -256,7 +228,6 @@ TEST(ThroughputCacheCap, WitnessesAnswerPastTheCap) {
   EXPECT_EQ(cache.entries_dropped(), 2u);
   EXPECT_FALSE(find_point(cache, Caps{6, 4}).has_value());
   EXPECT_TRUE(max_dominated(cache, Caps{7, 5}));
-  EXPECT_TRUE(deadlock_dominated(cache, Caps{1, 1}));
 }
 
 // ---------------------------------------------------------------------------
@@ -281,7 +252,7 @@ TEST(ThroughputCacheDelta, RecordedEntriesAnswerTheRecordingWorker) {
 }
 
 TEST(ThroughputCacheDelta, LocalWitnessesGiveImmediateDominance) {
-  // An exploration must see its OWN maximal/deadlock outcomes as dominance
+  // An exploration must see its OWN maximal outcomes as dominance
   // witnesses within the wave — that is what keeps a sequential wave's
   // hit/miss sequence identical to merging each candidate on its own.
   ThroughputCache cache(kMax);
@@ -293,8 +264,6 @@ TEST(ThroughputCacheDelta, LocalWitnessesGiveImmediateDominance) {
   ASSERT_TRUE(above.has_value());
   EXPECT_EQ(above->throughput, kMax);
   EXPECT_FALSE(delta.find_max_dominated(Caps{5, 4}).has_value());
-  EXPECT_TRUE(delta.find_deadlock_dominated(Caps{1, 1}).has_value());
-  EXPECT_FALSE(delta.find_deadlock_dominated(Caps{2, 1}).has_value());
   // Sub-maximal outcomes never become witnesses.
   record_point(delta, Caps{5, 2}, periodic(Rational(1, 6)));
   EXPECT_FALSE(delta.find_max_dominated(Caps{5, 3}).has_value());
@@ -318,9 +287,8 @@ TEST(ThroughputCacheDelta, MergePublishesEntriesWitnessesAndCounters) {
   EXPECT_TRUE(d1.empty());
   EXPECT_TRUE(find_point(cache, Caps{4, 2}).has_value());
   EXPECT_TRUE(find_point(cache, Caps{6, 4}).has_value());
-  // Witness antichains were fed through the merge.
+  // The witness antichain was fed through the merge.
   EXPECT_TRUE(max_dominated(cache, Caps{7, 4}));
-  EXPECT_TRUE(deadlock_dominated(cache, Caps{1, 1}));
 }
 
 TEST(ThroughputCacheDelta, SnapshotSeesMergedEntriesNotLiveOnes) {
@@ -433,9 +401,9 @@ TEST(ThroughputCacheDelta, DuplicateRecordKeepsFirstValue) {
 }
 
 // ---------------------------------------------------------------------------
-// Sorted witness antichains. The antichains are ordered ascending by
-// (total, caps) so dominance scans early-exit; these pin the ordering
-// semantics the scans rely on, including the drop-at-cap behaviour.
+// The sorted witness antichain. It is ordered ascending by total so
+// dominance scans early-exit; these pin the ordering semantics the scans
+// rely on, including the drop-at-cap behaviour.
 
 TEST(ThroughputCacheWitnesses, ScanOrderIndependentOfInsertionOrder) {
   // Insert incomparable witnesses in descending-total order; the sorted
@@ -539,9 +507,8 @@ TEST(ThroughputCacheBoxes, MergePublishesBoxesToLaterSnapshots) {
   EXPECT_FALSE(reader.find_box(after, Caps{2, 7, 1}).has_value());
   // Handing the reader an older snapshot again keeps what it synced.
   EXPECT_TRUE(reader.find_box(before, Caps{4, 2, 6}).has_value());
-  // The boxes fed the witness antichains.
+  // The maximal box fed the witness antichain.
   EXPECT_TRUE(max_dominated(cache, Caps{4, 2, 5}));
-  EXPECT_TRUE(deadlock_dominated(cache, Caps{1, 1, 1}));
 }
 
 TEST(ThroughputCacheBoxes, ManyMergesFoldGroupsWithoutLosingBoxes) {
