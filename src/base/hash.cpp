@@ -17,6 +17,16 @@ u64 hash_step(u64 h, u64 word) {
   return h;
 }
 
+u64 hash_bytes(u64 h, std::string_view bytes) {
+  constexpr u64 kPrime2 = kFnvPrime * kFnvPrime;
+  constexpr u64 kPrime4 = kPrime2 * kPrime2;
+  constexpr u64 kPrime8 = kPrime4 * kPrime4;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * kPrime8;
+  }
+  return h;
+}
+
 u64 hash_words(std::span<const i64> words) {
   // Each round is a bijection of the running state for a fixed word: the
   // odd multiply spreads low bits upward and the xor-shift folds the high

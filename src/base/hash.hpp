@@ -9,11 +9,13 @@
 //
 // hash_step is the byte-wise FNV-1a step. It is kept only for hash_combine
 // and for callers whose persisted keys already depend on its exact values
-// (the service cache registry's graph fingerprints).
+// (the service cache registry's graph fingerprints, folded through
+// hash_bytes).
 #pragma once
 
 #include <cstddef>
 #include <span>
+#include <string_view>
 
 #include "base/checked_math.hpp"
 
@@ -29,6 +31,11 @@ inline constexpr u64 kFnvPrime = 1099511628211ULL;
 
 /// Incorporates one 64-bit word, byte by byte, into a running FNV-1a hash.
 [[nodiscard]] u64 hash_step(u64 h, u64 word);
+
+/// hash_step(h, byte) over each byte of `bytes` in order, one multiply per
+/// byte: a byte-valued word's seven zero high bytes only multiply, so
+/// hash_step(h, c) == (h ^ c) * kFnvPrime^8 (mod 2^64).
+[[nodiscard]] u64 hash_bytes(u64 h, std::string_view bytes);
 
 /// Hash of a span of 64-bit words: one multiply-xorshift round per word,
 /// then mix64.

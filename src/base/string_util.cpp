@@ -33,15 +33,21 @@ std::vector<std::string> split(std::string_view s, char sep) {
 }
 
 std::vector<std::string> split_whitespace(std::string_view s) {
-  std::vector<std::string> out;
+  std::vector<std::string_view> words;
+  split_whitespace(s, words);
+  return {words.begin(), words.end()};
+}
+
+void split_whitespace(std::string_view s,
+                      std::vector<std::string_view>& words) {
+  words.clear();
   std::size_t i = 0;
   while (i < s.size()) {
     while (i < s.size() && is_space(s[i])) ++i;
     const std::size_t start = i;
     while (i < s.size() && !is_space(s[i])) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
+    if (i > start) words.push_back(s.substr(start, i - start));
   }
-  return out;
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) {

@@ -18,6 +18,10 @@ namespace buffy {
 /// Splits s on runs of ASCII whitespace; no empty fields are produced.
 [[nodiscard]] std::vector<std::string> split_whitespace(std::string_view s);
 
+/// The same split into views of s, replacing the contents of `words` (a
+/// caller splitting many lines reuses one vector).
+void split_whitespace(std::string_view s, std::vector<std::string_view>& words);
+
 /// True when s starts with the given prefix.
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
 

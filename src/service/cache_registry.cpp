@@ -1,6 +1,7 @@
 #include "service/cache_registry.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <tuple>
@@ -9,6 +10,7 @@
 #include "base/diagnostics.hpp"
 #include "base/hash.hpp"
 #include "buffer/dse.hpp"
+#include "buffer/fast_front.hpp"
 #include "io/dsl.hpp"
 #include "service/requests.hpp"
 #include "state/throughput.hpp"
@@ -18,18 +20,12 @@ namespace buffy::service {
 GraphKey graph_key(const sdf::Graph& graph, const std::string& target_name) {
   GraphKey key;
   key.canonical = io::write_dsl(graph);
-  u64 h = kFnvOffset;
-  for (const char c : key.canonical) {
-    h = hash_step(h, static_cast<u64>(static_cast<unsigned char>(c)));
-  }
-  // A separator no DSL byte can be (words are hashed, not bytes), then
-  // the target: the same graph explored for two actors must not share
-  // warm state — their throughputs differ.
+  // The canonical text, a separator no DSL byte can be (it is hashed as
+  // a whole word), then the target: the same graph explored for two
+  // actors must not share warm state — their throughputs differ.
+  u64 h = hash_bytes(kFnvOffset, key.canonical);
   h = hash_step(h, 0x1F1F1F1F1F1F1F1FULL);
-  for (const char c : target_name) {
-    h = hash_step(h, static_cast<u64>(static_cast<unsigned char>(c)));
-  }
-  key.fingerprint = mix64(h);
+  key.fingerprint = mix64(hash_bytes(h, target_name));
   key.canonical.push_back('\0');
   key.canonical += target_name;
   return key;
@@ -112,11 +108,41 @@ bool FrontMemo::corrupt_for_test(const std::string& key, i64 delta) {
   const auto it = answers_.find(key);
   if (it == answers_.end()) return false;
   JsonValue& answer = it->second;
-  answer.set("distributions_explored",
-             JsonValue::integer(
-                 answer.find("distributions_explored")->as_int() + delta));
+  if (const JsonValue* explored = answer.find("distributions_explored")) {
+    answer.set("distributions_explored",
+               JsonValue::integer(explored->as_int() + delta));
+    return true;
+  }
+  const JsonValue* found = answer.find("bounds");
+  if (found == nullptr) return false;
+  JsonValue bounds = *found;
+  bounds.set("ub_size",
+             JsonValue::integer(bounds.find("ub_size")->as_int() + delta));
+  answer.set("bounds", std::move(bounds));
   return true;
 }
+
+namespace {
+
+// The `memoized-front` comparison: each named member of a memoized answer
+// must dump to the bytes of the same member re-derived into `want`.
+void compare_memoized(const sdf::Graph& graph, const JsonValue& answer,
+                      const JsonValue& want,
+                      std::initializer_list<const char*> names) {
+  for (const char* name : names) {
+    const JsonValue* memo = answer.find(name);
+    const JsonValue* again = want.find(name);
+    const std::string memoized = memo != nullptr ? memo->dump() : "absent";
+    const std::string derived = again != nullptr ? again->dump() : "absent";
+    if (memoized != derived) {
+      audit::fail("memoized-front",
+                  "graph '" + graph.name() + "': memoized " + name + " " +
+                      memoized + " != re-explored " + derived);
+    }
+  }
+}
+
+}  // namespace
 
 void audit_check_memoized_front(const sdf::Graph& graph,
                                 const buffer::DseOptions& options,
@@ -132,18 +158,20 @@ void audit_check_memoized_front(const sdf::Graph& graph,
   set_front(want, fresh.bounds, fresh.pareto);
   want.set("distributions_explored",
            JsonValue::integer(static_cast<i64>(fresh.distributions_explored)));
-  for (const char* name : {"deadlock", "bounds", "front", "points",
-                           "distributions_explored"}) {
-    const JsonValue* memo = answer.find(name);
-    const JsonValue* again = want.find(name);
-    const std::string memoized = memo != nullptr ? memo->dump() : "absent";
-    const std::string derived = again != nullptr ? again->dump() : "absent";
-    if (memoized != derived) {
-      audit::fail("memoized-front",
-                  "graph '" + graph.name() + "': memoized " + name + " " +
-                      memoized + " != re-explored " + derived);
-    }
-  }
+  compare_memoized(graph, answer, want,
+                   {"deadlock", "bounds", "front", "points",
+                    "distributions_explored"});
+}
+
+void audit_check_memoized_fast_front(const sdf::Graph& graph,
+                                     sdf::ActorId target, i64 levels,
+                                     const JsonValue& answer) {
+  audit::note_check();
+  const buffer::FastFrontResult fresh =
+      buffer::fast_front(graph, target, levels);
+  JsonValue want = JsonValue::object();
+  set_front(want, fresh.bounds, fresh.pareto);
+  compare_memoized(graph, answer, want, {"bounds", "front", "points"});
 }
 
 struct CacheRegistry::Entry {
@@ -263,20 +291,21 @@ CacheRegistry::Lease CacheRegistry::acquire(const GraphKey& key,
   return {entry->cache, hit, entry->analysis, entry->memo};
 }
 
-std::shared_ptr<const GraphAnalysis> CacheRegistry::peek(
-    const GraphKey& key, const sdf::Graph& graph, sdf::ActorId target) {
+CacheRegistry::Lease CacheRegistry::peek(const GraphKey& key,
+                                         const sdf::Graph& graph,
+                                         sdf::ActorId target) {
   std::shared_ptr<Entry> entry;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     const auto it = slots_.find(key.fingerprint);
     if (it == slots_.end() || it->second.entry->canonical != key.canonical ||
         !it->second.entry->ready.load(std::memory_order_acquire)) {
-      return nullptr;
+      return {};
     }
     entry = it->second.entry;
   }
   note_analysis_hit(*entry, key, graph, target);
-  return entry->analysis;
+  return {nullptr, /*warm=*/false, entry->analysis, entry->memo};
 }
 
 CacheRegistry::Lease CacheRegistry::get_or_create(

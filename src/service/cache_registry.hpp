@@ -10,8 +10,8 @@
 //  * the graph's analysis — the maximal throughput (the MCM over the HSDF
 //    expansion) and the Fig. 7 design-space bounds — computed once per
 //    entry instead of once or twice per request, and
-//  * a FrontMemo of the finished exact answers, so an identical repeat
-//    runs no engine at all.
+//  * a FrontMemo of the finished exact and fast answers, so an identical
+//    repeat runs no engine and solves no LP at all.
 //
 // Each cache is capped (ThroughputCache capacity: once full it admits no
 // new boxes, evicts nothing, and counts what it refuses), each memo holds
@@ -75,12 +75,13 @@ struct GraphAnalysis {
 [[nodiscard]] GraphAnalysis analyze_graph(const sdf::Graph& graph,
                                           sdf::ActorId target);
 
-/// The finished exact explore answers of one registry entry (DESIGN.md
-/// §10). The exploration is deterministic, so an answer depends only on
-/// the graph, the target and the request's engine-effective options — the
-/// key — and an identical repeat is answered without running an engine.
-/// Holds at most kCapacity answers: a full memo refuses new ones and never
-/// evicts. Thread-safe.
+/// The finished exact and fast explore answers of one registry entry
+/// (DESIGN.md §10). The exact exploration and the fast LP grid are both
+/// deterministic, so an answer depends only on the graph, the target and
+/// the request's engine-effective options — the key — and an identical
+/// repeat is answered without running an engine or solving an LP. Holds
+/// at most kCapacity answers of either tier: a full memo refuses new ones
+/// and never evicts. Thread-safe.
 class FrontMemo {
  public:
   static constexpr std::size_t kCapacity = 16;
@@ -97,8 +98,9 @@ class FrontMemo {
   [[nodiscard]] std::size_t size() const;
 
   /// Audit tamper hook: adds `delta` to the distributions_explored of the
-  /// answer stored under `key`; false when there is none. Never called
-  /// outside tests.
+  /// answer stored under `key`, or to the bounds' ub_size of a fast answer
+  /// (which counts no distributions); false when there is neither. Never
+  /// called outside tests.
   bool corrupt_for_test(const std::string& key, i64 delta);
 
  private:
@@ -115,6 +117,13 @@ void audit_check_memoized_front(const sdf::Graph& graph,
                                 const buffer::DseOptions& options,
                                 const JsonValue& answer);
 
+/// BUFFY_AUDIT `memoized-front` for a fast answer: its bounds, front and
+/// points must equal those of buffer::fast_front(graph, target, levels)
+/// run outside the registry (computing its own bounds).
+void audit_check_memoized_fast_front(const sdf::Graph& graph,
+                                     sdf::ActorId target, i64 levels,
+                                     const JsonValue& answer);
+
 /// LRU registry of per-graph entries; see file comment.
 /// Thread-safe: all members may be called concurrently.
 class CacheRegistry {
@@ -128,14 +137,17 @@ class CacheRegistry {
   CacheRegistry(std::size_t max_graphs, u64 entries_per_graph);
 
   struct Lease {
-    /// Null when the graph deadlocks for every distribution.
+    /// Null when the graph deadlocks for every distribution, and in every
+    /// lease peek() hands out.
     std::shared_ptr<buffer::ThroughputCache> cache;
-    /// True when the entry already existed — the request is served from
-    /// warm state (the status endpoint's cache_warm_hits counter).
+    /// True when acquire() found the entry already there — the request is
+    /// served from warm state (the status endpoint's cache_warm_hits
+    /// counter). Never set by peek().
     bool warm = false;
-    /// The entry's analysis (acquire only; null from get_or_create).
+    /// The entry's analysis (null from get_or_create).
     std::shared_ptr<const GraphAnalysis> analysis;
-    /// The entry's answer memo (null whenever `analysis` or `cache` is).
+    /// The entry's answer memo (null whenever `analysis` is, and when the
+    /// graph deadlocks for every distribution).
     std::shared_ptr<FrontMemo> memo;
   };
 
@@ -150,13 +162,15 @@ class CacheRegistry {
   [[nodiscard]] Lease acquire(const GraphKey& key, const sdf::Graph& graph,
                               sdf::ActorId target);
 
-  /// The analysis of a resident entry of `key` whose computation finished,
-  /// else null. Never creates an entry, refreshes its recency or evicts
-  /// one, so a caller that only peeks (quality=fast, maximal
-  /// analyze_throughput) cannot displace exact warm state. `graph` and
-  /// `target` are only read by the BUFFY_AUDIT cross-check.
-  [[nodiscard]] std::shared_ptr<const GraphAnalysis> peek(
-      const GraphKey& key, const sdf::Graph& graph, sdf::ActorId target);
+  /// The analysis and the front memo of a resident entry of `key` whose
+  /// computation finished, in a lease without a cache; an empty lease
+  /// when there is none. Never creates an entry, refreshes its recency or
+  /// evicts one, so a caller that only peeks (quality=fast, maximal
+  /// analyze_throughput) cannot displace exact warm state; a fast request
+  /// may still store its finished answer in the memo of a resident entry.
+  /// `graph` and `target` are only read by the BUFFY_AUDIT cross-check.
+  [[nodiscard]] Lease peek(const GraphKey& key, const sdf::Graph& graph,
+                           sdf::ActorId target);
 
   /// Returns the cache for `fingerprint`, creating it (cold) with the
   /// given maximal throughput when absent — for in-process callers that

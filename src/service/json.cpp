@@ -1,5 +1,6 @@
 #include "service/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -296,6 +297,46 @@ void dump_double(double d, std::string& out) {
   out += buf;
 }
 
+// Appends `s` as a JSON string literal including the quotes.
+void quote_to(std::string& out, const std::string& s) {
+  out.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+}
+
 }  // namespace
 
 JsonValue JsonValue::boolean(bool b) {
@@ -394,21 +435,28 @@ void JsonValue::set(const std::string& key, JsonValue v) {
 
 std::string JsonValue::dump() const {
   std::string out;
+  dump_to(out);
+  return out;
+}
+
+void JsonValue::dump_to(std::string& out) const {
   switch (kind_) {
     case Kind::Null:
-      out = "null";
+      out += "null";
       break;
     case Kind::Bool:
-      out = bool_ ? "true" : "false";
+      out += bool_ ? "true" : "false";
       break;
-    case Kind::Int:
-      out = std::to_string(int_);
+    case Kind::Int: {
+      char buf[24];
+      out.append(buf, std::to_chars(buf, buf + sizeof(buf), int_).ptr);
       break;
+    }
     case Kind::Double:
       dump_double(double_, out);
       break;
     case Kind::String:
-      out = json_quote(string_);
+      quote_to(out, string_);
       break;
     case Kind::Array: {
       out.push_back('[');
@@ -416,7 +464,7 @@ std::string JsonValue::dump() const {
       for (const JsonValue& item : array_) {
         if (!first) out.push_back(',');
         first = false;
-        out += item.dump();
+        item.dump_to(out);
       }
       out.push_back(']');
       break;
@@ -427,56 +475,20 @@ std::string JsonValue::dump() const {
       for (const auto& [name, value] : members_) {
         if (!first) out.push_back(',');
         first = false;
-        out += json_quote(name);
+        quote_to(out, name);
         out.push_back(':');
-        out += value.dump();
+        value.dump_to(out);
       }
       out.push_back('}');
       break;
     }
   }
-  return out;
 }
 
 std::string json_quote(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
+  quote_to(out, s);
   return out;
 }
 

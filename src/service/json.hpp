@@ -75,6 +75,8 @@ class JsonValue {
 
   /// Compact serialisation (no whitespace); parse(dump()) round-trips.
   [[nodiscard]] std::string dump() const;
+  /// Appends dump() to `out`: one buffer for the whole tree.
+  void dump_to(std::string& out) const;
 
  private:
   Kind kind_ = Kind::Null;

@@ -194,11 +194,16 @@ Request parse_request(const std::string& line) {
 }
 
 std::string ok_response(std::optional<i64> id, const JsonValue& result) {
-  JsonValue resp = JsonValue::object();
-  if (id.has_value()) resp.set("id", JsonValue::integer(*id));
-  resp.set("ok", JsonValue::boolean(true));
-  resp.set("result", result);
-  return resp.dump();
+  // The envelope's bytes around `result`, which is dumped in place rather
+  // than copied into a response object.
+  std::string out = "{";
+  if (id.has_value()) {
+    out += "\"id\":" + std::to_string(*id) + ",";
+  }
+  out += "\"ok\":true,\"result\":";
+  result.dump_to(out);
+  out += '}';
+  return out;
 }
 
 std::string error_response(std::optional<i64> id, ErrorCode code,

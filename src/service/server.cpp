@@ -19,9 +19,9 @@ namespace buffy::service {
 
 namespace {
 
-// The front memo's key: every request member the engine reads (the graph
-// and the target are the registry entry's), and whether a fast request was
-// downgraded, which the answer reports.
+// The front memo's key of an exact answer: every request member the engine
+// reads (the graph and the target are the registry entry's), and whether a
+// fast request was downgraded, which the answer reports.
 std::string memo_key(const buffer::DseOptions& opts, bool downgraded) {
   const auto num = [](const std::optional<i64>& v) {
     return v.has_value() ? std::to_string(*v) : std::string("-");
@@ -65,6 +65,51 @@ void set_work(JsonValue& res, const buffer::DseResult& result, bool warm) {
   res.set("max_states_stored", u(result.max_states_stored));
   res.set("seconds", JsonValue::number(result.seconds));
   res.set("cached_graph", JsonValue::boolean(warm));
+}
+
+// The front memo's key of a fast answer: the LP grid reads only `levels`.
+std::string fast_memo_key(i64 levels) {
+  return "fast levels=" + std::to_string(levels);
+}
+
+// The members of a fast answer that depend only on the request, in wire
+// order: what the front memo keeps.
+JsonValue lp_front(const std::string& target,
+                   const buffer::FastFrontResult& fast) {
+  JsonValue res = JsonValue::object();
+  res.set("target", JsonValue::string(target));
+  res.set("quality", JsonValue::string("fast"));
+  set_front(res, fast.bounds, fast.pareto);
+  return res;
+}
+
+// The LP work a fast request itself did.
+void set_lp_work(JsonValue& res, const buffer::FastFrontResult& fast) {
+  const auto u = [](u64 v) { return JsonValue::integer(static_cast<i64>(v)); };
+  res.set("lp_solves", u(fast.lp_solves));
+  res.set("lp_pivots", u(fast.lp_pivots));
+  res.set("lp_cuts", u(fast.lp_cuts));
+  res.set("seconds", JsonValue::number(fast.seconds));
+}
+
+// An identical repeat answered from a registry entry's front memo, exact
+// and fast alike; nullopt on a miss. Audit mode re-derives a deterministic
+// sample of hits (keyed on the graph fingerprint and the memo key) outside
+// the registry through `audit_hit`. `zero_work` writes the work counters
+// of a request that did nothing, and the answer carries "memo":true.
+template <typename AuditHit, typename ZeroWork>
+std::optional<JsonValue> memo_hit(const FrontMemo& memo,
+                                  const std::string& memo_key,
+                                  u64 fingerprint, AuditHit&& audit_hit,
+                                  ZeroWork&& zero_work) {
+  std::optional<JsonValue> hit = memo.find(memo_key);
+  if (!hit.has_value()) return std::nullopt;
+  if (audit::enabled() && audit::sample(hash_bytes(fingerprint, memo_key))) {
+    audit_hit(std::as_const(*hit));
+  }
+  zero_work(*hit);
+  hit->set("memo", JsonValue::boolean(true));
+  return hit;
 }
 
 }  // namespace
@@ -164,8 +209,10 @@ JsonValue Server::handle_analyze(const Request& req,
     // reference the state-space engines are differentially tested against.
     // A resident registry entry already holds it; peeking never creates
     // one, so analyze requests cannot displace exact warm state.
-    const std::shared_ptr<const GraphAnalysis> memo = registry_.peek(
-        graph_key(graph, graph.actor(target).name), graph, target);
+    const std::shared_ptr<const GraphAnalysis> memo =
+        registry_
+            .peek(graph_key(graph, graph.actor(target).name), graph, target)
+            .analysis;
     const analysis::MaxThroughput mt =
         memo != nullptr ? memo->max_throughput
                         : analysis::max_throughput(graph);
@@ -214,9 +261,10 @@ JsonValue Server::handle_explore(const Request& req,
   // quality=fast: the LP-only front (buffer/fast_front) — sound but
   // approximate, answered without per-candidate simulation. It only peeks
   // at the warm cache registry: a resident entry's bounds spare the MCM
-  // and the bootstrap simulations, but fast answers never create, refresh
-  // or evict an entry (they must never displace or seed exact warm state;
-  // a later quality=exact query builds it).
+  // and the bootstrap simulations, and its front memo answers an identical
+  // repeat without an LP and keeps a finished answer, but fast answers
+  // never create, refresh or evict an entry (they must never displace or
+  // seed exact warm state; a later quality=exact query builds it).
   //
   // The fast tier rides on the LP models, whose exact rational arithmetic
   // the simplex pre-sizes from the stamped coefficient bound (DESIGN.md
@@ -235,27 +283,33 @@ JsonValue Server::handle_explore(const Request& req,
   if (want_fast) {
     token.checkpoint();
     const i64 levels = req.levels.value_or(8);
-    const std::shared_ptr<const GraphAnalysis> memo =
-        key.has_value() ? registry_.peek(*key, graph, target) : nullptr;
+    const CacheRegistry::Lease peeked =
+        key.has_value() ? registry_.peek(*key, graph, target)
+                        : CacheRegistry::Lease{};
+    const std::string fast_memo = fast_memo_key(levels);
+    if (peeked.memo != nullptr) {
+      std::optional<JsonValue> hit = memo_hit(
+          *peeked.memo, fast_memo, key->fingerprint,
+          [&](const JsonValue& answer) {
+            audit_check_memoized_fast_front(graph, target, levels, answer);
+          },
+          [](JsonValue& answer) {
+            set_lp_work(answer, buffer::FastFrontResult{});
+          });
+      if (hit.has_value()) return std::move(*hit);
+    }
     const buffer::FastFrontResult fast =
-        memo != nullptr
-            ? buffer::fast_front(graph, target, levels, memo->bounds)
+        peeked.analysis != nullptr
+            ? buffer::fast_front(graph, target, levels, peeked.analysis->bounds)
             : buffer::fast_front(graph, target, levels);
     token.checkpoint();
     if (fast.lp_solves > 0 && fast.lp_overflows == fast.lp_solves) {
       want_fast = false;
       downgraded = true;
     } else {
-      JsonValue res = JsonValue::object();
-      res.set("target", JsonValue::string(graph.actor(target).name));
-      res.set("quality", JsonValue::string("fast"));
-      set_front(res, fast.bounds, fast.pareto);
-      res.set("lp_solves",
-              JsonValue::integer(static_cast<i64>(fast.lp_solves)));
-      res.set("lp_pivots",
-              JsonValue::integer(static_cast<i64>(fast.lp_pivots)));
-      res.set("lp_cuts", JsonValue::integer(static_cast<i64>(fast.lp_cuts)));
-      res.set("seconds", JsonValue::number(fast.seconds));
+      JsonValue res = lp_front(graph.actor(target).name, fast);
+      if (peeked.memo != nullptr) peeked.memo->store(fast_memo, res);
+      set_lp_work(res, fast);
       return res;
     }
   }
@@ -286,24 +340,20 @@ JsonValue Server::handle_explore(const Request& req,
   }
 
   // An identical repeat is answered from the entry's front memo; its work
-  // counters read what it did: nothing. Audit mode re-explores a
-  // deterministic sample of hits uncached.
+  // counters read what it did: nothing. Audit mode re-explores a sampled
+  // hit uncached.
   std::string memo;
   if (lease.memo != nullptr) {
     memo = memo_key(opts, downgraded);
-    std::optional<JsonValue> hit = lease.memo->find(memo);
-    if (hit.has_value()) {
-      u64 h = key->fingerprint;
-      for (const char c : memo) {
-        h = hash_step(h, static_cast<u64>(static_cast<unsigned char>(c)));
-      }
-      if (audit::enabled() && audit::sample(h)) {
-        audit_check_memoized_front(graph, opts, *hit);
-      }
-      set_work(*hit, buffer::DseResult{}, lease.warm);
-      hit->set("memo", JsonValue::boolean(true));
-      return std::move(*hit);
-    }
+    std::optional<JsonValue> hit = memo_hit(
+        *lease.memo, memo, key->fingerprint,
+        [&](const JsonValue& answer) {
+          audit_check_memoized_front(graph, opts, answer);
+        },
+        [&](JsonValue& answer) {
+          set_work(answer, buffer::DseResult{}, lease.warm);
+        });
+    if (hit.has_value()) return std::move(*hit);
   }
 
   const buffer::DseResult result =

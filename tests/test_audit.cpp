@@ -8,6 +8,7 @@
 #include "base/audit.hpp"
 #include "buffer/audit_checks.hpp"
 #include "buffer/dse.hpp"
+#include "buffer/fast_front.hpp"
 #include "buffer/throughput_cache.hpp"
 #include "lp/sdf_model.hpp"
 #include "models/models.hpp"
@@ -174,6 +175,41 @@ TEST(AuditTamper, CorruptMemoEntryTriggersMemoizedFrontMismatch) {
     EXPECT_EQ(e.invariant(), "memoized-front");
     EXPECT_NE(std::string(e.what()).find("distributions_explored"),
               std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(AuditTamper, CorruptFastMemoEntryTriggersMemoizedFrontMismatch) {
+  // A fast memo hit answers a repeat without an LP; the sampled audit
+  // re-runs the fast grid outside the registry and compares bounds, front
+  // and points byte for byte.
+  const sdf::Graph g = models::samplerate_converter();
+  const sdf::ActorId target = models::reported_actor(g);
+  const buffer::FastFrontResult fast = buffer::fast_front(g, target, 5);
+  service::JsonValue answer = service::JsonValue::object();
+  service::set_front(answer, fast.bounds, fast.pareto);
+  service::FrontMemo memo;
+  memo.store("fast levels=5", answer);
+
+  // Healthy entry: the memoized answer matches a fresh grid.
+  const u64 before = audit::checks_performed();
+  auto hit = memo.find("fast levels=5");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_NO_THROW(
+      service::audit_check_memoized_fast_front(g, target, 5, *hit));
+  EXPECT_GT(audit::checks_performed(), before);
+
+  // Tampered entry: the fast answer counts no distributions, so the hook
+  // moves its upper bound, and the check must name the bounds.
+  ASSERT_TRUE(memo.corrupt_for_test("fast levels=5", 1));
+  hit = memo.find("fast levels=5");
+  ASSERT_TRUE(hit.has_value());
+  try {
+    service::audit_check_memoized_fast_front(g, target, 5, *hit);
+    FAIL() << "expected AuditError";
+  } catch (const audit::AuditError& e) {
+    EXPECT_EQ(e.invariant(), "memoized-front");
+    EXPECT_NE(std::string(e.what()).find("bounds"), std::string::npos)
         << e.what();
   }
 }

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -97,6 +98,26 @@ TEST(FuzzCorpus, ServiceJsonInputsParseOrDiagnose) {
     expect_structured(
         [](const std::string& text) { (void)service::parse_request(text); },
         file, input);
+    // A value that parses is dumped deterministically, and ok_response
+    // writes the bytes of the envelope object built around it.
+    service::JsonValue value;
+    try {
+      value = service::JsonValue::parse(input);
+    } catch (const Error&) {
+      continue;
+    }
+    const std::string dumped = value.dump();
+    EXPECT_EQ(service::JsonValue::parse(dumped).dump(), dumped)
+        << file.filename();
+    for (const std::optional<i64> id :
+         {std::optional<i64>(), std::optional<i64>(-42)}) {
+      service::JsonValue envelope = service::JsonValue::object();
+      if (id.has_value()) envelope.set("id", service::JsonValue::integer(*id));
+      envelope.set("ok", service::JsonValue::boolean(true));
+      envelope.set("result", value);
+      EXPECT_EQ(service::ok_response(id, value), envelope.dump())
+          << file.filename();
+    }
   }
 }
 

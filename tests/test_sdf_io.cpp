@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "base/diagnostics.hpp"
 #include "buffer/distribution.hpp"
 #include "gen/random_graph.hpp"
@@ -156,6 +162,74 @@ TEST(Dsl, RejectsUnknownDirective) {
 TEST(Dsl, RejectsUnknownActors) {
   EXPECT_THROW((void)read_dsl("graph g\nactor a 1\nchannel c a 1 zz 1\n"),
                ParseError);
+}
+
+TEST(Dsl, AcceptsCrlfTabsAndCommentOnlyLines) {
+  const sdf::Graph g = read_dsl(
+      "# comment only\r\n"
+      "graph\tcrlf\r\n"
+      "   # indented comment\r\n"
+      "\r\n"
+      "actor\ta 1\t# trailing comment\r\n"
+      "actor b\t\t2\r\n"
+      "channel ab\ta 1 b 1\r\n"
+      "channel ba b 1 a 1\ttokens 2\r\n"
+      "#");
+  EXPECT_EQ(g.name(), "crlf");
+  ASSERT_EQ(g.num_actors(), 2u);
+  EXPECT_EQ(g.actor(*g.find_actor("b")).execution_time, 2);
+  EXPECT_EQ(g.channel(*g.find_channel("ba")).initial_tokens, 2);
+  EXPECT_EQ(write_dsl(g),
+            "graph crlf\nactor a 1\nactor b 2\nchannel ab a 1 b 1\n"
+            "channel ba b 1 a 1 tokens 2\n");
+  // Line numbers count CRLF and comment-only lines alike.
+  try {
+    (void)read_dsl("# c\r\n\r\ngraph g\r\nactor a\r\n");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "line 4: expected: actor <name> <execution-time>");
+  }
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// Every bundled model and every stress-corpus graph of the request-path
+// benchmark round-trips, and the benchmark's files (written by write_dsl)
+// are reproduced byte for byte: the registry's canonical keys hash this
+// text.
+TEST(Dsl, ModelsAndCorpusRoundTripByteIdentically) {
+  const std::vector<sdf::Graph> models = {
+      models::paper_example(),      models::fig6_diamond(),
+      models::samplerate_converter(), models::modem(),
+      models::satellite_receiver(), models::h263_decoder(),
+      models::mp3_decoder(),        models::mpeg4_sp_decoder()};
+  for (const sdf::Graph& g : models) {
+    const std::string text = write_dsl(g);
+    const sdf::Graph back = read_dsl(text);
+    expect_same_graph(g, back);
+    EXPECT_EQ(write_dsl(back), text) << g.name();
+  }
+  std::vector<std::filesystem::path> files;
+  for (const char* dir : {"/models", "/corpus"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::string(BENCH_INPUTS_DIR) + dir)) {
+      if (entry.path().extension() == ".sdf") files.push_back(entry.path());
+    }
+  }
+  EXPECT_EQ(files.size(), 8u + 28u);
+  for (const std::filesystem::path& file : files) {
+    const std::string text = slurp(file.string());
+    const sdf::Graph g = read_dsl(text);
+    EXPECT_EQ(write_dsl(g), text) << file;
+    expect_same_graph(g, read_dsl(write_dsl(g)));
+  }
 }
 
 // Property: serialisation round-trips on arbitrary generated graphs, for

@@ -155,15 +155,17 @@ TEST(CacheRegistry, CollidingKeysWithEqualMaxThroughputGetDistinctEntries) {
 }
 
 // acquire() computes a graph's analysis once per entry and hands it out
-// on every hit; peek() reads a resident analysis but never creates an
-// entry or refreshes its recency; a deadlocking graph keeps no entry.
+// on every hit; peek() reads a resident analysis and memo but never
+// creates an entry, refreshes its recency or hands out its cache; a
+// deadlocking graph keeps no entry.
 TEST(CacheRegistry, AnalysisIsMemoizedPerEntryAndPeekNeverTouchesTheLru) {
   const sdf::Graph tiny = io::read_dsl(kTinyDsl);
   const sdf::ActorId target(1);
   const service::GraphKey key = service::graph_key(tiny, "b");
   service::CacheRegistry registry(/*max_graphs=*/2, /*entries_per_graph=*/0);
 
-  EXPECT_EQ(registry.peek(key, tiny, target), nullptr);
+  EXPECT_EQ(registry.peek(key, tiny, target).analysis, nullptr);
+  EXPECT_EQ(registry.peek(key, tiny, target).memo, nullptr);
   EXPECT_EQ(registry.resident(), 0u);
 
   const service::CacheRegistry::Lease cold = registry.acquire(key, tiny, target);
@@ -181,7 +183,12 @@ TEST(CacheRegistry, AnalysisIsMemoizedPerEntryAndPeekNeverTouchesTheLru) {
   EXPECT_TRUE(warm.warm);
   EXPECT_EQ(warm.cache, cold.cache);
   EXPECT_EQ(warm.analysis, cold.analysis);
-  EXPECT_EQ(registry.peek(key, tiny, target), cold.analysis);
+  const service::CacheRegistry::Lease peeked = registry.peek(key, tiny, target);
+  EXPECT_EQ(peeked.analysis, cold.analysis);
+  EXPECT_EQ(peeked.memo, cold.memo);
+  EXPECT_NE(peeked.memo, nullptr);
+  EXPECT_EQ(peeked.cache, nullptr);
+  EXPECT_FALSE(peeked.warm);
   EXPECT_EQ(registry.analyses_computed(), 1u);
   EXPECT_EQ(registry.analysis_hits(), 2u);
   EXPECT_EQ(registry.warm_hits(), 1u);
@@ -189,10 +196,10 @@ TEST(CacheRegistry, AnalysisIsMemoizedPerEntryAndPeekNeverTouchesTheLru) {
   // LRU order [key]; add two legacy entries. The peek in between must not
   // refresh `key`, so it is the one evicted.
   EXPECT_FALSE(registry.get_or_create(11, Rational(1, 3)).warm);  // [11, key]
-  EXPECT_NE(registry.peek(key, tiny, target), nullptr);
+  EXPECT_NE(registry.peek(key, tiny, target).analysis, nullptr);
   EXPECT_FALSE(registry.get_or_create(22, Rational(1, 3)).warm);  // [22, 11]
   EXPECT_FALSE(registry.contains(key.fingerprint));
-  EXPECT_EQ(registry.peek(key, tiny, target), nullptr);
+  EXPECT_EQ(registry.peek(key, tiny, target).analysis, nullptr);
 
   // Deadlock everywhere (a token-free cycle): the lease carries the
   // analysis, but no cache, and no entry stays resident.
@@ -369,14 +376,28 @@ TEST(Service, FastQualityServesLpFrontWithoutSeedingTheWarmCache) {
   // Fast answers carry no cache provenance: they never take a registry
   // entry, so the member must be absent (not merely false).
   EXPECT_EQ(fast.find("cached_graph"), nullptr);
+  EXPECT_EQ(fast.find("memo"), nullptr);
+
+  // An identical repeat finds no resident entry, so no memo either: it
+  // solves its grid again.
+  const service::JsonValue again_resp = client.call(
+      explore_request(3, h263_xml(), ",\"quality\":\"fast\""));
+  ASSERT_TRUE(response_ok(again_resp));
+  EXPECT_EQ(result_of(again_resp).find("memo"), nullptr);
+  EXPECT_GE(result_of(again_resp).find("lp_solves")->as_int(), 1);
+  EXPECT_EQ(result_of(again_resp).find("front")->as_string(),
+            fast.find("front")->as_string());
 
   // The registry holds nothing: a fast answer must never seed exact
-  // warm state. It computed its bounds itself, outside the registry.
+  // warm state. It computed its bounds itself, outside the registry, and
+  // stored no answer.
   const service::JsonValue status = client.call("{\"method\":\"status\"}");
   const service::JsonValue& cache = *result_of(status).find("cache");
   EXPECT_EQ(cache.find("graphs_resident")->as_int(), 0);
   EXPECT_EQ(cache.find("analyses_computed")->as_int(), 0);
   EXPECT_EQ(cache.find("analysis_hits")->as_int(), 0);
+  EXPECT_EQ(cache.find("memo_entries")->as_int(), 0);
+  EXPECT_EQ(cache.find("memo_hits")->as_int(), 0);
 
   // The first exact request is therefore cold — and still reproduces
   // the reference front byte for byte.
@@ -723,6 +744,98 @@ TEST(Service, ConcurrentIdenticalExploresShareOneMemoEntry) {
   }
   Client client = Client::tcp(port);
   EXPECT_EQ(memo_counter(client, "memo_entries"), 1);
+
+  server.shutdown();
+  server.wait();
+}
+
+// A fast answer on a resident graph is kept in the same front memo, under
+// its own key: an identical fast repeat solves no LP.
+TEST(Service, IdenticalFastRepeatIsAnsweredFromTheFrontMemo) {
+  service::Server server(tcp_options());
+  server.start();
+  Client client = Client::tcp(server.tcp_port());
+  ASSERT_TRUE(response_ok(client.call(explore_request(1, kTinyDsl))));
+  const auto fast = [&client](i64 id, const std::string& extra) {
+    const service::JsonValue resp = client.call(explore_request(
+        id, kTinyDsl, ",\"quality\":\"fast\"" + extra));
+    EXPECT_TRUE(response_ok(resp)) << resp.dump();
+    return result_of(resp);
+  };
+  const service::JsonValue cold = fast(2, "");
+  EXPECT_EQ(cold.find("memo"), nullptr);
+  EXPECT_GE(cold.find("lp_solves")->as_int(), 1);
+  EXPECT_EQ(memo_counter(client, "memo_entries"), 2);
+  const i64 hits_before = memo_counter(client, "memo_hits");
+
+  const service::JsonValue hit = fast(3, "");
+  ASSERT_NE(hit.find("memo"), nullptr) << hit.dump();
+  EXPECT_TRUE(hit.find("memo")->as_bool());
+  EXPECT_EQ(hit.find("quality")->as_string(), "fast");
+  for (const char* name : {"bounds", "front", "points"}) {
+    EXPECT_EQ(hit.find(name)->dump(), cold.find(name)->dump()) << name;
+  }
+  EXPECT_EQ(front_members(hit), front_members(cold));
+  for (const char* counter : {"lp_solves", "lp_pivots", "lp_cuts"}) {
+    EXPECT_EQ(hit.find(counter)->as_int(), 0) << counter;
+  }
+  EXPECT_EQ(hit.find("seconds")->as_double(), 0.0);
+  EXPECT_EQ(hit.find("cached_graph"), nullptr);
+  EXPECT_EQ(memo_counter(client, "memo_hits"), hits_before + 1);
+
+  // Another grid is another key: it misses, and is kept in turn.
+  const service::JsonValue other = fast(4, ",\"levels\":3");
+  EXPECT_EQ(other.find("memo"), nullptr);
+  EXPECT_GE(other.find("lp_solves")->as_int(), 1);
+  EXPECT_EQ(memo_counter(client, "memo_entries"), 3);
+  EXPECT_NE(fast(5, ",\"levels\":3").find("memo"), nullptr);
+
+  server.shutdown();
+  server.wait();
+}
+
+TEST(Service, FullFrontMemoRefusesFastAnswersAndKeepsItsExactOnes) {
+  constexpr i64 kCapacity = service::FrontMemo::kCapacity;
+  service::Server server(tcp_options());
+  server.start();
+  Client client = Client::tcp(server.tcp_port());
+  const auto explore = [&client](i64 id, const std::string& extra) {
+    const service::JsonValue resp =
+        client.call(explore_request(id, kTinyDsl, extra));
+    EXPECT_TRUE(response_ok(resp)) << resp.dump();
+    return result_of(resp).find("memo") != nullptr;
+  };
+  for (i64 levels = 1; levels <= kCapacity; ++levels) {
+    EXPECT_FALSE(explore(levels, ",\"levels\":" + std::to_string(levels)));
+  }
+  EXPECT_EQ(memo_counter(client, "memo_entries"), kCapacity);
+  for (i64 id = 100; id < 102; ++id) {
+    EXPECT_FALSE(explore(id, ",\"quality\":\"fast\"")) << id;
+  }
+  EXPECT_EQ(memo_counter(client, "memo_entries"), kCapacity);
+  for (i64 levels = 1; levels <= kCapacity; ++levels) {
+    EXPECT_TRUE(explore(levels, ",\"levels\":" + std::to_string(levels)))
+        << levels;
+  }
+
+  server.shutdown();
+  server.wait();
+}
+
+TEST(Service, CacheFalseFastRequestsBypassTheFrontMemo) {
+  service::Server server(tcp_options());
+  server.start();
+  Client client = Client::tcp(server.tcp_port());
+  ASSERT_TRUE(response_ok(client.call(explore_request(1, kTinyDsl))));
+  for (i64 id = 2; id < 4; ++id) {
+    const service::JsonValue resp = client.call(explore_request(
+        id, kTinyDsl, ",\"quality\":\"fast\",\"cache\":false"));
+    ASSERT_TRUE(response_ok(resp));
+    EXPECT_EQ(result_of(resp).find("memo"), nullptr) << "request " << id;
+    EXPECT_GE(result_of(resp).find("lp_solves")->as_int(), 1);
+  }
+  EXPECT_EQ(memo_counter(client, "memo_entries"), 1);
+  EXPECT_EQ(memo_counter(client, "memo_hits"), 0);
 
   server.shutdown();
   server.wait();
