@@ -17,10 +17,15 @@ i64 channel_lower_bound(const sdf::Channel& channel) {
     // output tokens already claim their space at the start.
     return checked_add(t, p);
   }
-  const i64 g = gcd(p, c);
-  const i64 classic = checked_add(checked_sub(checked_add(p, c), g),
-                                  positive_mod(t, g));
+  const CapacityLattice lattice = channel_lattice(channel);
+  const i64 classic = checked_add(
+      checked_sub(checked_add(p, c), lattice.step), lattice.residue);
   return std::max(t, classic);
+}
+
+CapacityLattice channel_lattice(const sdf::Channel& channel) {
+  const i64 g = gcd(channel.production, channel.consumption);
+  return {.step = g, .residue = positive_mod(channel.initial_tokens, g)};
 }
 
 StorageDistribution lower_bound_distribution(const sdf::Graph& graph) {

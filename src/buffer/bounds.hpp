@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "base/checked_math.hpp"
 #include "base/rational.hpp"
 #include "buffer/distribution.hpp"
 #include "sdf/graph.hpp"
@@ -33,6 +34,31 @@ namespace buffy::buffer {
 /// keep their consumed tokens while the firing is in flight, so they need
 /// t + p.
 [[nodiscard]] i64 channel_lower_bound(const sdf::Channel& channel);
+
+/// The lattice of capacities of one channel that run differently
+/// (DESIGN.md §2). Occupied space changes only by the rates p and c, so
+/// it is always congruent to the initial tokens t modulo g = gcd(p, c),
+/// and so is every space check's demand. A capacity therefore runs
+/// exactly like its aligned floor, the largest capacity at or below it
+/// that is congruent to t: the same schedule, throughput and storage
+/// dependencies.
+struct CapacityLattice {
+  i64 step = 1;     ///< g = gcd(p, c)
+  i64 residue = 0;  ///< t mod g
+
+  /// The aligned floor of `cap`: cap - ((cap - t) mod g).
+  [[nodiscard]] i64 floor(i64 cap) const {
+    return cap - positive_mod(cap - residue, step);
+  }
+  /// The smallest aligned capacity above `cap`: its floor plus g.
+  [[nodiscard]] i64 next(i64 cap) const {
+    return checked_add(floor(cap), step);
+  }
+};
+
+/// The lattice of one channel (self-loops included: their occupancy moves
+/// by the same rates).
+[[nodiscard]] CapacityLattice channel_lattice(const sdf::Channel& channel);
 
 /// Per-channel lower bounds as a distribution.
 [[nodiscard]] StorageDistribution lower_bound_distribution(

@@ -11,6 +11,7 @@
 #include "analysis/bounds.hpp"
 #include "analysis/repetition_vector.hpp"
 #include "buffer/audit_checks.hpp"
+#include "buffer/bounds.hpp"
 #include "buffer/throughput_cache.hpp"
 #include "lp/sdf_model.hpp"
 #include "state/lane_throughput.hpp"
@@ -41,6 +42,13 @@ struct Sweep {
   u64 box_hits = 0;
   u64 dominance_skips = 0;
   u64 lp_prunes = 0;
+  // The channels whose capacity lattice steps by more than 1 (DESIGN.md
+  // §2). A candidate is classified, simulated and recorded at its aligned
+  // floor, which runs exactly like it, so a box recorded at a floor also
+  // answers the unaligned candidates above it. Empty when every step is 1:
+  // each candidate is then its own floor, and no floor is copied.
+  std::vector<std::pair<std::size_t, CapacityLattice>> stepped;
+  std::vector<i64> floor_scratch;  // throughput_of's aligned floor
   ThroughputCache* cache = nullptr;  // null = cache disabled
   // LP cycle cuts (null = LP bounds disabled). A candidate or envelope
   // whose cut bound cannot strictly beat the incumbent is answered without
@@ -78,13 +86,24 @@ struct Sweep {
     delta->clear();
   }
 
-  // Books the candidate against the exploration budget and tries to
-  // answer it from the cache: an earlier run's equivalence box first,
-  // then the Sec. 8 max rule. Returns the answer, or nullopt when the
-  // candidate needs a simulation. Every simulated candidate lies in its
-  // own box, so the boxes also answer exact repeats; a deadlocked
-  // candidate is answered by a box or simulated.
-  [[nodiscard]] std::optional<Rational> classify(const CapsKey& key) {
+  // The aligned floor of `caps`: `caps` itself when no channel steps by
+  // more than 1, else written to `out`.
+  [[nodiscard]] const std::vector<i64>& floor_of(const std::vector<i64>& caps,
+                                                 std::vector<i64>& out) const {
+    if (stepped.empty()) return caps;
+    out.assign(caps.begin(), caps.end());
+    for (const auto& [c, lattice] : stepped) out[c] = lattice.floor(caps[c]);
+    return out;
+  }
+
+  // Books `candidate` against the exploration budget and tries to answer
+  // it from the cache at `key`, its aligned floor: an earlier run's
+  // equivalence box first, then the Sec. 8 max rule. Returns the answer,
+  // or nullopt when the floor needs a simulation. Every simulated floor
+  // lies in its own box, so the boxes also answer exact repeats; a
+  // deadlocked candidate is answered by a box or simulated.
+  [[nodiscard]] std::optional<Rational> classify(
+      const CapsKey& key, const std::vector<i64>& candidate) {
     if (++explored > options.max_distributions) {
       throw Error(std::string(op_name) + " exceeded max_distributions = " +
                   std::to_string(options.max_distributions));
@@ -94,7 +113,6 @@ struct Sweep {
       // delta covers what this exploration has learned inside it —
       // including its own witnesses, so the scan sees exactly the
       // hit/miss pattern of merging each candidate on its own.
-      const std::vector<i64>& caps = key.caps();
       std::optional<CachedThroughput> hit = delta->find_box(*snap, key);
       const bool boxed = hit.has_value();
       if (!hit.has_value()) hit = snap->find_max_dominated(key);
@@ -102,7 +120,7 @@ struct Sweep {
       if (hit.has_value()) {
         if (trace::enabled()) {
           i64 size = 0;
-          for (const i64 c : caps) size += c;
+          for (const i64 c : candidate) size += c;
           trace::emit_instant(boxed ? trace::EventKind::BoxHit
                                     : trace::EventKind::DominanceSkip,
                               size);
@@ -117,13 +135,14 @@ struct Sweep {
             options.progress->add_dominance_skips(1);
           }
         }
-        // Audit mode re-simulates a deterministic sample of hits: box
-        // hits re-verify the replay argument, dominance answers the Sec. 8
-        // monotonicity, both end-to-end (DESIGN.md §9).
+        // Audit mode re-simulates a deterministic sample of hits at the
+        // candidate as enumerated, not its floor: box hits re-verify the
+        // replay argument and the floor equivalence, dominance answers the
+        // Sec. 8 monotonicity, all end-to-end (DESIGN.md §9).
         if (audit::enabled() && audit::sample(key.hash())) {
           audit_check_cached_throughput(graph, options.target,
-                                        options.max_steps_per_run, {}, caps,
-                                        *hit);
+                                        options.max_steps_per_run, {},
+                                        candidate, *hit);
         }
         return hit->throughput;
       }
@@ -191,10 +210,10 @@ struct Sweep {
   }
 
   // The scalar evaluation used by envelope probes and slice seeds (and by
-  // every leaf when the lane kernel is off).
+  // every leaf when the lane kernel is off), taken at the aligned floor.
   [[nodiscard]] Rational throughput_of(const std::vector<i64>& caps) {
-    const CapsKey key(caps);
-    if (const std::optional<Rational> hit = classify(key)) {
+    const CapsKey key(floor_of(caps, floor_scratch));
+    if (const std::optional<Rational> hit = classify(key, caps)) {
       return *hit;
     }
     return simulate_one(key);
@@ -242,7 +261,9 @@ struct SizeOutcome {
 // (throughput, witness) outcome — and with it the front — byte-identical
 // to the scalar scan; the enumeration may classify up to a queue's worth
 // of extra leaves past the sequential stopping point, booked in
-// distributions_explored.
+// distributions_explored. A leaf is classified and simulated at its
+// aligned floor and folded as enumerated. The entries are reused from
+// one batch to the next, so a queued leaf allocates nothing.
 class LeafQueue {
  public:
   explicit LeafQueue(Sweep& sweep)
@@ -252,12 +273,14 @@ class LeafQueue {
   // Returns false once the fold requested a stop.
   template <typename Visit>
   [[nodiscard]] bool leaf(const std::vector<i64>& caps, Visit&& visit) {
-    const CapsKey key(caps);
-    entries_.push_back(Entry{caps, key.hash(), sweep_.classify(key)});
-    if (!entries_.back().tput.has_value()) {
-      pending_.push_back(entries_.size() - 1);
-    }
-    if (entries_.size() < width_) return true;
+    if (used_ == entries_.size()) entries_.emplace_back();
+    Entry& e = entries_[used_++];
+    e.caps.assign(caps.begin(), caps.end());
+    const CapsKey key(sweep_.floor_of(e.caps, e.floor));
+    e.hash = key.hash();
+    e.tput = sweep_.classify(key, e.caps);
+    if (!e.tput.has_value()) pending_.push_back(used_ - 1);
+    if (used_ < width_) return true;
     return flush(visit);
   }
 
@@ -265,12 +288,13 @@ class LeafQueue {
   // arrival order. Call once more after the enumeration for the tail.
   template <typename Visit>
   [[nodiscard]] bool flush(Visit&& visit) {
-    if (entries_.empty()) return true;
+    if (used_ == 0) return true;
     if (!pending_.empty()) {
       std::vector<CapsKey> keys;
       keys.reserve(pending_.size());
       for (const std::size_t k : pending_) {
-        keys.emplace_back(entries_[k].caps, entries_[k].hash);
+        const Entry& e = entries_[k];
+        keys.emplace_back(sweep_.stepped.empty() ? e.caps : e.floor, e.hash);
       }
       const std::vector<state::ThroughputResult> runs =
           sweep_.simulate_lanes(keys);
@@ -279,26 +303,28 @@ class LeafQueue {
       }
     }
     bool keep = true;
-    for (const Entry& e : entries_) {
-      if (!keep) break;  // the sequential scan stopped here: discard
-      keep = visit(e.caps,
-                   quantize_down(*e.tput, sweep_.options.quantization));
+    for (std::size_t k = 0; k < used_ && keep; ++k) {
+      // Past a stop the sequential scan would not have got here: discard.
+      keep = visit(entries_[k].caps, quantize_down(*entries_[k].tput,
+                                                   sweep_.options.quantization));
     }
-    entries_.clear();
+    used_ = 0;
     pending_.clear();
     return keep;
   }
 
  private:
   struct Entry {
-    std::vector<i64> caps;
-    u64 hash = 0;  // hash_words(caps), carried to the batch's cache records
+    std::vector<i64> caps;   // the leaf as enumerated
+    std::vector<i64> floor;  // its aligned floor (unused when no channel steps)
+    u64 hash = 0;  // hash_words of the floor, carried to the batch's records
     std::optional<Rational> tput;
   };
 
   Sweep& sweep_;
   std::size_t width_;
-  std::vector<Entry> entries_;
+  std::vector<Entry> entries_;  // the first used_ are queued
+  std::size_t used_ = 0;
   std::vector<std::size_t> pending_;
 };
 
@@ -465,6 +491,10 @@ SizeOutcome max_throughput_for_size(Sweep& sweep, i64 size,
 // equivalent_minimal_distributions.
 void init_box(Sweep& sweep) {
   const std::size_t m = sweep.graph.num_channels();
+  for (const sdf::ChannelId c : sweep.graph.channel_ids()) {
+    const CapacityLattice lattice = channel_lattice(sweep.graph.channel(c));
+    if (lattice.step > 1) sweep.stepped.emplace_back(c.index(), lattice);
+  }
   sweep.lb = constrained_floor(sweep.options, sweep.bounds);
   const auto ceiling = constrained_ceiling(sweep.options, m);
   sweep.ub.resize(m);

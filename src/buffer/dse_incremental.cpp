@@ -10,6 +10,7 @@
 #include "base/diagnostics.hpp"
 #include "base/hash.hpp"
 #include "buffer/audit_checks.hpp"
+#include "buffer/bounds.hpp"
 #include "lp/sdf_model.hpp"
 #include "buffer/throughput_cache.hpp"
 #include "state/engine.hpp"
@@ -203,6 +204,11 @@ DseResult climb(const sdf::Graph& graph, const DseOptions& options,
   Climb frontier(graph.num_channels());
 
   const auto ceiling = constrained_ceiling(options, graph.num_channels());
+  std::vector<CapacityLattice> lattices;
+  lattices.reserve(graph.num_channels());
+  for (const sdf::ChannelId c : graph.channel_ids()) {
+    lattices.push_back(channel_lattice(graph.channel(c)));
+  }
   std::vector<i64> floor_caps = constrained_floor(options, bounds);
   // Kept alive past the warm start for the sampled LP-bound-vs-simulation
   // audit inside the evaluation waves (DESIGN.md §9).
@@ -478,21 +484,25 @@ DseResult climb(const sdf::Graph& graph, const DseOptions& options,
       // No space dependency anywhere in the run: larger buffers reproduce
       // the identical execution, so this branch is exhausted. (Without a
       // resource binding this only happens at the maximal throughput.)
+      // A dependency channel steps to its next aligned capacity: every
+      // capacity below that runs like the current one (DESIGN.md §2).
       for (const sdf::ChannelId c : evals[i].deps) {
+        const i64 bumped = lattices[c.index()].next(caps[c.index()]);
         if (ceiling[c.index()].has_value() &&
-            caps[c.index()] + 1 > *ceiling[c.index()]) {
+            bumped > *ceiling[c.index()]) {
           // This memory is full (distributed-memory constraint).
           if (options.progress != nullptr) options.progress->add_pruned(1);
           continue;
         }
+        const i64 child_size = batch_size + (bumped - caps[c.index()]);
         if (options.max_distribution_size.has_value() &&
-            batch_size + 1 > *options.max_distribution_size) {
+            child_size > *options.max_distribution_size) {
           if (options.progress != nullptr) options.progress->add_pruned(1);
           continue;
         }
         child = caps;
-        ++child[c.index()];
-        frontier.reach(child, batch_size + 1);
+        child[c.index()] = bumped;
+        frontier.reach(child, child_size);
       }
     }
     if (result.cancelled) break;

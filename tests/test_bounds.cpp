@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "models/models.hpp"
 #include "sdf/builder.hpp"
 #include "state/throughput.hpp"
@@ -46,6 +50,128 @@ TEST(Bounds, LowerBoundDistributionOfExample) {
   const auto lb = lower_bound_distribution(models::paper_example());
   EXPECT_EQ(lb.capacities(), (std::vector<i64>{4, 2}));
   EXPECT_EQ(lb.size(), 6);
+}
+
+TEST(CapacityLattice, StepIsTheGcdOfTheRates) {
+  const CapacityLattice unit = channel_lattice(make_channel(2, 3, 5));
+  EXPECT_EQ(unit.step, 1);
+  EXPECT_EQ(unit.residue, 0);
+  EXPECT_EQ(unit.floor(7), 7);
+  EXPECT_EQ(unit.next(7), 8);
+
+  const CapacityLattice even = channel_lattice(make_channel(4, 6, 0));
+  EXPECT_EQ(even.step, 2);
+  EXPECT_EQ(even.residue, 0);
+  EXPECT_EQ(even.floor(8), 8);
+  EXPECT_EQ(even.floor(9), 8);
+  EXPECT_EQ(even.next(8), 10);
+  EXPECT_EQ(even.next(9), 10);
+}
+
+TEST(CapacityLattice, TokensOffTheStepShiftTheLattice) {
+  // g = 3 and t = 7: the aligned capacities are 7, 10, 13, ...
+  const CapacityLattice l = channel_lattice(make_channel(6, 9, 7));
+  EXPECT_EQ(l.step, 3);
+  EXPECT_EQ(l.residue, 1);
+  EXPECT_EQ(l.floor(10), 10);
+  EXPECT_EQ(l.floor(11), 10);
+  EXPECT_EQ(l.floor(12), 10);
+  EXPECT_EQ(l.floor(13), 13);
+  EXPECT_EQ(l.next(10), 13);
+  EXPECT_EQ(l.next(12), 13);
+}
+
+TEST(CapacityLattice, SelfLoopsStepByTheirRate) {
+  const CapacityLattice l =
+      channel_lattice(make_channel(2, 2, 3, /*self_loop=*/true));
+  EXPECT_EQ(l.step, 2);
+  EXPECT_EQ(l.residue, 1);
+  EXPECT_EQ(l.floor(6), 5);
+  EXPECT_EQ(l.next(5), 7);
+  EXPECT_EQ(l.next(6), 7);
+}
+
+TEST(CapacityLattice, UnalignedUserMinStepsStraightOntoTheLattice) {
+  // g = 2, t = 1: a user floor of 12 runs like 11, and the climb's next
+  // capacity is 13, not 14.
+  const CapacityLattice l = channel_lattice(make_channel(4, 6, 1));
+  EXPECT_EQ(l.floor(12), 11);
+  EXPECT_EQ(l.next(12), 13);
+}
+
+TEST(CapacityLattice, LowerBoundsAreAligned) {
+  for (i64 p = 1; p <= 8; ++p) {
+    for (i64 c = 1; c <= 8; ++c) {
+      for (i64 t = 0; t <= 2 * (p + c); ++t) {
+        const sdf::Channel ch = make_channel(p, c, t);
+        const i64 lb = channel_lower_bound(ch);
+        EXPECT_EQ(channel_lattice(ch).floor(lb), lb)
+            << "p=" << p << " c=" << c << " t=" << t;
+      }
+    }
+    for (i64 t = p; t <= 3 * p; ++t) {
+      const sdf::Channel loop = make_channel(p, p, t, /*self_loop=*/true);
+      const i64 lb = channel_lower_bound(loop);
+      EXPECT_EQ(channel_lattice(loop).floor(lb), lb) << "p=" << p << " t=" << t;
+    }
+  }
+}
+
+// Every capacity in a grid above the lower bounds runs exactly like its
+// aligned floor: the same throughput, deadlock verdict, storage
+// dependencies and demand. The graph has a g = 2 channel with an odd token
+// count, a g = 2 self-loop with an odd token count and a g = 2 feedback
+// channel.
+TEST(CapacityLattice, EveryCapacityRunsLikeItsFloor) {
+  sdf::GraphBuilder b("stepped");
+  const auto a = b.actor("a", 1);
+  const auto mid = b.actor("b", 2);
+  const auto c = b.actor("c", 1);
+  b.channel("ab", a, 4, mid, 6, 1);
+  b.channel("bb", mid, 2, mid, 2, 3);
+  b.channel("bc", mid, 6, c, 4, 0);
+  b.channel("ca", c, 2, a, 2, 6);
+  const sdf::Graph g = b.build();
+  const std::vector<i64> lb = lower_bound_distribution(g).capacities();
+  std::vector<CapacityLattice> lattices;
+  for (const sdf::ChannelId ch : g.channel_ids()) {
+    lattices.push_back(channel_lattice(g.channel(ch)));
+  }
+  state::ThroughputOptions opts{.target = c};
+  opts.collect_storage_deps = true;
+  opts.collect_box = true;
+  const auto signature = [&](const std::vector<i64>& caps) {
+    const state::ThroughputResult r =
+        state::compute_throughput(g, state::Capacities::bounded(caps), opts);
+    std::ostringstream out;
+    out << r.throughput << ' ' << r.deadlocked << " states "
+        << r.states_stored << " deps";
+    for (const sdf::ChannelId d : r.storage_deps) out << ' ' << d.index();
+    out << " demand";
+    for (const i64 d : r.demand) out << ' ' << d;
+    return out.str();
+  };
+  std::size_t unaligned = 0;
+  std::vector<i64> caps(4);
+  for (i64 d0 = 0; d0 < 6; ++d0) {
+    for (i64 d1 = 0; d1 < 4; ++d1) {
+      for (i64 d2 = 0; d2 < 6; ++d2) {
+        for (i64 d3 = 0; d3 < 3; ++d3) {
+          caps = {lb[0] + d0, lb[1] + d1, lb[2] + d2, lb[3] + d3};
+          std::vector<i64> floor(4);
+          for (std::size_t k = 0; k < 4; ++k) {
+            floor[k] = lattices[k].floor(caps[k]);
+          }
+          if (floor == caps) continue;
+          ++unaligned;
+          ASSERT_EQ(signature(caps), signature(floor))
+              << caps[0] << " " << caps[1] << " " << caps[2] << " "
+              << caps[3];
+        }
+      }
+    }
+  }
+  EXPECT_GT(unaligned, 0u);
 }
 
 // Brute force: for an isolated producer/consumer pair, the formula must be

@@ -9,7 +9,9 @@
 
 #include "analysis/bounds.hpp"
 #include "base/diagnostics.hpp"
+#include "buffer/dse.hpp"
 #include "models/models.hpp"
+#include "sdf/builder.hpp"
 
 namespace buffy::codegen {
 namespace {
@@ -405,6 +407,55 @@ TEST_F(CodegenCompile, NarrowModemDseMatchesCheckedScalar) {
     oversized += std::to_string(cert.storage_budget[c] + 1) + " ";
   }
   EXPECT_EQ(run(ref_bin, oversized), run(vec_bin, oversized));
+}
+
+// A graph whose channels step by g = gcd(p, c) = 2 (DESIGN.md §2), one of
+// them with an odd token count: the generated climbs step each channel
+// to its next aligned capacity. Their --dse staircase must be the
+// incremental engine's front, distributions included, and the scalar and
+// lane programs must print it byte for byte.
+TEST_F(CodegenCompile, SteppedDseMatchesTheIncrementalEngine) {
+  if (!have_compiler()) GTEST_SKIP() << "no system compiler";
+  const std::string dir = ::testing::TempDir();
+  sdf::GraphBuilder b("stepped");
+  const auto a = b.actor("a", 1);
+  const auto mid = b.actor("b", 2);
+  const auto c = b.actor("c", 1);
+  b.channel("ab", a, 4, mid, 6, 1);
+  b.channel("bc", mid, 6, c, 4, 0);
+  b.channel("ca", c, 2, a, 2, 6);
+  const sdf::Graph g = b.build();
+
+  const buffer::DseResult inc = buffer::explore(
+      g, {.target = c, .engine = buffer::DseEngine::Incremental});
+  std::ostringstream staircase;
+  for (const buffer::ParetoPoint& p : inc.pareto.points()) {
+    staircase << "pareto " << p.size() << ' ' << p.throughput.num() << '/'
+              << p.throughput.den();
+    for (const i64 cap : p.distribution.capacities()) staircase << ' ' << cap;
+    staircase << '\n';
+  }
+  const std::string want = staircase.str();
+  ASSERT_GT(inc.pareto.size(), 1u) << want;
+
+  const std::string scalar_src = dir + "/buffy_stepped_ref.cpp";
+  const std::string scalar_bin = dir + "/buffy_stepped_ref";
+  write_explorer_source(g, c, scalar_src);
+  ASSERT_EQ(std::system(("c++ -std=c++17 -O1 -o " + scalar_bin + " " +
+                         scalar_src + " 2>&1")
+                            .c_str()),
+            0);
+  const std::string vec_src = dir + "/buffy_stepped_vec.cpp";
+  const std::string vec_bin = dir + "/buffy_stepped_vec";
+  write_explorer_source(g, c, vec_src, {.lanes = 4});
+  ASSERT_EQ(std::system(("c++ -std=c++17 -O1 -o " + vec_bin + " " + vec_src +
+                         " 2>&1")
+                            .c_str()),
+            0);
+
+  EXPECT_EQ(run(scalar_bin, "--dse"), want);
+  EXPECT_EQ(run(vec_bin, "--dse"), want);
+  EXPECT_EQ(run(vec_bin, ""), run(scalar_bin, ""));
 }
 
 }  // namespace

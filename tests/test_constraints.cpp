@@ -9,6 +9,8 @@
 #include "buffer/dse.hpp"
 #include "buffer/dse_exact.hpp"
 #include "models/models.hpp"
+#include "sdf/builder.hpp"
+#include "state/simd_backend.hpp"
 #include "state/throughput.hpp"
 
 namespace buffy::buffer {
@@ -64,6 +66,45 @@ TEST_P(ConstraintEngines, BothEnginesAgreeUnderConstraints) {
     const auto probe = state::compute_throughput(
         g, p.distribution.capacities(), *g.find_actor("c"));
     EXPECT_EQ(probe.throughput, p.throughput);
+  }
+}
+
+// A user floor off the channel's capacity lattice (DESIGN.md §2): on a
+// g = 2 channel with one initial token the aligned capacities are odd, so
+// a floor of 12 runs like 11 and the climb steps it straight to 13. Both
+// engines must still give the front of the plain enumeration, and every
+// witness on that channel is the floor itself or an aligned capacity.
+TEST_P(ConstraintEngines, UnalignedFloorStepsOntoTheLattice) {
+  sdf::GraphBuilder b("stepped");
+  const auto a = b.actor("a", 1);
+  const auto mid = b.actor("b", 2);
+  const auto c = b.actor("c", 1);
+  b.channel("ab", a, 4, mid, 6, 1);
+  b.channel("bc", mid, 6, c, 4, 0);
+  b.channel("ca", c, 2, a, 2, 6);
+  const sdf::Graph g = b.build();
+  DseOptions opts{.target = c, .engine = DseEngine::Exhaustive};
+  opts.channel_constraints.resize(3);
+  opts.channel_constraints[0].min = 12;
+  opts.use_throughput_cache = false;
+  opts.use_lp_bounds = false;
+  opts.simd = state::SimdBackend::Scalar;
+  const auto reference = explore(g, opts);
+  opts = DseOptions{.target = c, .engine = GetParam()};
+  opts.channel_constraints.resize(3);
+  opts.channel_constraints[0].min = 12;
+  const auto r = explore(g, opts);
+  ASSERT_FALSE(r.pareto.empty());
+  ASSERT_EQ(r.pareto.size(), reference.pareto.size());
+  for (std::size_t i = 0; i < r.pareto.size(); ++i) {
+    const ParetoPoint& p = r.pareto.points()[i];
+    EXPECT_EQ(p.size(), reference.pareto.points()[i].size());
+    EXPECT_EQ(p.throughput, reference.pareto.points()[i].throughput);
+    const i64 ab = p.distribution[std::size_t{0}];
+    EXPECT_TRUE(ab == 12 || (ab > 12 && ab % 2 == 1)) << ab;
+    EXPECT_EQ(state::compute_throughput(g, p.distribution.capacities(), c)
+                  .throughput,
+              p.throughput);
   }
 }
 

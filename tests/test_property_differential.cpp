@@ -34,6 +34,7 @@
 #include "analysis/repetition_vector.hpp"
 #include "base/diagnostics.hpp"
 #include "base/rng.hpp"
+#include "buffer/bounds.hpp"
 #include "buffer/dse.hpp"
 #include "buffer/fast_front.hpp"
 #include "buffer/throughput_cache.hpp"
@@ -523,6 +524,71 @@ TEST(PropertyDifferential, EveryRecordedBoxReplaysItsRun) {
   EXPECT_GT(boxes, 0u);
   EXPECT_GT(analytic, 0u);
   EXPECT_GT(analytic_deadlocks, 0u);
+}
+
+// Property (h): the residue lemma (DESIGN.md §2). Occupied space moves
+// only by a channel's rates, so a capacity runs exactly like its aligned
+// floor; both engines rely on it to step a channel by g = gcd(p, c) and to
+// simulate each exhaustive candidate at its floor. For random
+// distributions between the lower bounds and one step past the Fig. 7
+// max-throughput distribution, the oracle's scalar run at the candidate
+// and at its floor must agree field for field (throughput, deadlock
+// verdict, storage dependencies, demand), and on small graphs
+// testing::throughput_at must give both the same answer.
+TEST(PropertyDifferential, EveryCapacityRunsLikeItsAlignedFloor) {
+  std::size_t unaligned = 0;
+  std::size_t analytic = 0;
+  for (const u64 seed : load_seeds()) {
+    const sdf::Graph graph = gen::random_graph(graph_options(seed));
+    const sdf::ActorId target(graph.num_actors() - 1);
+    const buffer::DesignSpaceBounds bounds =
+        buffer::design_space_bounds(graph, target);
+    if (bounds.deadlock) continue;
+    std::vector<buffer::CapacityLattice> lattices;
+    for (const sdf::ChannelId c : graph.channel_ids()) {
+      lattices.push_back(buffer::channel_lattice(graph.channel(c)));
+    }
+    const analysis::RepetitionVector q = analysis::repetition_vector(graph);
+    const bool check_analytic =
+        std::accumulate(q.counts().begin(), q.counts().end(), i64{0}) <=
+        kAnalyticMaxIterationSize;
+    Rng rng(seed);
+    state::ThroughputOptions run_opts{.target = target};
+    run_opts.collect_storage_deps = true;
+    run_opts.collect_box = true;
+    for (int sample = 0; sample < 8; ++sample) {
+      std::vector<i64> caps(graph.num_channels());
+      std::vector<i64> floor(graph.num_channels());
+      for (std::size_t c = 0; c < caps.size(); ++c) {
+        const i64 lo = bounds.per_channel_lb[c];
+        const i64 hi = std::max(lo, bounds.max_throughput_distribution[c]) +
+                       lattices[c].step - 1;
+        caps[c] = rng.uniform(lo, hi);
+        floor[c] = lattices[c].floor(caps[c]);
+      }
+      if (floor == caps) continue;
+      ++unaligned;
+      const std::string where = repro(seed, graph) + "candidate" +
+                                caps_str(caps) + ", floor" + caps_str(floor);
+      const state::ThroughputResult at = state::compute_throughput(
+          graph, state::Capacities::bounded(caps), run_opts);
+      const state::ThroughputResult below = state::compute_throughput(
+          graph, state::Capacities::bounded(floor), run_opts);
+      ASSERT_EQ(run_signature(at), run_signature(below)) << where;
+      if (!check_analytic) continue;
+      const testing::AnalyticThroughput ref_at =
+          testing::throughput_at(graph, target, caps);
+      const testing::AnalyticThroughput ref_below =
+          testing::throughput_at(graph, target, floor);
+      ASSERT_EQ(ref_at.deadlocked, at.deadlocked) << where;
+      ASSERT_EQ(ref_at.throughput, at.throughput) << where;
+      ASSERT_EQ(ref_below.deadlocked, ref_at.deadlocked) << where;
+      ASSERT_EQ(ref_below.throughput, ref_at.throughput) << where;
+      ++analytic;
+    }
+  }
+  EXPECT_GT(unaligned, 200u);
+  EXPECT_GT(analytic, 0u);
 }
 
 // The pinned list itself: losing seeds would silently weaken the sweep.
